@@ -15,8 +15,7 @@ from .solvers import (BestResponseResult, MetaSolution, advantage,
                       stackelberg_grid_value)
 from .engine import (AlgorithmConfig, EmpiricalGame, EngineState,
                      IterationReport, Population, aggregate, br_oracle,
-                     build_empirical, diversity_step, init_state,
-                     lookahead_step, meta_nash, normalize_abs,
+                     build_empirical, init_state, lookahead_step, meta_nash,
                      population_update, refresh_confirming, run,
                      run_iteration)
 from .harness import ExperimentConfig, make_config, run_experiment

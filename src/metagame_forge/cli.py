@@ -7,7 +7,8 @@ Subcommands::
     eval       print a metric for a (game, row strategy, col strategy) triple
     aggregate  recompute summary.csv from an existing metrics.csv
 
-Exit codes: 0 success, 1 at least one grid cell failed, 2 invalid input.
+Exit codes: 0 success, 1 at least one grid cell failed, 2 invalid input
+(including a non-integer ``METAGAME_FORGE_THREADS``).
 """
 from __future__ import annotations
 

@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .games import BimatrixGame, GameError, payoff
 from .solvers import (TIE_ATOL, MetaSolution, advantage, advantage_many,
-                      best_response, ec_of_gram, exploitability,
-                      fictitious_play, own_matrix)
+                      best_response, ec_bordered, ec_of_gram,
+                      exploitability, fictitious_play, own_matrix)
 
 VARIANTS = ("vanilla_psro", "diversity_psro", "sc_psro")
 MODES = ("self_play", "stackelberg_player", "prosocial")
@@ -64,6 +64,10 @@ class AlgorithmConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise GameError(f"{f.name} must be finite")
         if self.variant not in VARIANTS:
             raise GameError(f"unknown variant {self.variant!r}")
         if not 0.0 <= self.lambda_d <= 1.0:
@@ -302,19 +306,6 @@ def br_oracle(game: BimatrixGame, player: int, opponent_aggregate) -> np.ndarray
 # ---------------------------------------------------------------------------
 # New-strategy steps
 
-def normalize_abs(v) -> np.ndarray:
-    """Elementwise absolute value followed by L1 normalization; degenerate
-    all-zero inputs map to the uniform distribution."""
-    v = np.asarray(v, dtype=float)
-    if not np.isfinite(v).all():
-        raise GameError("normalize_abs requires finite input")
-    a = np.abs(v)
-    s = a.sum()
-    if s < 1e-15:
-        return np.full(v.shape, 1.0 / v.shape[0])
-    return a / s
-
-
 def _candidates(pi_t: np.ndarray, step: float) -> np.ndarray:
     """One candidate per signed pure direction: |pi_t +/- step * e_a|,
     normalized.  Negative directions shift mass away from a coordinate, which
@@ -329,56 +320,64 @@ def _candidates(pi_t: np.ndarray, step: float) -> np.ndarray:
     return V / sums
 
 
-def _ec_scores(cand_rows: np.ndarray, fixed_rows) -> np.ndarray:
-    """Expected cardinality of the meta-matrix made of ``fixed_rows`` plus one
-    candidate row, for every candidate.  Only the candidate row varies, so the
-    fixed Gram block is computed once."""
-    ncand = cand_rows.shape[0]
-    scores = np.empty(ncand)
-    if fixed_rows is None or fixed_rows.shape[0] == 0:
-        for i in range(ncand):
-            r = cand_rows[i]
-            scores[i] = ec_of_gram(np.array([[r @ r]]))
-        return scores
-    G = fixed_rows @ fixed_rows.T
-    cross = cand_rows @ fixed_rows.T
+def _ec_scores(G: np.ndarray, cross: np.ndarray, cand_rows: np.ndarray,
+               index: np.ndarray) -> np.ndarray:
+    """Expected cardinality of the meta-matrix made of the k fixed rows (Gram
+    block ``G``) plus candidate row i, for each i in ``index``: one Cholesky
+    of the candidate's own bordered Gram matrix each.
+
+    Each score depends only on its candidate's bordered matrix, so it carries
+    the same bits whichever other candidates are scored alongside it.
+    """
     k = G.shape[0]
     L = np.empty((k + 1, k + 1))
     L[:k, :k] = G
-    for i in range(ncand):
+    scores = np.empty(len(index))
+    for j, i in enumerate(index):
         L[:k, k] = cross[i]
         L[k, :k] = cross[i]
         L[k, k] = cand_rows[i] @ cand_rows[i]
-        scores[i] = ec_of_gram(L)
+        scores[j] = ec_of_gram(L)
     return scores
-
-
-def diversity_step(game: BimatrixGame, player: int, pi_t: np.ndarray,
-                   pop_row: Population, pop_col: Population,
-                   lr: float, lambda_1: float) -> np.ndarray:
-    """Replace-then-score diversity update: candidates are pure-direction
-    steps from the population's last member; each is scored by the expected
-    cardinality of the population with its last member swapped for the
-    candidate, plus ``lambda_1`` times the candidate's advantage."""
-    own_pop = pop_row if player == 0 else pop_col
-    opp_pop = pop_col if player == 0 else pop_row
-    return _diversity_argmax(game, player, pi_t, own_pop.matrix()[:-1],
-                             opp_pop.matrix(), lr, lambda_1)
 
 
 def _diversity_argmax(game: BimatrixGame, player: int, pi_t: np.ndarray,
                       fixed_members: np.ndarray, opp_members: np.ndarray,
                       lr: float, lambda_1: float) -> np.ndarray:
+    """Replace-then-score diversity update: among the pure-direction steps
+    from ``pi_t``, the candidate maximizing the expected cardinality of the
+    meta-matrix of ``fixed_members`` (k x n, k >= 0) plus the candidate
+    against ``opp_members``, plus ``lambda_1`` times the candidate's
+    advantage.  Ties go to the lowest candidate index.
+
+    The result is the argmax of the exact per-candidate scores (`_ec_scores`
+    for every candidate), certified from a cheaper pass.  `ec_bordered`
+    scores all candidates in closed form, differing from the exact EC by at
+    most ``bound`` each.  The advantage term is the same array in both, and
+    rounding the sum adds at most ``2 eps |score|`` per side.  So every
+    exact total lies within ``margin`` of its approximation, and the exact
+    argmax is among the candidates whose approximate total is within
+    ``2 * margin`` of the approximate maximum.  Only those are scored
+    exactly; on a non-finite approximation all of them are.
+    """
     m_self = own_matrix(game, player)
     C = _candidates(pi_t, lr)
-    cand_rows = C @ (m_self @ opp_members.T)
-    fixed_rows = None
-    if fixed_members is not None and fixed_members.shape[0] > 0:
-        fixed_rows = fixed_members @ (m_self @ opp_members.T)
-    scores = _ec_scores(cand_rows, fixed_rows)
-    if lambda_1 > 0:
-        scores = scores + lambda_1 * advantage_many(game, player, C)
-    return C[int(np.argmax(scores))]
+    meta = m_self @ opp_members.T
+    cand_rows = C @ meta
+    fixed_rows = fixed_members @ meta
+    G = fixed_rows @ fixed_rows.T
+    cross = cand_rows @ fixed_rows.T
+    approx, bound = ec_bordered(G, cross, np.einsum("ij,ij->i", cand_rows, cand_rows))
+    weighted = (lambda_1 * advantage_many(game, player, C) if lambda_1 > 0
+                else np.zeros(C.shape[0]))
+    approx = approx + weighted
+    if np.isfinite(approx).all():
+        margin = bound + 2.0 * np.finfo(float).eps * np.abs(approx).max()
+        keep = np.flatnonzero(approx >= approx.max() - 2.0 * margin)
+    else:
+        keep = np.arange(C.shape[0])
+    scores = _ec_scores(G, cross, cand_rows, keep) + weighted[keep]
+    return C[keep[int(np.argmax(scores))]]
 
 
 def _restricted_advantage_many(game: BimatrixGame, player: int,

@@ -186,7 +186,11 @@ def execute_grid(config: ExperimentConfig, log=print) -> tuple[list, int]:
     jobs = config.jobs
     env = os.environ.get(ENV_JOBS)
     if env:
-        jobs = max(1, int(env))
+        try:
+            jobs = max(1, int(env))
+        except ValueError:
+            raise GameError(
+                f"{ENV_JOBS} must be an integer, got {env!r}") from None
     cells = [(g, name, overrides, seed, config.mode, config.max_iterations)
              for g in config.games
              for (name, overrides) in config.algorithms

@@ -8,8 +8,11 @@ pure function of its inputs.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import itertools
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -21,6 +24,53 @@ from .games import BimatrixGame, GameError, StrategyError, validate_strategy
 TIE_ATOL = 1e-9
 
 ROW, COL = 0, 1
+
+# Matrix products with fewer multiply-adds than this run on one BLAS thread.
+# At dim 100 the candidate block of `advantage_many` (200 x 100 x 100) took
+# 0.15 ms a call on two OpenBLAS threads with both cores of a 2-core machine
+# free, but 0.75 ms with a second process busy on the other core, as the
+# worker thread waits for its turn; on one thread it took 0.15 ms either way.
+# A desk grid round was then 2.2x slower.  Products past a millisecond of
+# work still gain from threads (1.7x on the dim-1000 cell), so they keep them.
+ONE_THREAD_MNK = 1e7
+
+
+def _openblas_threads():
+    """(get, set) of the number of threads of numpy's bundled OpenBLAS, or
+    None where numpy has none (another BLAS, or a system build)."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for prefix, suffix in itertools.product(("scipy_openblas_", "openblas_"),
+                                                ("64_", "")):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+_OPENBLAS_THREADS = _openblas_threads()
+
+
+@contextlib.contextmanager
+def _blas_threads_for(mnk: float):
+    """Run the products in the block on one BLAS thread if they are smaller
+    than ONE_THREAD_MNK multiply-adds.  At these sizes one thread gave the
+    same bits as two (every benchmark reference digest is unchanged), but
+    that is not so for large products, so the bound must stay small."""
+    if _OPENBLAS_THREADS is None or mnk >= ONE_THREAD_MNK:
+        yield
+        return
+    get, set_ = _OPENBLAS_THREADS
+    threads = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(threads)
 
 
 def own_matrix(game: BimatrixGame, player: int) -> np.ndarray:
@@ -93,8 +143,9 @@ def advantage_many(game: BimatrixGame, player: int, strategies: np.ndarray) -> n
     m_self = own_matrix(game, player)
     m_opp = own_matrix(game, 1 - player)
     P = np.atleast_2d(np.asarray(strategies, dtype=float))
-    opp_vals = P @ m_opp.T           # (k, opp-dim): opponent payoff per pure reply
-    self_vals = P @ m_self           # (k, opp-dim): player payoff per pure reply
+    with _blas_threads_for(P.shape[0] * P.shape[1] * m_self.shape[1]):
+        opp_vals = P @ m_opp.T       # (k, opp-dim): opponent payoff per pure reply
+        self_vals = P @ m_self       # (k, opp-dim): player payoff per pure reply
     best = opp_vals.max(axis=1, keepdims=True)
     tied = opp_vals >= best - TIE_ATOL
     return np.where(tied, self_vals, np.inf).min(axis=1)
@@ -197,6 +248,42 @@ def ec_of_gram(L: np.ndarray) -> float:
     t = L.shape[0]
     c = cho_factor(L + np.eye(t), lower=True)
     return float(t - np.trace(cho_solve(c, np.eye(t))))
+
+
+# Relative rounding bound of `ec_bordered` against `ec_of_gram`, per unit of
+# (k+1)(1 + largest Gram entry).  Measured differences are near 1e-16 per
+# unit, so the bound is loose by several orders of magnitude.
+EC_RTOL = 1e-8
+
+
+def ec_bordered(G: np.ndarray, cross: np.ndarray,
+                rr: np.ndarray) -> tuple[np.ndarray, float]:
+    """Expected cardinality of every bordered Gram matrix
+    ``[[G, c_i], [c_i^T, rr_i]]`` (c_i the i-th row of ``cross``), in closed
+    form from the k x k inverse of ``A = G + I`` (one Cholesky factorization).
+
+    With ``w = A^-1 c`` and the Schur complement ``s = rr + 1 - c.w`` (which
+    is at least 1), the bordered inverse has trace
+    ``tr(A^-1) + (1 + |w|^2) / s``, so EC = (k+1) minus that.  Returns the
+    scores and a bound on their difference from ``ec_of_gram`` of each
+    bordered matrix.  k = 0 (empty ``G``) gives ``1 - 1/(1 + rr)``.
+    """
+    k = G.shape[0]
+    # G is PSD and |c_ij| <= sqrt(G_jj rr_i), so this is the largest entry.
+    big = max(rr.max(initial=0.0), G.diagonal().max(initial=0.0))
+    bound = EC_RTOL * (k + 1) * (1.0 + big)
+    if k == 0:
+        return 1.0 - 1.0 / (1.0 + rr), bound
+    # W = A^-1 cross^T through the explicit inverse, not a triangular solve
+    # with all candidates as right-hand sides: OpenBLAS threads that solve,
+    # and on 2 cores it then took milliseconds a call instead of microseconds
+    # and slowed the BLAS calls after it, for some game seeds only.
+    A_inv = cho_solve(cho_factor(G + np.eye(k), lower=True), np.eye(k))
+    with _blas_threads_for(k * k * cross.shape[0]):
+        W = A_inv @ cross.T
+    s = rr + 1.0 - np.einsum("ij,ji->i", cross, W)
+    return ((k + 1) - np.trace(A_inv)
+            - (1.0 + np.einsum("ij,ij->j", W, W)) / s), bound
 
 
 # ---------------------------------------------------------------------------

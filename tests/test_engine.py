@@ -1,20 +1,25 @@
 """Engine: populations, confirming caches, clipping, update rules, run loop,
 and checkpointing."""
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metagame_forge.engine import (AlgorithmConfig, EngineError, Population,
                                    aggregate, br_oracle, build_empirical,
-                                   _candidates, diversity_step, init_state,
-                                   lookahead_step, meta_nash, normalize_abs,
+                                   _candidates, _diversity_argmax, init_state,
+                                   lookahead_step, meta_nash,
                                    population_update, refresh_confirming, run,
                                    run_iteration, state_from_dict,
                                    state_to_dict)
 from metagame_forge.games import (GameError, builtin, gen_general_sum,
                                   gen_symmetric_zero_sum, gen_transitive,
                                   new_game, pure, uniform)
-from metagame_forge.solvers import (advantage, advantage_many, exploitability,
-                                    own_matrix)
+from metagame_forge.solvers import (advantage, advantage_many, ec_bordered,
+                                    ec_of_gram, exploitability, own_matrix)
 
 RPS = builtin("rps")
 T1 = builtin("stackelberg_table1")
@@ -39,6 +44,16 @@ def test_config_validation_errors():
 
 def test_config_accepts_negative_im_above_minus_one():
     make_cfg(im=-0.05)
+
+NUMERIC_FIELDS = [f.name for f in fields(AlgorithmConfig)
+                  if type(f.default) in (int, float)]
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(NUMERIC_FIELDS),
+       st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_config_rejects_non_finite(name, value):
+    with pytest.raises(GameError, match=name):
+        make_cfg(**{name: value})
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +237,6 @@ def test_aggregate_and_br_oracle():
 # ---------------------------------------------------------------------------
 # Candidate generation and the two branches
 
-def test_normalize_abs():
-    assert np.allclose(normalize_abs([0.2, -0.3]), [0.4, 0.6])
-    assert np.allclose(normalize_abs([0.0, 0.0]), [0.5, 0.5])
-    with pytest.raises(GameError):
-        normalize_abs([np.inf, 1.0])
-
 def test_candidates_zero_step_is_identity():
     pi = np.array([0.2, 0.5, 0.3])
     C = _candidates(pi, 0.0)
@@ -281,28 +290,97 @@ def test_lookahead_table1_moves_toward_stackelberg_mix():
 
 def test_diversity_single_direction_returns_pi_t():
     g = new_game([[1.0, 0.0]], [[0.0, 1.0]])  # one row action
-    pop_row = _pop_of([np.array([1.0])])
-    pop_col = _pop_of([uniform(2)])
-    out = diversity_step(g, 0, np.array([1.0]), pop_row, pop_col, 0.5, 1.0)
+    out = _diversity_argmax(g, 0, np.array([1.0]), np.empty((0, 1)),
+                            np.array([uniform(2)]), 0.5, 1.0)
     assert np.allclose(out, [1.0])
 
 def test_diversity_huge_lambda1_selects_max_advantage_candidate():
     rng = np.random.default_rng(18)
     pi = rng.dirichlet(np.ones(3))
-    pop_row = _pop_of([uniform(3), pi])
-    pop_col = _pop_of([pure(3, 0), uniform(3)])
-    out = diversity_step(RPS, 0, pi, pop_row, pop_col, 0.5, 1e9)
+    out = _diversity_argmax(RPS, 0, pi, np.array([uniform(3)]),
+                            np.array([pure(3, 0), uniform(3)]), 0.5, 1e9)
     C = _candidates(pi, 0.5)
     best = advantage_many(RPS, 0, C).max()
     assert advantage(RPS, 0, out) >= best - 1e-9
 
 def test_diversity_against_single_rock_opponent():
     pi = uniform(3)
-    pop_row = _pop_of([pure(3, 2), pi])
-    pop_col = _pop_of([pure(3, 0)])      # one-column meta-matrix
-    out = diversity_step(RPS, 0, pi, pop_row, pop_col, 0.5, 1.0)
+    # One-column meta-matrix.
+    out = _diversity_argmax(RPS, 0, pi, np.array([pure(3, 2)]),
+                            np.array([pure(3, 0)]), 0.5, 1.0)
     assert np.isfinite(out).all()
     assert (out >= 0).all() and abs(out.sum() - 1.0) <= 1e-12
+
+def _brute_diversity_scores(game, player, pi_t, fixed_members, opp_members,
+                            lr, lambda_1):
+    """Reference: one Cholesky per candidate over its bordered Gram matrix,
+    then the dense advantage term.  Returns (candidates, EC, total)."""
+    m_self = own_matrix(game, player)
+    C = _candidates(pi_t, lr)
+    cand_rows = C @ (m_self @ opp_members.T)
+    fixed_rows = fixed_members @ (m_self @ opp_members.T)
+    k = fixed_rows.shape[0]
+    cross = cand_rows @ fixed_rows.T
+    L = np.empty((k + 1, k + 1))
+    L[:k, :k] = fixed_rows @ fixed_rows.T
+    ec = np.empty(C.shape[0])
+    for i in range(C.shape[0]):
+        L[:k, k] = cross[i]
+        L[k, :k] = cross[i]
+        L[k, k] = cand_rows[i] @ cand_rows[i]
+        ec[i] = ec_of_gram(L)
+    total = ec + lambda_1 * advantage_many(game, player, C) if lambda_1 > 0 else ec
+    return C, ec, total
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 9),
+       n_opp=st.integers(1, 6), player=st.sampled_from([0, 1]),
+       duplicate_actions=st.booleans(),
+       pi_kind=st.sampled_from(["mixed", "uniform", "near_pure"]),
+       fixed=st.sampled_from(["none", "one", "near_duplicate", "random"]),
+       lr=st.sampled_from([1e-3, 0.3, 1e9]),
+       lambda_1=st.sampled_from([0.0, 1.0, 1e9]),
+       scale=st.sampled_from([1.0, 100.0]))
+def test_diversity_argmax_matches_brute_force(seed, n, n_opp, player,
+                                              duplicate_actions, pi_kind,
+                                              fixed, lr, lambda_1, scale):
+    rng = np.random.default_rng(seed)
+    u_row = scale * rng.normal(size=(n, n))
+    u_col = scale * rng.normal(size=(n, n))
+    if duplicate_actions:
+        # Actions with equal payoffs give candidates whose scores tie up to
+        # rounding, where only the exact scores can pick the winner.
+        idx = rng.integers(0, min(n, 2), size=n)
+        u_row, u_col = ((u_row[idx], u_col[idx]) if player == 0
+                        else (u_row[:, idx], u_col[:, idx]))
+    g = new_game(u_row, u_col)
+    if pi_kind == "mixed":
+        pi = rng.dirichlet(np.ones(n))
+    elif pi_kind == "uniform":
+        pi = uniform(n)
+    else:
+        pi = np.abs(pure(n, int(rng.integers(n))) + 1e-14 * rng.normal(size=n))
+        pi /= pi.sum()
+    opp = rng.dirichlet(np.ones(n), size=n_opp)
+    if fixed == "none":
+        F = np.empty((0, n))
+    elif fixed == "one":
+        F = rng.dirichlet(np.ones(n), size=1)
+    elif fixed == "near_duplicate":
+        base = rng.dirichlet(np.ones(n))
+        F = np.vstack([base, base, np.abs(base + 1e-12 * rng.normal(size=n))])
+    else:
+        F = rng.dirichlet(np.ones(n), size=int(rng.integers(2, 12)))
+    out = _diversity_argmax(g, player, pi, F, opp, lr, lambda_1)
+    C, ec, total = _brute_diversity_scores(g, player, pi, F, opp, lr, lambda_1)
+    assert np.array_equal(out, C[int(np.argmax(total))])
+
+    m_self = own_matrix(g, player)
+    cand_rows = C @ (m_self @ opp.T)
+    fixed_rows = F @ (m_self @ opp.T)
+    approx, bound = ec_bordered(fixed_rows @ fixed_rows.T, cand_rows @ fixed_rows.T,
+                                np.einsum("ij,ij->i", cand_rows, cand_rows))
+    assert 1000.0 * np.abs(approx - ec).max() <= bound
 
 
 # ---------------------------------------------------------------------------

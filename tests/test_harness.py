@@ -258,6 +258,21 @@ def test_cli_run_empty_seeds_exits_2(tmp_path):
     cpath.write_text(json.dumps(config))
     assert main(["run", "--config", str(cpath)]) == 2
 
+def test_cli_non_integer_thread_count_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("METAGAME_FORGE_THREADS", "two")
+    config = {
+        "games": [{"kind": "builtin", "builtin_name": "rps"}],
+        "algorithms": ["vanilla_psro"],
+        "seeds": [0],
+        "max_iterations": 2,
+        "output_dir": str(tmp_path / "out"),
+    }
+    cpath = tmp_path / "exp.json"
+    cpath.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cpath)]) == 2
+    err = capsys.readouterr().err
+    assert "METAGAME_FORGE_THREADS" in err and "'two'" in err
+
 def test_cli_invalid_config_exits_2(tmp_path):
     cpath = tmp_path / "broken.json"
     cpath.write_text("{not json")

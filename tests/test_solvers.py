@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from metagame_forge.games import (GameError, builtin, gen_general_sum,
                                   gen_symmetric_zero_sum, gen_transitive,
                                   new_game, pure, uniform)
+from metagame_forge import solvers
 from metagame_forge.solvers import (advantage, advantage_many, best_response,
                                     ec_of_gram, expected_cardinality,
                                     exploitability, fictitious_play,
@@ -101,6 +102,22 @@ def test_advantage_many_matches_scalar():
     vec = advantage_many(g, 0, P)
     for i in range(10):
         assert abs(vec[i] - advantage(g, 0, P[i])) <= 1e-12
+
+
+@pytest.mark.skipif(solvers._OPENBLAS_THREADS is None,
+                    reason="numpy has no bundled OpenBLAS")
+def test_small_products_run_on_one_blas_thread():
+    get, set_ = solvers._OPENBLAS_THREADS
+    before = get()
+    with solvers._blas_threads_for(solvers.ONE_THREAD_MNK - 1):
+        assert get() == 1
+    assert get() == before
+    with solvers._blas_threads_for(solvers.ONE_THREAD_MNK):
+        assert get() == before
+    with pytest.raises(ValueError):
+        with solvers._blas_threads_for(1):
+            raise ValueError
+    assert get() == before
 
 
 # ---------------------------------------------------------------------------
