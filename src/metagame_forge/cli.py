@@ -7,14 +7,17 @@ Subcommands::
     eval       print a metric for a (game, row strategy, col strategy) triple
     aggregate  recompute summary.csv from an existing metrics.csv
 
-Exit codes: 0 success, 1 at least one grid cell failed, 2 invalid input
-(including a non-integer ``METAGAME_FORGE_THREADS``).
+Exit codes: 0 success, 1 at least one grid cell failed or a grid worker
+process died (for example, killed for running out of memory; no metrics are
+then written), 2 invalid input (including a non-integer
+``METAGAME_FORGE_THREADS`` and an unknown or mistyped algorithm override).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from concurrent.futures import BrokenExecutor
 
 import numpy as np
 
@@ -124,6 +127,10 @@ def main(argv=None) -> int:
             json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenExecutor:   # BrokenProcessPool: a pool worker died
+        print("error: a grid worker process died (for example, killed for "
+              "running out of memory); no metrics were written", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

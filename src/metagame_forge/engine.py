@@ -16,13 +16,14 @@ via fictitious play, and the population-update rules for the three variants:
                        member is appended only when the improvement ratio
                        against the opponent's aggregate falls short of ``im``.
 
-Each member carries a confirming cache: the opponent population member that
-best-responds to it (its expected response) and the payoff against that
-member (the self-confirming advantage), which drives population clipping.
+In runs that clip, each member carries a confirming cache: the opponent
+member best-responding to it (its expected response) and the payoff against
+that member (the self-confirming advantage), which drives the clipping.
 """
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields
 
@@ -54,18 +55,22 @@ class AlgorithmConfig:
     im: float = 0.03               # relative improvement bound
     clip_fraction: float = 0.8     # fraction of the population retained (s)
     clipping_enabled: bool = True
-    use_restricted_lookahead: bool = False
     keep_old_on_reject: bool = False
     fp_max_iters: int = 2000
     fp_tol: float = 1e-3
-    fp_random_init: bool = False
     max_iterations: int = 100
     init_pop_size: int = 1
     seed: int = 0
 
     def validate(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
+            value, kind = getattr(self, f.name), type(f.default)
+            # Float fields take integers too, as JSON writes 1.0 as 1.
+            number = {int: numbers.Integral, float: numbers.Real}.get(kind)
+            ok = (isinstance(value, number) and not isinstance(value, bool)
+                  if number else isinstance(value, kind))
+            if not ok:
+                raise GameError(f"{f.name} must be a {kind.__name__}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise GameError(f"{f.name} must be finite")
         if self.variant not in VARIANTS:
@@ -94,7 +99,8 @@ class Population:
     member i; ties are resolved pessimistically (the tied response minimizing
     member i's own payoff, lowest index among those).  ``mu_value`` keeps the
     opponent's payoff at that response so cache invalidation can test whether
-    a changed opponent member could enter the tie set.
+    a changed opponent member could enter the tie set.  Only runs that clip
+    fill the caches (lazily, in `build_empirical`).
     """
 
     members: list = field(default_factory=list)
@@ -102,6 +108,7 @@ class Population:
     mu_value: list = field(default_factory=list)
     sc_advantage: list = field(default_factory=list)
     stale: list = field(default_factory=list)
+    _matrix: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -112,13 +119,20 @@ class Population:
         self.mu_value.append(math.nan)
         self.sc_advantage.append(math.nan)
         self.stale.append(True)
+        self._matrix = None
 
     def replace(self, index: int, strategy: np.ndarray) -> None:
         self.members[index] = np.asarray(strategy, dtype=float)
         self.stale[index] = True
+        self._matrix = None
 
     def matrix(self) -> np.ndarray:
-        return np.vstack(self.members)
+        """The members as rows of a read-only array, built at most once
+        between mutations, so a caller may keep it as a snapshot."""
+        if self._matrix is None:
+            self._matrix = np.vstack(self.members)
+            self._matrix.setflags(write=False)
+        return self._matrix
 
 
 @dataclass
@@ -155,6 +169,11 @@ class EngineState:
     def pop(self, player: int) -> Population:
         return self.pop_row if player == 0 else self.pop_col
 
+    @property
+    def clips(self) -> bool:
+        """Whether the run clips, and so keeps confirming caches."""
+        return self.config.clipping_enabled and self.config.variant == "sc_psro"
+
 
 # ---------------------------------------------------------------------------
 # Construction
@@ -176,8 +195,6 @@ def init_state(game: BimatrixGame, config: AlgorithmConfig,
         agg = np.mean(state.pop_row.members, axis=0)
         state.pop_col = Population()
         state.pop_col.append(br_oracle(game, 1, agg))
-    refresh_confirming(state.pop_row, state.pop_col, game, 0)
-    refresh_confirming(state.pop_col, state.pop_row, game, 1)
     return state
 
 
@@ -190,8 +207,6 @@ def refresh_confirming(pop: Population, opponent_pop: Population,
     stale member.  Idempotent once all flags are clear."""
     if len(opponent_pop) == 0:
         raise EngineError("cannot confirm against an empty opponent population")
-    if not any(pop.stale):
-        return
     m_self = own_matrix(game, player)
     m_opp = own_matrix(game, 1 - player)
     O = opponent_pop.matrix()
@@ -248,8 +263,6 @@ def _retained_indices(pop: Population, clip: bool, s: float) -> np.ndarray:
     n = len(pop)
     if not clip:
         return np.arange(n)
-    if any(pop.stale):
-        raise EngineError("stale confirming cache encountered during clipping")
     floor = 2 if n >= 2 else 1
     k = max(min(math.ceil(s * n), n), floor)
     order = sorted(range(n), key=lambda i: (-pop.sc_advantage[i], i))
@@ -260,12 +273,15 @@ def build_empirical(game: BimatrixGame, pop_row: Population, pop_col: Population
                     clip: bool = False, s: float = 1.0) -> EmpiricalGame:
     """Payoff matrices over the (optionally clipped) populations.
 
-    Clipping keeps each population's top ceil(s*n) members by self-confirming
-    advantage (ties by lower index, at least two members where possible) and
-    never mutates the populations themselves.
+    Clipping refreshes stale confirming caches, then keeps each population's
+    top ceil(s*n) members by self-confirming advantage (ties by lower index,
+    at least two members where possible), never changing the populations.
     """
     if len(pop_row) == 0 or len(pop_col) == 0:
         raise EngineError("populations must be nonempty")
+    if clip:
+        refresh_confirming(pop_row, pop_col, game, 0)
+        refresh_confirming(pop_col, pop_row, game, 1)
     ri = _retained_indices(pop_row, clip, s)
     ci = _retained_indices(pop_col, clip, s)
     R = pop_row.matrix()[ri]
@@ -274,12 +290,10 @@ def build_empirical(game: BimatrixGame, pop_row: Population, pop_col: Population
 
 
 def meta_nash(empirical: EmpiricalGame, pop_row_size: int, pop_col_size: int,
-              fp_max_iters: int, fp_tol: float, rng=None,
-              random_init: bool = False) -> MetaSolution:
+              fp_max_iters: int, fp_tol: float) -> MetaSolution:
     """Meta-Nash of the empirical game by fictitious play, with the weights
     lifted back from clipped empirical indices to population indices."""
-    sol = fictitious_play(empirical.m_row, empirical.m_col, fp_max_iters, fp_tol,
-                          init="random" if random_init else "uniform", rng=rng)
+    sol = fictitious_play(empirical.m_row, empirical.m_col, fp_max_iters, fp_tol)
     theta_row = np.zeros(pop_row_size)
     theta_row[empirical.row_index_map] = sol.theta_row
     theta_col = np.zeros(pop_col_size)
@@ -380,51 +394,32 @@ def _diversity_argmax(game: BimatrixGame, player: int, pi_t: np.ndarray,
     return C[keep[int(np.argmax(scores))]]
 
 
-def _restricted_advantage_many(game: BimatrixGame, player: int,
-                               C: np.ndarray, opp_members: np.ndarray) -> np.ndarray:
-    """Self-confirming advantage of each candidate against an opponent
-    population: payoff at the opponent's restricted best response, pessimistic
-    over ties."""
-    m_self = own_matrix(game, player)
-    m_opp = own_matrix(game, 1 - player)
-    W = C @ m_opp.T @ opp_members.T      # opponent payoff per opponent member
-    S = C @ m_self @ opp_members.T       # own payoff per opponent member
-    best = W.max(axis=1, keepdims=True)
-    tied = W >= best - TIE_ATOL
-    return np.where(tied, S, np.inf).min(axis=1)
-
-
 def lookahead_step(game: BimatrixGame, player: int, pi_t: np.ndarray,
-                   opponent_pop: Population, theta_self: np.ndarray,
-                   lr_base: float, rng: np.random.Generator,
-                   restricted: bool = False) -> np.ndarray:
+                   theta_self: np.ndarray, lr_base: float,
+                   rng: np.random.Generator) -> np.ndarray:
     """Advantage hill-climb: sample a step size bounded by the max-norm of the
     player's own meta-weights, enumerate pure-direction candidates, and return
-    the one with the highest (full or population-restricted) advantage."""
+    the one with the highest advantage."""
     bound = min(lr_base, float(np.abs(theta_self).max()))
     step = rng.uniform(0.0, bound)
     C = _candidates(pi_t, step)
-    if restricted:
-        scores = _restricted_advantage_many(game, player, C, opponent_pop.matrix())
-    else:
-        scores = advantage_many(game, player, C)
-    return C[int(np.argmax(scores))]
+    return C[int(np.argmax(advantage_many(game, player, C)))]
 
 
 # ---------------------------------------------------------------------------
 # Population update (the sc_psro rule)
 
 def population_update(game: BimatrixGame, player: int, state: EngineState,
-                      theta: MetaSolution, opp_members=None) -> str:
+                      theta: MetaSolution, opp_members: np.ndarray) -> str:
     """One update of ``player``'s population: pick the diversity or lookahead
     branch at random, replace the last member with the branch's argmax, and
     append a fresh random member when the improvement ratio against the
-    opponent's aggregate stays below the bound.  Returns the branch taken."""
+    opponent's aggregate stays below the bound.  The branches play against
+    ``opp_members``, the opponent population matrix at the iteration's
+    start.  Returns the branch taken."""
     cfg = state.config
     pop = state.pop(player)
     opp_pop = state.pop(1 - player)
-    if opp_members is None:
-        opp_members = list(opp_pop.members)
     theta_self = theta.theta_row if player == 0 else theta.theta_col
     theta_opp = theta.theta_col if player == 0 else theta.theta_row
     pi_t = pop.members[-1]
@@ -434,18 +429,14 @@ def population_update(game: BimatrixGame, player: int, state: EngineState,
     if rd <= cfg.lambda_d:
         branch = "diversity"
         pi_star = _diversity_argmax(game, player, pi_t, pop.matrix()[:-1],
-                                    np.vstack(opp_members), cfg.lr, cfg.lambda_1)
+                                    opp_members, cfg.lr, cfg.lambda_1)
     else:
         branch = "lookahead"
-        opp_snapshot = Population()
-        for mbr in opp_members:
-            opp_snapshot.append(mbr)
-        pi_star = lookahead_step(game, player, pi_t, opp_snapshot, theta_self,
-                                 cfg.lr, state.rng,
-                                 restricted=cfg.use_restricted_lookahead)
+        pi_star = lookahead_step(game, player, pi_t, theta_self, cfg.lr,
+                                 state.rng)
 
     m_self = own_matrix(game, player)
-    agg_opp = np.asarray(theta_opp) @ np.vstack(opp_members)
+    agg_opp = np.asarray(theta_opp) @ opp_members
     num = float(pi_star @ m_self @ agg_opp)
     den = float(pi_t @ m_self @ agg_opp)
     if den < DEN_ATOL:
@@ -456,18 +447,16 @@ def population_update(game: BimatrixGame, player: int, state: EngineState,
     else:
         improved = (num / den - 1.0) >= cfg.im
 
-    old_vals = {last: opp_pop.matrix() @ (m_self.T @ pi_t)} if len(opp_pop) else {}
     changed = []
-    if improved:
+    if improved or not cfg.keep_old_on_reject:
         pop.replace(last, pi_star)
         changed.append(last)
-    else:
-        if not cfg.keep_old_on_reject:
-            pop.replace(last, pi_star)
-            changed.append(last)
+    if not improved:
         pop.append(state.rng.dirichlet(np.ones(game.dims(player))))
         changed.append(len(pop) - 1)
-    _invalidate_for_change(pop, opp_pop, game, player, changed, old_vals)
+    if state.clips:
+        old_vals = {last: opp_pop.matrix() @ (m_self.T @ pi_t)}
+        _invalidate_for_change(pop, opp_pop, game, player, changed, old_vals)
     return branch
 
 
@@ -480,28 +469,25 @@ def _append_member(game: BimatrixGame, player: int, state: EngineState,
     if dedupe and any(np.array_equal(m, strategy) for m in pop.members):
         return
     pop.append(strategy)
-    _invalidate_for_change(pop, state.pop(1 - player), game, player,
-                           [len(pop) - 1], {})
+    if state.clips:
+        _invalidate_for_change(pop, state.pop(1 - player), game, player,
+                               [len(pop) - 1], {})
 
 
 def run_iteration(state: EngineState) -> IterationReport:
-    """One full engine iteration: refresh confirming caches, build the
-    (clipped) empirical game, solve the meta-Nash, apply each learner's
-    new-strategy step, and measure full-game metrics at the aggregates."""
+    """One full engine iteration: build the (clipped) empirical game, solve
+    the meta-Nash, apply each learner's new-strategy step, and measure
+    full-game metrics at the aggregates."""
     t0 = time.perf_counter()
     game, cfg, mode = state.game, state.config, state.mode
-    refresh_confirming(state.pop_row, state.pop_col, game, 0)
-    refresh_confirming(state.pop_col, state.pop_row, game, 1)
-
-    clip = cfg.clipping_enabled and cfg.variant == "sc_psro"
-    emp = build_empirical(game, state.pop_row, state.pop_col, clip, cfg.clip_fraction)
+    emp = build_empirical(game, state.pop_row, state.pop_col, state.clips,
+                          cfg.clip_fraction)
     theta = meta_nash(emp, len(state.pop_row), len(state.pop_col),
-                      cfg.fp_max_iters, cfg.fp_tol, rng=state.rng,
-                      random_init=cfg.fp_random_init)
+                      cfg.fp_max_iters, cfg.fp_tol)
     agg_row = aggregate(state.pop_row, theta.theta_row)
     agg_col = aggregate(state.pop_col, theta.theta_col)
 
-    snapshot = {0: list(state.pop_row.members), 1: list(state.pop_col.members)}
+    snapshot = {0: state.pop_row.matrix(), 1: state.pop_col.matrix()}
     learners = (0,) if mode == "stackelberg_player" else (0, 1)
     branches = ["best_response", "best_response"]
     for player in learners:
@@ -512,7 +498,7 @@ def run_iteration(state: EngineState) -> IterationReport:
         elif cfg.variant == "diversity_psro":
             pop = state.pop(player)
             cand = _diversity_argmax(game, player, pop.members[-1], pop.matrix(),
-                                     np.vstack(opp_members), cfg.lr, cfg.lambda_1)
+                                     opp_members, cfg.lr, cfg.lambda_1)
             branches[player] = "diversity"
             _append_member(game, player, state, cand)
         else:

@@ -7,16 +7,13 @@ seed) always produces bit-identical matrices.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 # Tolerance used when auto-detecting the symmetric zero-sum structure and
 # when validating simplex vectors after normalization.
 STRUCT_ATOL = 1e-12
-
-BUILTIN_NAMES = ("stackelberg_table1", "stag_hunt_table2", "rps", "matching_pennies")
 
 
 class GameError(ValueError):
@@ -65,8 +62,11 @@ def new_game(u_row, u_col, name: str = "game") -> BimatrixGame:
     The symmetric zero-sum flag is set automatically when u_col == -u_row and
     u_row is antisymmetric (both within 1e-12).
     """
-    u_row = np.asarray(u_row, dtype=float)
-    u_col = np.asarray(u_col, dtype=float)
+    try:
+        u_row = np.asarray(u_row, dtype=float)
+        u_col = np.asarray(u_col, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise GameError(f"payoffs must be numeric matrices: {exc}") from exc
     if u_row.ndim != 2 or u_row.size == 0:
         raise GameError("u_row must be a nonempty 2-D matrix")
     if u_row.shape != u_col.shape:
@@ -240,6 +240,8 @@ def load_game(path) -> BimatrixGame:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise GameError(f"malformed game file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise GameError(f"game file {path} does not hold a JSON object")
     for key in ("name", "n_rows", "n_cols", "U_row", "U_col"):
         if key not in doc:
             raise GameError(f"game file {path} missing field {key!r}")

@@ -11,12 +11,12 @@ import hashlib
 import json
 import os
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .engine import AlgorithmConfig, run
+from .engine import MODES, AlgorithmConfig, run
 from .games import BimatrixGame, GameError, GameGenSpec, load_game
 
 METRICS_COLUMNS = [
@@ -42,11 +42,14 @@ PRESETS = {
 
 
 def make_config(preset: str, **overrides) -> AlgorithmConfig:
-    if preset not in PRESETS:
+    if not isinstance(preset, str) or preset not in PRESETS:
         raise GameError(f"unknown algorithm preset {preset!r}")
-    fields = dict(PRESETS[preset])
-    fields.update(overrides)
-    cfg = AlgorithmConfig(**fields)
+    unknown = sorted(set(overrides) - {f.name for f in fields(AlgorithmConfig)})
+    if unknown:
+        raise GameError(f"unknown algorithm field {unknown[0]!r}")
+    values = dict(PRESETS[preset])
+    values.update(overrides)
+    cfg = AlgorithmConfig(**values)
     cfg.validate()
     return cfg
 
@@ -66,13 +69,23 @@ class ExperimentConfig:
             raise GameError("games, algorithms and seeds must be nonempty")
         if self.max_iterations < 1 or self.jobs < 1:
             raise GameError("max_iterations and jobs must be >= 1")
+        if self.mode not in MODES:
+            raise GameError(f"unknown mode {self.mode!r}")
+        if not isinstance(self.output_dir, (str, os.PathLike)):
+            raise GameError(f"output_dir must be a path, got {self.output_dir!r}")
         for name, overrides in self.algorithms:
+            if {"seed", "max_iterations"} & set(overrides):
+                raise GameError(f"{name}: 'seed' and 'max_iterations' are set "
+                                "by the grid, not per algorithm")
             make_config(name, **overrides)
 
 
 def _parse_seeds(spec) -> list:
     if isinstance(spec, dict):
-        return list(range(int(spec["start"]), int(spec["stop"])))
+        start, stop = int(spec["start"]), int(spec["stop"])
+        if stop - start > 100_000:   # a typo, too long to build
+            raise GameError(f"seed range of {stop - start} exceeds 100000")
+        return list(range(start, stop))
     return [int(s) for s in spec]
 
 
@@ -98,7 +111,7 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
             output_dir=doc.get("output_dir", "out"),
             jobs=int(doc.get("jobs", 1)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GameError(f"invalid experiment config: {exc}") from exc
     cfg.validate()
     return cfg
@@ -195,10 +208,9 @@ def execute_grid(config: ExperimentConfig, log=print) -> tuple[list, int]:
              for g in config.games
              for (name, overrides) in config.algorithms
              for seed in config.seeds]
-    results = []
+    jobs = min(jobs, len(cells))   # a fork-started pool starts them all at once
     if jobs == 1:
-        for cell in cells:
-            results.append(_cell_worker(cell))
+        results = [_cell_worker(cell) for cell in cells]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_cell_worker, cells))

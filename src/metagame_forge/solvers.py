@@ -161,24 +161,18 @@ def advantage(game: BimatrixGame, player: int, pi) -> float:
 # ---------------------------------------------------------------------------
 # Fictitious play
 
-def _meta_exploitability(m_row: np.ndarray, m_col: np.ndarray,
-                         x: np.ndarray, y: np.ndarray) -> float:
-    ry = m_row @ y
-    xc = x @ m_col
-    return float((ry.max() - x @ ry) + (xc.max() - xc @ y))
-
-
-def fictitious_play(m_row, m_col, max_iters: int = 2000, tol: float = 1e-8,
-                    init: str = "uniform", rng=None) -> MetaSolution:
+def fictitious_play(m_row, m_col, max_iters: int = 2000,
+                    tol: float = 1e-8) -> MetaSolution:
     """Simultaneous fictitious play on a bimatrix, returning average strategies.
 
-    Both players best-respond to the opponent's running average each step.
-    Runs of constant best responses are batched: payoffs are linear along the
-    segment the averages traverse, so if the argmax agrees at both endpoints
-    of a k-step jump it agrees throughout and the jump is exact.
+    Both players best-respond to the opponent's running average each step,
+    starting from the uniform averages.  Runs of constant best responses are
+    batched: payoffs are linear along the segment the averages traverse, so
+    if the argmax agrees at both endpoints of a k-step jump it agrees
+    throughout and the jump is exact.
 
-    `init="random"` draws the initial averages from a Dirichlet(1) instead of
-    the deterministic uniform.
+    The reply payoffs at the averages give both the residual and the next
+    best responses, so each accepted step computes them once.
     """
     m_row = np.asarray(m_row, dtype=float)
     m_col = np.asarray(m_col, dtype=float)
@@ -187,42 +181,39 @@ def fictitious_play(m_row, m_col, max_iters: int = 2000, tol: float = 1e-8,
     if max_iters < 1 or tol < 0:
         raise GameError("max_iters must be >= 1 and tol >= 0")
     n, m = m_row.shape
-    if init == "random":
-        if rng is None:
-            rng = np.random.default_rng()
-        avg_r = rng.dirichlet(np.ones(n))
-        avg_c = rng.dirichlet(np.ones(m))
-    else:
-        avg_r = np.full(n, 1.0 / n)
-        avg_c = np.full(m, 1.0 / m)
+    avg_r = np.full(n, 1.0 / n)
+    avg_c = np.full(m, 1.0 / m)
+    ry = m_row @ avg_c
+    xc = avg_r @ m_col
 
     steps = 0
     weight = 1.0
-    residual = _meta_exploitability(m_row, m_col, avg_r, avg_c)
+    residual = float((ry.max() - avg_r @ ry) + (xc.max() - xc @ avg_c))
     jump = 1
     while steps < max_iters and residual > tol:
-        br_r = int(np.argmax(m_row @ avg_c))
-        br_c = int(np.argmax(avg_r @ m_col))
+        br_r = int(ry.argmax())
+        br_c = int(xc.argmax())
         k = min(jump, max_iters - steps)
         w2 = weight + k
         cand_r = (weight * avg_r) / w2
         cand_r[br_r] += k / w2
         cand_c = (weight * avg_c) / w2
         cand_c[br_c] += k / w2
+        cand_ry = m_row @ cand_c
+        cand_xc = cand_r @ m_col
         if k > 1:
             # Accept the batch only if both best responses are unchanged at
             # the endpoint (linearity makes them constant on the interior).
-            if int(np.argmax(m_row @ cand_c)) != br_r or \
-               int(np.argmax(cand_r @ m_col)) != br_c:
+            if int(cand_ry.argmax()) != br_r or int(cand_xc.argmax()) != br_c:
                 jump = max(1, jump // 2)
                 continue
             jump *= 2
         else:
             jump = max(2, jump)
-        avg_r, avg_c = cand_r, cand_c
+        avg_r, avg_c, ry, xc = cand_r, cand_c, cand_ry, cand_xc
         weight = w2
         steps += k
-        residual = _meta_exploitability(m_row, m_col, avg_r, avg_c)
+        residual = float((ry.max() - avg_r @ ry) + (xc.max() - xc @ avg_c))
     return MetaSolution(avg_r, avg_c, max(residual, 0.0), steps)
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metagame_forge import engine
 from metagame_forge.engine import (AlgorithmConfig, EngineError, Population,
                                    aggregate, br_oracle, build_empirical,
                                    _candidates, _diversity_argmax, init_state,
@@ -18,6 +19,7 @@ from metagame_forge.engine import (AlgorithmConfig, EngineError, Population,
 from metagame_forge.games import (GameError, builtin, gen_general_sum,
                                   gen_symmetric_zero_sum, gen_transitive,
                                   new_game, pure, uniform)
+from metagame_forge.harness import make_config
 from metagame_forge.solvers import (advantage, advantage_many, ec_bordered,
                                     ec_of_gram, exploitability, own_matrix)
 
@@ -151,6 +153,19 @@ def test_cache_invalidation_keeps_caches_exact_through_updates():
                 assert abs(pop.sc_advantage[i] - sc) <= 1e-9, \
                     f"seed {seed} player {player} member {i}"
 
+@pytest.mark.parametrize("preset", ["vanilla_psro", "diversity_psro",
+                                    "sc_psro_no_clipping"])
+def test_runs_without_clipping_never_touch_confirming_caches(preset, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("confirming cache used by a run that does not clip")
+
+    monkeypatch.setattr(engine, "refresh_confirming", forbidden)
+    monkeypatch.setattr(engine, "_invalidate_for_change", forbidden)
+    g = gen_general_sum(5, 3)
+    for mode in ("self_play", "stackelberg_player"):
+        reports = run(g, make_config(preset, seed=1, max_iterations=8), mode)
+        assert len(reports) == 8
+
 
 # ---------------------------------------------------------------------------
 # Clipping and the empirical game
@@ -195,11 +210,15 @@ def test_clipping_never_mutates_population():
     for a, b in zip(before, pop.members):
         assert np.array_equal(a, b)
 
-def test_clipping_requires_fresh_caches():
+def test_clipping_refreshes_stale_caches():
     pop = _pop_of([uniform(3), pure(3, 0), pure(3, 1)])
-    opp = _pop_of([uniform(3)])
-    with pytest.raises(EngineError):
-        build_empirical(RPS, pop, opp, clip=True, s=0.5)
+    opp = _pop_of([uniform(3), pure(3, 2)])
+    emp = build_empirical(RPS, pop, opp, clip=True, s=0.5)
+    assert not any(pop.stale) and not any(opp.stale)
+    for i, (j, sc) in enumerate(_brute_confirm(pop, opp, RPS, 0)):
+        assert pop.mu_index[i] == j
+        assert abs(pop.sc_advantage[i] - sc) <= 1e-12
+    assert len(emp.row_index_map) == 2
 
 def test_build_empirical_empty_population_error():
     with pytest.raises(EngineError):
@@ -259,8 +278,7 @@ class FixedRng:
 
 def test_lookahead_zero_step_returns_pi_t():
     pi = np.array([0.3, 0.7])
-    out = lookahead_step(T1, 0, pi, _pop_of([uniform(2)]), np.array([1.0]),
-                         0.5, FixedRng(0.0))
+    out = lookahead_step(T1, 0, pi, np.array([1.0]), 0.5, FixedRng(0.0))
     assert np.allclose(out, pi)
 
 def test_lookahead_argmax_contract():
@@ -268,23 +286,21 @@ def test_lookahead_argmax_contract():
     rng = np.random.default_rng(17)
     g = gen_symmetric_zero_sum(6, 1)
     pi = rng.dirichlet(np.ones(6))
-    out = lookahead_step(g, 0, pi, _pop_of([uniform(6)]), np.array([1.0]),
-                         0.4, FixedRng(0.5))
+    out = lookahead_step(g, 0, pi, np.array([1.0]), 0.4, FixedRng(0.5))
     C = _candidates(pi, 0.5 * 0.4)
     assert advantage(g, 0, out) >= advantage_many(g, 0, C).max() - 1e-12
 
 def test_lookahead_step_bounded_by_theta_norm():
     # theta max-norm 0 forces a zero step regardless of lr.
     pi = np.array([0.6, 0.4])
-    out = lookahead_step(T1, 0, pi, _pop_of([uniform(2)]),
-                         np.array([0.0, 0.0]), 10.0, FixedRng(1.0))
+    out = lookahead_step(T1, 0, pi, np.array([0.0, 0.0]), 10.0, FixedRng(1.0))
     assert np.allclose(out, pi)
 
 def test_lookahead_table1_moves_toward_stackelberg_mix():
     # From pure D a large step lands past the (1/3, 2/3) tie point, where the
     # advantage (approached from above) exceeds the pure-D value of 2.
-    out = lookahead_step(T1, 0, pure(2, 1), _pop_of([uniform(2)]),
-                         np.array([1.0]), 0.6, FixedRng(1.0))
+    out = lookahead_step(T1, 0, pure(2, 1), np.array([1.0]), 0.6,
+                         FixedRng(1.0))
     assert advantage(T1, 0, out) > 2.0
     assert out[0] > 1.0 / 3.0
 

@@ -1,7 +1,9 @@
 """Game types, generators, serialization, and structural diagnostics."""
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from metagame_forge.games import (BimatrixGame, GameError, GameGenSpec,
@@ -197,6 +199,33 @@ def test_load_malformed_json(tmp_path):
     with pytest.raises(GameError):
         load_game(path)
 
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-10**400, 10**400)
+                | st.floats() | st.text(max_size=6))
+JSON = st.recursive(JSON_SCALARS,
+                    lambda c: st.lists(c, max_size=3)
+                    | st.dictionaries(st.text(max_size=6), c, max_size=3),
+                    max_leaves=12)
+MATRICES = st.lists(st.lists(st.integers(-3, 3) | JSON_SCALARS, max_size=3),
+                    max_size=3) | JSON
+GAME_DOCS = JSON | st.fixed_dictionaries(
+    {"name": JSON, "n_rows": st.integers(0, 3) | JSON,
+     "n_cols": st.integers(0, 3) | JSON, "U_row": MATRICES, "U_col": MATRICES},
+    optional={"symmetric_zero_sum": JSON})
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=GAME_DOCS)
+def test_load_game_raises_only_game_error(tmp_path, doc):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+    try:
+        game = load_game(path)
+    except GameError:
+        return
+    finally:
+        path.unlink()   # some file systems flush when a file is truncated
+    assert game.u_row.shape == (doc["n_rows"], doc["n_cols"])
 
 # ---------------------------------------------------------------------------
 # Diagnostics

@@ -1,19 +1,28 @@
 """Harness: presets, experiment grids, CSV/TSV outputs, aggregation, CLI."""
+import concurrent.futures
 import csv
+import functools
 import json
+import multiprocessing
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from metagame_forge import harness
 from metagame_forge.cli import main
+from metagame_forge.engine import MODES, AlgorithmConfig
 from metagame_forge.games import GameError, GameGenSpec, builtin, save_game
-from metagame_forge.harness import (METRICS_COLUMNS, ExperimentConfig,
+from metagame_forge.harness import (METRICS_COLUMNS, PRESETS, ExperimentConfig,
                                     aggregate_rows, execute_grid,
                                     load_experiment, make_config,
                                     parse_experiment, read_metrics,
                                     run_experiment, write_metrics,
                                     write_summary)
+from test_games import JSON, JSON_SCALARS
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +81,41 @@ def test_parse_experiment_formats():
     assert cfg.algorithms[1] == ("sc_psro", {"lr": 0.1})
     with pytest.raises(GameError):
         parse_experiment({"games": [], "algorithms": [], "seeds": []})
+
+SMALL_INTS = st.integers(-2, 12)
+OVERRIDES = st.dictionaries(
+    st.sampled_from([f.name for f in fields(AlgorithmConfig)]) | st.text(max_size=6),
+    JSON_SCALARS | SMALL_INTS | st.floats(0.0, 1.0), max_size=3)
+ALGORITHMS = (st.sampled_from(sorted(PRESETS))
+              | st.fixed_dictionaries({"name": st.sampled_from(sorted(PRESETS)) | JSON},
+                                      optional={"overrides": OVERRIDES | JSON})
+              | JSON)
+GAMES = (st.fixed_dictionaries({"kind": st.sampled_from(["elo", "builtin"]) | JSON},
+                               optional={"dim": SMALL_INTS | JSON,
+                                         "builtin_name": JSON})
+         | JSON)
+SEEDS = (st.fixed_dictionaries({"start": SMALL_INTS | JSON,
+                                "stop": SMALL_INTS | st.integers() | JSON})
+         | st.lists(SMALL_INTS | JSON, max_size=3) | JSON)
+EXPERIMENTS = JSON | st.fixed_dictionaries(
+    {"games": st.lists(GAMES, max_size=3) | JSON,
+     "algorithms": st.lists(ALGORITHMS, max_size=3) | JSON,
+     "seeds": SEEDS},
+    optional={"mode": st.sampled_from(MODES) | JSON,
+              "max_iterations": SMALL_INTS | JSON,
+              "output_dir": st.just("out") | JSON,
+              "jobs": SMALL_INTS | JSON})
+
+@settings(max_examples=400, deadline=None)
+@given(doc=EXPERIMENTS)
+def test_parse_experiment_raises_only_game_error(doc):
+    try:
+        cfg = parse_experiment(doc)
+    except GameError:
+        return
+    cfg.validate()
+    for name, overrides in cfg.algorithms:
+        make_config(name, seed=0, max_iterations=1, **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +316,48 @@ def test_cli_non_integer_thread_count_exits_2(tmp_path, monkeypatch, capsys):
     assert main(["run", "--config", str(cpath)]) == 2
     err = capsys.readouterr().err
     assert "METAGAME_FORGE_THREADS" in err and "'two'" in err
+
+def test_cli_bad_override_exits_2(tmp_path, capsys):
+    cases = (({"bogus": 1}, "bogus"), ({"lr": "x"}, "lr"),
+             ({"clipping_enabled": 1}, "clipping_enabled"),
+             ({"fp_max_iters": 50.0}, "fp_max_iters"), ({"seed": 3}, "seed"))
+    for i, (overrides, field_name) in enumerate(cases):
+        config = {
+            "games": [{"kind": "builtin", "builtin_name": "rps"}],
+            "algorithms": [{"name": "sc_psro", "overrides": overrides}],
+            "seeds": [0],
+            "output_dir": str(tmp_path / "out"),
+        }
+        cpath = tmp_path / f"exp{i}.json"
+        cpath.write_text(json.dumps(config))
+        assert main(["run", "--config", str(cpath)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field_name in err
+
+def _die(*args, **kwargs):
+    os._exit(3)
+
+def test_cli_dead_pool_worker_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("METAGAME_FORGE_THREADS", raising=False)
+    monkeypatch.setattr(harness, "run_cell", _die)
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor",
+        functools.partial(concurrent.futures.ProcessPoolExecutor,
+                          mp_context=multiprocessing.get_context("fork")))
+    config = {
+        "games": [{"kind": "builtin", "builtin_name": "rps"}],
+        "algorithms": ["vanilla_psro"],
+        "seeds": [0, 1],
+        "max_iterations": 2,
+        "output_dir": str(tmp_path / "out"),
+    }
+    cpath = tmp_path / "exp.json"
+    cpath.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cpath), "--jobs", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a grid worker process died")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out" / "metrics.csv").exists()
 
 def test_cli_invalid_config_exits_2(tmp_path):
     cpath = tmp_path / "broken.json"

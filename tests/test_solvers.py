@@ -157,6 +157,69 @@ def test_fp_contract_errors():
     with pytest.raises(GameError):
         fictitious_play([[1.0]], [[1.0]], max_iters=0)
 
+def _fp_reference(m_row, m_col, max_iters, tol):
+    """Reference: fictitious play recomputing the reply payoffs at every use
+    (best responses, batch check, residual), in the same arithmetic order."""
+    def meta_exploitability(x, y):
+        ry = m_row @ y
+        xc = x @ m_col
+        return float((ry.max() - x @ ry) + (xc.max() - xc @ y))
+
+    n, m = m_row.shape
+    avg_r = np.full(n, 1.0 / n)
+    avg_c = np.full(m, 1.0 / m)
+    steps = 0
+    weight = 1.0
+    residual = meta_exploitability(avg_r, avg_c)
+    jump = 1
+    while steps < max_iters and residual > tol:
+        br_r = int(np.argmax(m_row @ avg_c))
+        br_c = int(np.argmax(avg_r @ m_col))
+        k = min(jump, max_iters - steps)
+        w2 = weight + k
+        cand_r = (weight * avg_r) / w2
+        cand_r[br_r] += k / w2
+        cand_c = (weight * avg_c) / w2
+        cand_c[br_c] += k / w2
+        if k > 1:
+            if int(np.argmax(m_row @ cand_c)) != br_r or \
+               int(np.argmax(cand_r @ m_col)) != br_c:
+                jump = max(1, jump // 2)
+                continue
+            jump *= 2
+        else:
+            jump = max(2, jump)
+        avg_r, avg_c = cand_r, cand_c
+        weight = w2
+        steps += k
+        residual = meta_exploitability(avg_r, avg_c)
+    return avg_r, avg_c, max(residual, 0.0), steps
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 160),
+       m=st.integers(1, 160), zero_sum=st.booleans(),
+       integer=st.booleans(),
+       max_iters=st.sampled_from([1, 5, 50, 500]),
+       tol=st.sampled_from([0.0, 1e-8, 1e-3]))
+def test_fp_matches_reference_bit_for_bit(seed, n, m, zero_sum, integer,
+                                          max_iters, tol):
+    rng = np.random.default_rng(seed)
+    if integer:
+        # Small integer payoffs tie often, so argmax tie-breaks are exercised.
+        m_row = rng.integers(-2, 3, size=(n, m)).astype(float)
+        m_col = rng.integers(-2, 3, size=(n, m)).astype(float)
+    else:
+        m_row = rng.normal(size=(n, m))
+        m_col = rng.normal(size=(n, m))
+    if zero_sum:
+        m_col = -m_row
+    sol = fictitious_play(m_row, m_col, max_iters, tol)
+    ref_r, ref_c, residual, steps = _fp_reference(m_row, m_col, max_iters, tol)
+    assert np.array_equal(sol.theta_row, ref_r)
+    assert np.array_equal(sol.theta_col, ref_c)
+    assert sol.residual == residual
+    assert sol.iterations_used == steps
+
 
 # ---------------------------------------------------------------------------
 # Expected cardinality
