@@ -22,14 +22,13 @@ from concurrent.futures import BrokenExecutor
 import numpy as np
 
 from . import harness, solvers
-from .games import (GameError, GameGenSpec, StrategyError, load_game,
-                    payoff, save_game)
+from .games import (GAME_KINDS, GameError, GameGenSpec, StrategyError,
+                    load_game, payoff, save_game, validate_strategy)
 
 
 def _load_strategy(path, n: int) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    from .games import validate_strategy
     return validate_strategy(np.asarray(data, dtype=float), n)
 
 
@@ -92,9 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_gen = sub.add_parser("gen-game", help="generate a game file")
-    p_gen.add_argument("--kind", required=True,
-                       choices=["symmetric_zero_sum", "transitive", "elo",
-                                "general_sum_random", "builtin"])
+    p_gen.add_argument("--kind", required=True, choices=GAME_KINDS)
     p_gen.add_argument("--dim", type=int, default=2)
     p_gen.add_argument("--noise", type=float, default=0.0)
     p_gen.add_argument("--seed", type=int, default=0)

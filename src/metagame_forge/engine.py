@@ -23,13 +23,12 @@ that member (the self-confirming advantage), which drives the clipping.
 from __future__ import annotations
 
 import math
-import numbers
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .games import BimatrixGame, GameError, payoff
+from .games import BimatrixGame, GameError, check_fields, freeze, payoff
 from .solvers import (TIE_ATOL, MetaSolution, advantage, advantage_many,
                       best_response, ec_bordered, ec_of_gram,
                       exploitability, fictitious_play, own_matrix)
@@ -63,16 +62,7 @@ class AlgorithmConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        for f in fields(self):
-            value, kind = getattr(self, f.name), type(f.default)
-            # Float fields take integers too, as JSON writes 1.0 as 1.
-            number = {int: numbers.Integral, float: numbers.Real}.get(kind)
-            ok = (isinstance(value, number) and not isinstance(value, bool)
-                  if number else isinstance(value, kind))
-            if not ok:
-                raise GameError(f"{f.name} must be a {kind.__name__}, got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise GameError(f"{f.name} must be finite")
+        check_fields(self)
         if self.variant not in VARIANTS:
             raise GameError(f"unknown variant {self.variant!r}")
         if not 0.0 <= self.lambda_d <= 1.0:
@@ -91,9 +81,19 @@ class AlgorithmConfig:
             raise GameError("fp_max_iters >= 1 and fp_tol >= 0 required")
 
 
+# Confirming-cache arrays of a Population: the value a new member starts
+# with, and the dtype.  No reply reaches a fresh member's infinite mu_value.
+CACHES = {"mu_index": (-1, int), "mu_value": (math.inf, float),
+          "sc_advantage": (math.nan, float), "stale": (True, bool)}
+
+
 @dataclass
 class Population:
-    """Ordered strategy list plus per-member confirming caches.
+    """Strategies as the rows of one owned, read-only array (k x dim), plus
+    per-member confirming caches as arrays of length k.
+
+    ``append`` and ``replace`` build a new ``members`` array and never write
+    the old one, so a caller may keep it, or a row of it, as a snapshot.
 
     ``mu_index[i]`` is the opponent population member best-responding to
     member i; ties are resolved pessimistically (the tied response minimizing
@@ -103,36 +103,32 @@ class Population:
     fill the caches (lazily, in `build_empirical`).
     """
 
-    members: list = field(default_factory=list)
-    mu_index: list = field(default_factory=list)
-    mu_value: list = field(default_factory=list)
-    sc_advantage: list = field(default_factory=list)
-    stale: list = field(default_factory=list)
-    _matrix: np.ndarray = field(default=None, repr=False, compare=False)
+    members: np.ndarray
+    mu_index: np.ndarray = None
+    mu_value: np.ndarray = None
+    sc_advantage: np.ndarray = None
+    stale: np.ndarray = None
+
+    def __post_init__(self) -> None:
+        self.members = freeze(np.array(self.members, dtype=float))  # a copy
+        for name, (fill, dtype) in CACHES.items():
+            value = getattr(self, name)
+            setattr(self, name, np.array([fill] * len(self) if value is None
+                                         else value, dtype))
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.members.shape[0]
 
     def append(self, strategy: np.ndarray) -> None:
-        self.members.append(np.asarray(strategy, dtype=float))
-        self.mu_index.append(-1)
-        self.mu_value.append(math.nan)
-        self.sc_advantage.append(math.nan)
-        self.stale.append(True)
-        self._matrix = None
+        self.members = freeze(np.vstack([self.members, strategy]))
+        for name, (fill, _) in CACHES.items():
+            setattr(self, name, np.append(getattr(self, name), fill))
 
     def replace(self, index: int, strategy: np.ndarray) -> None:
-        self.members[index] = np.asarray(strategy, dtype=float)
+        members = self.members.copy()
+        members[index] = strategy
+        self.members = freeze(members)
         self.stale[index] = True
-        self._matrix = None
-
-    def matrix(self) -> np.ndarray:
-        """The members as rows of a read-only array, built at most once
-        between mutations, so a caller may keep it as a snapshot."""
-        if self._matrix is None:
-            self._matrix = np.vstack(self.members)
-            self._matrix.setflags(write=False)
-        return self._matrix
 
 
 @dataclass
@@ -184,18 +180,16 @@ def init_state(game: BimatrixGame, config: AlgorithmConfig,
     if mode not in MODES:
         raise GameError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(config.seed)
-    state = EngineState(game, config, mode, Population(), Population(), rng)
+    rows, cols = [], []
     for _ in range(config.init_pop_size):
-        state.pop_row.append(rng.dirichlet(np.ones(game.n_rows)))
-        state.pop_col.append(rng.dirichlet(np.ones(game.n_cols)))
+        rows.append(rng.dirichlet(np.ones(game.n_rows)))
+        cols.append(rng.dirichlet(np.ones(game.n_cols)))
     if mode == "stackelberg_player":
         # The column side is a pure best responder, not a learner: its
         # "population" is the set of pure replies met so far, seeded with the
         # reply to the leader's initial members.
-        agg = np.mean(state.pop_row.members, axis=0)
-        state.pop_col = Population()
-        state.pop_col.append(br_oracle(game, 1, agg))
-    return state
+        cols = [br_oracle(game, 1, np.mean(rows, axis=0))]
+    return EngineState(game, config, mode, Population(rows), Population(cols), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +203,8 @@ def refresh_confirming(pop: Population, opponent_pop: Population,
         raise EngineError("cannot confirm against an empty opponent population")
     m_self = own_matrix(game, player)
     m_opp = own_matrix(game, 1 - player)
-    O = opponent_pop.matrix()
-    for i, flag in enumerate(pop.stale):
-        if not flag:
-            continue
+    O = opponent_pop.members
+    for i in np.flatnonzero(pop.stale):
         p = pop.members[i]
         opp_vals = O @ (m_opp @ p)       # opponent payoff per opponent member
         self_vals = O @ (m_self.T @ p)   # own payoff per opponent member
@@ -237,23 +229,17 @@ def _invalidate_for_change(own_pop: Population, opp_pop: Population,
     new strategy reaches the tie set now.  ``old_reply_values`` maps a
     replaced index to the opponent-side payoff vector of the old strategy.
     """
-    if len(opp_pop) == 0 or not changed:
-        return
     # Cached mu_value of an opponent entry is the best payoff achievable by
     # members of own_pop responding to it, so reply values use player's matrix.
     m_player = own_matrix(game, player)
-    O = opp_pop.matrix()
-    n_opp = len(opp_pop)
-    mu_vals = np.array([v if not math.isnan(v) else np.inf for v in opp_pop.mu_value])
-    affected = np.zeros(n_opp, dtype=bool)
+    tie_floor = opp_pop.mu_value - TIE_ATOL
+    affected = np.isin(opp_pop.mu_index, changed)
     for c in changed:
-        new_vals = O @ (m_player.T @ own_pop.members[c])
-        affected |= new_vals >= mu_vals - TIE_ATOL
+        new_vals = opp_pop.members @ (m_player.T @ own_pop.members[c])
+        affected |= new_vals >= tie_floor
         if c in old_reply_values:
-            affected |= old_reply_values[c] >= mu_vals - TIE_ATOL
-        affected |= np.array([mu == c for mu in opp_pop.mu_index])
-    for s in np.flatnonzero(affected):
-        opp_pop.stale[int(s)] = True
+            affected |= old_reply_values[c] >= tie_floor
+    opp_pop.stale[affected] = True
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +249,8 @@ def _retained_indices(pop: Population, clip: bool, s: float) -> np.ndarray:
     n = len(pop)
     if not clip:
         return np.arange(n)
-    floor = 2 if n >= 2 else 1
-    k = max(min(math.ceil(s * n), n), floor)
-    order = sorted(range(n), key=lambda i: (-pop.sc_advantage[i], i))
-    return np.asarray(sorted(order[:k]), dtype=int)
+    k = min(max(math.ceil(s * n), 2), n)   # at least two where possible
+    return np.sort(np.argsort(-pop.sc_advantage, kind="stable")[:k])
 
 
 def build_empirical(game: BimatrixGame, pop_row: Population, pop_col: Population,
@@ -284,8 +268,8 @@ def build_empirical(game: BimatrixGame, pop_row: Population, pop_col: Population
         refresh_confirming(pop_col, pop_row, game, 1)
     ri = _retained_indices(pop_row, clip, s)
     ci = _retained_indices(pop_col, clip, s)
-    R = pop_row.matrix()[ri]
-    C = pop_col.matrix()[ci]
+    R = pop_row.members[ri]
+    C = pop_col.members[ci]
     return EmpiricalGame(R @ game.u_row @ C.T, R @ game.u_col @ C.T, ri, ci)
 
 
@@ -306,7 +290,7 @@ def aggregate(pop: Population, theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape[0] != len(pop):
         raise GameError("meta-weight length does not match population size")
-    return theta @ pop.matrix()
+    return theta @ pop.members
 
 
 def br_oracle(game: BimatrixGame, player: int, opponent_aggregate) -> np.ndarray:
@@ -326,12 +310,15 @@ def _candidates(pi_t: np.ndarray, step: float) -> np.ndarray:
     the absolute-value normalization keeps on the simplex; without them the
     hill climb can only concentrate mass, never refine a mixture."""
     n = pi_t.shape[0]
-    V = np.empty((2 * n, n))
-    V[:n] = np.abs(pi_t[None, :] + step * np.eye(n))
-    V[n:] = np.abs(pi_t[None, :] - step * np.eye(n))
+    V = np.tile(pi_t, (2 * n, 1))
+    diag = np.arange(n)
+    V[diag, diag] += step
+    V[n + diag, diag] -= step
+    np.abs(V, out=V)
     sums = V.sum(axis=1, keepdims=True)
     np.maximum(sums, 1e-15, out=sums)
-    return V / sums
+    V /= sums
+    return V
 
 
 def _ec_scores(G: np.ndarray, cross: np.ndarray, cand_rows: np.ndarray,
@@ -425,10 +412,9 @@ def population_update(game: BimatrixGame, player: int, state: EngineState,
     pi_t = pop.members[-1]
     last = len(pop) - 1
 
-    rd = state.rng.uniform()
-    if rd <= cfg.lambda_d:
+    if state.rng.uniform() <= cfg.lambda_d:
         branch = "diversity"
-        pi_star = _diversity_argmax(game, player, pi_t, pop.matrix()[:-1],
+        pi_star = _diversity_argmax(game, player, pi_t, pop.members[:-1],
                                     opp_members, cfg.lr, cfg.lambda_1)
     else:
         branch = "lookahead"
@@ -455,7 +441,7 @@ def population_update(game: BimatrixGame, player: int, state: EngineState,
         pop.append(state.rng.dirichlet(np.ones(game.dims(player))))
         changed.append(len(pop) - 1)
     if state.clips:
-        old_vals = {last: opp_pop.matrix() @ (m_self.T @ pi_t)}
+        old_vals = {last: opp_pop.members @ (m_self.T @ pi_t)}
         _invalidate_for_change(pop, opp_pop, game, player, changed, old_vals)
     return branch
 
@@ -466,7 +452,7 @@ def population_update(game: BimatrixGame, player: int, state: EngineState,
 def _append_member(game: BimatrixGame, player: int, state: EngineState,
                    strategy: np.ndarray, dedupe: bool = False) -> None:
     pop = state.pop(player)
-    if dedupe and any(np.array_equal(m, strategy) for m in pop.members):
+    if dedupe and (pop.members == strategy).all(axis=1).any():
         return
     pop.append(strategy)
     if state.clips:
@@ -487,7 +473,7 @@ def run_iteration(state: EngineState) -> IterationReport:
     agg_row = aggregate(state.pop_row, theta.theta_row)
     agg_col = aggregate(state.pop_col, theta.theta_col)
 
-    snapshot = {0: state.pop_row.matrix(), 1: state.pop_col.matrix()}
+    snapshot = (state.pop_row.members, state.pop_col.members)
     learners = (0,) if mode == "stackelberg_player" else (0, 1)
     branches = ["best_response", "best_response"]
     for player in learners:
@@ -497,7 +483,7 @@ def run_iteration(state: EngineState) -> IterationReport:
             _append_member(game, player, state, br_oracle(game, player, agg_opp))
         elif cfg.variant == "diversity_psro":
             pop = state.pop(player)
-            cand = _diversity_argmax(game, player, pop.members[-1], pop.matrix(),
+            cand = _diversity_argmax(game, player, pop.members[-1], pop.members,
                                      opp_members, cfg.lr, cfg.lambda_1)
             branches[player] = "diversity"
             _append_member(game, player, state, cand)
@@ -545,13 +531,7 @@ def run(game: BimatrixGame, config: AlgorithmConfig,
 
 def state_to_dict(state: EngineState) -> dict:
     def pop_doc(pop: Population) -> dict:
-        return {
-            "members": [m.tolist() for m in pop.members],
-            "mu_index": list(pop.mu_index),
-            "mu_value": list(pop.mu_value),
-            "sc_advantage": list(pop.sc_advantage),
-            "stale": list(pop.stale),
-        }
+        return {f.name: getattr(pop, f.name).tolist() for f in fields(pop)}
 
     return {
         "mode": state.mode,
@@ -564,17 +544,8 @@ def state_to_dict(state: EngineState) -> dict:
 
 
 def state_from_dict(game: BimatrixGame, doc: dict) -> EngineState:
-    def pop_load(d: dict) -> Population:
-        pop = Population()
-        pop.members = [np.asarray(m, dtype=float) for m in d["members"]]
-        pop.mu_index = list(d["mu_index"])
-        pop.mu_value = list(d["mu_value"])
-        pop.sc_advantage = list(d["sc_advantage"])
-        pop.stale = list(d["stale"])
-        return pop
-
     config = AlgorithmConfig(**doc["config"])
     rng = np.random.default_rng()
     rng.bit_generator.state = doc["rng_state"]
-    return EngineState(game, config, doc["mode"], pop_load(doc["pop_row"]),
-                       pop_load(doc["pop_col"]), rng, doc["iteration"])
+    return EngineState(game, config, doc["mode"], Population(**doc["pop_row"]),
+                       Population(**doc["pop_col"]), rng, doc["iteration"])

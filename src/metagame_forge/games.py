@@ -7,7 +7,9 @@ seed) always produces bit-identical matrices.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,7 +26,25 @@ class StrategyError(ValueError):
     """A vector that is not a valid mixed strategy for the given game."""
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
+# Field annotations `check_fields` knows.  A float field takes an integer too,
+# as JSON writes 1.0 as 1, but only a bool field takes a bool.
+FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str,
+               "bool": bool}
+
+
+def check_fields(obj) -> None:
+    """Raise GameError unless every field of the dataclass ``obj`` holds a
+    value of its annotated type and every float is finite."""
+    for f in fields(obj):
+        value, kind = getattr(obj, f.name), FIELD_TYPES[f.type]
+        if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+            raise GameError(f"{f.name} must be a {f.type}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise GameError(f"{f.name} must be finite")
+
+
+def freeze(a: np.ndarray) -> np.ndarray:
+    """``a`` as a contiguous read-only float array, copied only if needed."""
     a = np.ascontiguousarray(a, dtype=float)
     a.setflags(write=False)
     return a
@@ -78,7 +98,7 @@ def new_game(u_row, u_col, name: str = "game") -> BimatrixGame:
         and np.abs(u_col + u_row).max() <= STRUCT_ATOL
         and np.abs(u_row + u_row.T).max() <= STRUCT_ATOL
     )
-    return BimatrixGame(_freeze(u_row), _freeze(u_col), name, flag)
+    return BimatrixGame(freeze(u_row), freeze(u_col), name, flag)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +152,7 @@ def gen_symmetric_zero_sum(dim: int, seed: int) -> BimatrixGame:
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((dim, dim))
     u = a - a.T
-    return BimatrixGame(_freeze(u), _freeze(-u), f"symzs_d{dim}_s{seed}", True)
+    return BimatrixGame(freeze(u), freeze(-u), f"symzs_d{dim}_s{seed}", True)
 
 
 def gen_transitive(dim: int, seed: int) -> BimatrixGame:
@@ -147,7 +167,7 @@ def gen_transitive(dim: int, seed: int) -> BimatrixGame:
     f = np.sort(rng.standard_normal(dim))
     b = np.tanh(f[:, None] - f[None, :])
     u = (b - b.T) / 2.0
-    return BimatrixGame(_freeze(u), _freeze(-u), f"transitive_d{dim}_s{seed}", True)
+    return BimatrixGame(freeze(u), freeze(-u), f"transitive_d{dim}_s{seed}", True)
 
 
 def gen_elo(dim: int, noise: float, seed: int) -> BimatrixGame:
@@ -166,7 +186,7 @@ def gen_elo(dim: int, noise: float, seed: int) -> BimatrixGame:
     if noise > 0:
         b = b + rng.normal(0.0, noise, size=(dim, dim))
     u = (b - b.T) / 2.0
-    return BimatrixGame(_freeze(u), _freeze(-u), f"elo_d{dim}_n{noise:g}_s{seed}", True)
+    return BimatrixGame(freeze(u), freeze(-u), f"elo_d{dim}_n{noise:g}_s{seed}", True)
 
 
 def gen_general_sum(dim: int, seed: int) -> BimatrixGame:
@@ -178,33 +198,48 @@ def gen_general_sum(dim: int, seed: int) -> BimatrixGame:
     return new_game(u_row, u_col, f"gensum_d{dim}_s{seed}")
 
 
+_RPS = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+_PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
+# Small named games used throughout the tests and experiments: (u_row, u_col).
+BUILTINS = {"stackelberg_table1": ([[1.0, 3.0], [2.0, 4.0]], [[0.0, 2.0], [1.0, 0.0]]),
+            "stag_hunt_table2": ([[30.0, -10.0], [-10.0, 20.0]],) * 2,
+            "rps": (_RPS, -_RPS), "matching_pennies": (_PENNIES, -_PENNIES)}
+
+
 def builtin(name: str) -> BimatrixGame:
-    """Small named games used throughout the test and experiment suites."""
-    if name == "stackelberg_table1":
-        return new_game([[1.0, 3.0], [2.0, 4.0]], [[0.0, 2.0], [1.0, 0.0]], name)
-    if name == "stag_hunt_table2":
-        m = [[30.0, -10.0], [-10.0, 20.0]]
-        return new_game(m, m, name)
-    if name == "rps":
-        u = [[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]]
-        return new_game(u, -np.asarray(u), name)
-    if name == "matching_pennies":
-        u = [[1.0, -1.0], [-1.0, 1.0]]
-        return new_game(u, -np.asarray(u), name)
-    raise GameError(f"unknown builtin game {name!r}")
+    if name not in BUILTINS:
+        raise GameError(f"unknown builtin game {name!r}")
+    return new_game(*BUILTINS[name], name)
+
+
+GAME_KINDS = ("symmetric_zero_sum", "transitive", "elo", "general_sum_random",
+              "builtin")
 
 
 @dataclass(frozen=True)
 class GameGenSpec:
     """Parametrization of a generated (or builtin / file-loaded) game."""
 
-    kind: str  # symmetric_zero_sum | transitive | elo | general_sum_random | builtin
+    kind: str  # one of GAME_KINDS
     dim: int = 0
     noise: float = 0.0
     seed: int = 0
     builtin_name: str = ""
 
+    def validate(self) -> None:
+        """Check the spec without building the game."""
+        check_fields(self)
+        if self.kind not in GAME_KINDS:
+            raise GameError(f"unknown game kind {self.kind!r}")
+        if self.kind == "builtin" and self.builtin_name not in BUILTINS:
+            raise GameError(f"unknown builtin game {self.builtin_name!r}")
+        if self.kind != "builtin":
+            _check_dim(self.dim)
+        if self.noise < 0 or self.seed < 0:
+            raise GameError("noise and seed must be >= 0")
+
     def build(self) -> BimatrixGame:
+        self.validate()
         if self.kind == "symmetric_zero_sum":
             return gen_symmetric_zero_sum(self.dim, self.seed)
         if self.kind == "transitive":
@@ -213,9 +248,7 @@ class GameGenSpec:
             return gen_elo(self.dim, self.noise, self.seed)
         if self.kind == "general_sum_random":
             return gen_general_sum(self.dim, self.seed)
-        if self.kind == "builtin":
-            return builtin(self.builtin_name)
-        raise GameError(f"unknown game kind {self.kind!r}")
+        return builtin(self.builtin_name)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,9 @@ class ExperimentConfig:
             raise GameError(f"unknown mode {self.mode!r}")
         if not isinstance(self.output_dir, (str, os.PathLike)):
             raise GameError(f"output_dir must be a path, got {self.output_dir!r}")
+        for game in self.games:
+            if not isinstance(game, str):
+                game.validate()
         for name, overrides in self.algorithms:
             if {"seed", "max_iterations"} & set(overrides):
                 raise GameError(f"{name}: 'seed' and 'max_iterations' are set "

@@ -147,8 +147,8 @@ def advantage_many(game: BimatrixGame, player: int, strategies: np.ndarray) -> n
         opp_vals = P @ m_opp.T       # (k, opp-dim): opponent payoff per pure reply
         self_vals = P @ m_self       # (k, opp-dim): player payoff per pure reply
     best = opp_vals.max(axis=1, keepdims=True)
-    tied = opp_vals >= best - TIE_ATOL
-    return np.where(tied, self_vals, np.inf).min(axis=1)
+    np.putmask(self_vals, ~(opp_vals >= best - TIE_ATOL), np.inf)
+    return self_vals.min(axis=1)
 
 
 def advantage(game: BimatrixGame, player: int, pi) -> float:
@@ -227,11 +227,7 @@ def expected_cardinality(M) -> float:
         raise GameError("expected_cardinality needs a nonempty matrix")
     if not np.isfinite(M).all():
         raise GameError("expected_cardinality needs finite entries")
-    L = M @ M.T
-    t = L.shape[0]
-    c = cho_factor(L + np.eye(t), lower=True)
-    X = cho_solve(c, L)
-    return float(np.trace(X))
+    return ec_of_gram(M @ M.T)
 
 
 def ec_of_gram(L: np.ndarray) -> float:

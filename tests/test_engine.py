@@ -1,6 +1,9 @@
 """Engine: populations, confirming caches, clipping, update rules, run loop,
 and checkpointing."""
+import gc
+import json
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metagame_forge import engine
+from metagame_forge import engine, solvers
 from metagame_forge.engine import (AlgorithmConfig, EngineError, Population,
                                    aggregate, br_oracle, build_empirical,
                                    _candidates, _diversity_argmax, init_state,
@@ -64,7 +67,7 @@ def test_config_rejects_non_finite(name, value):
 def test_init_state_population_sizes():
     state = init_state(RPS, make_cfg(init_pop_size=3, seed=0))
     assert len(state.pop_row) == 3 and len(state.pop_col) == 3
-    for m in state.pop_row.members + state.pop_col.members:
+    for m in (*state.pop_row.members, *state.pop_col.members):
         assert (m >= 0).all() and abs(m.sum() - 1.0) <= 1e-12
 
 def test_init_state_stackelberg_follower_is_pure_br():
@@ -79,31 +82,69 @@ def test_init_state_rejects_unknown_mode():
 
 
 # ---------------------------------------------------------------------------
+# Populations
+
+def test_population_owns_read_only_copies():
+    block = np.full((200, 3), 1.0 / 3.0)
+    pop = Population(block[:1])
+    pop.append(block[5])
+    assert not np.shares_memory(pop.members, block)
+    assert not pop.members.flags.writeable
+    with pytest.raises(ValueError):
+        pop.members[0, 0] = 1.0
+    assert pop.mu_index.tolist() == [-1, -1] and pop.stale.tolist() == [True, True]
+    assert np.isposinf(pop.mu_value).all() and np.isnan(pop.sc_advantage).all()
+
+def test_population_replace_is_copy_on_write():
+    pop = Population([uniform(3), pure(3, 0)])
+    pop.stale[:] = False
+    snapshot, last = pop.members, pop.members[-1]
+    pop.replace(1, pure(3, 2))
+    assert np.array_equal(snapshot, [uniform(3), pure(3, 0)])
+    assert np.array_equal(last, pure(3, 0))
+    assert np.array_equal(pop.members[1], pure(3, 2))
+    assert pop.stale.tolist() == [False, True]
+
+def test_kept_members_hold_no_candidate_block():
+    # A kept member is a copy of its candidate row, not a view keeping the
+    # whole 2n x n candidate block (1.4 MB at dim 300) alive, so the memory
+    # held between iterations grows by the members themselves (2.4 KB each).
+    # im = 1e9 rejects every update, so each keeps one more member a player.
+    g = gen_general_sum(300, 0)
+    state = init_state(g, make_config("sc_psro", seed=0, lr=1e9, im=1e9))
+    held = []
+    tracemalloc.start()
+    try:
+        for _ in range(10):
+            run_iteration(state)
+            gc.collect()
+            held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert len(state.pop_row) == 11
+    assert held[9] - held[1] < 1e6
+
+
+# ---------------------------------------------------------------------------
 # Confirming caches
 
-def _pop_of(strategies):
-    pop = Population()
-    for s in strategies:
-        pop.append(np.asarray(s, dtype=float))
-    return pop
-
 def test_confirming_single_opponent_forced():
-    pop = _pop_of([pure(3, 0), uniform(3)])
-    opp = _pop_of([pure(3, 1)])
+    pop = Population([pure(3, 0), uniform(3)])
+    opp = Population([pure(3, 1)])
     refresh_confirming(pop, opp, RPS, 0)
-    assert pop.mu_index == [0, 0]
+    assert pop.mu_index.tolist() == [0, 0]
     assert pop.sc_advantage[0] == -1.0  # Rock vs Paper
 
 def test_confirming_rps_rock_vs_three_pures():
-    pop = _pop_of([pure(3, 0)])
-    opp = _pop_of([pure(3, 0), pure(3, 1), pure(3, 2)])
+    pop = Population([pure(3, 0)])
+    opp = Population([pure(3, 0), pure(3, 1), pure(3, 2)])
     refresh_confirming(pop, opp, RPS, 0)
     assert pop.mu_index[0] == 1          # Paper best-responds to Rock
     assert pop.sc_advantage[0] == -1.0
 
 def test_confirming_idempotent():
-    pop = _pop_of([uniform(3), pure(3, 2)])
-    opp = _pop_of([pure(3, 0), uniform(3)])
+    pop = Population([uniform(3), pure(3, 2)])
+    opp = Population([pure(3, 0), uniform(3)])
     refresh_confirming(pop, opp, RPS, 0)
     before = (list(pop.mu_index), list(pop.sc_advantage))
     refresh_confirming(pop, opp, RPS, 0)
@@ -111,7 +152,8 @@ def test_confirming_idempotent():
 
 def test_confirming_empty_opponent_error():
     with pytest.raises(EngineError):
-        refresh_confirming(_pop_of([uniform(3)]), Population(), RPS, 0)
+        refresh_confirming(Population([uniform(3)]), Population(np.empty((0, 3))),
+                           RPS, 0)
 
 def _brute_confirm(pop, opp, game, player):
     """Reference implementation: full restricted BR with pessimistic ties."""
@@ -130,8 +172,8 @@ def test_confirming_matches_brute_force_on_random_pops():
     rng = np.random.default_rng(11)
     for _ in range(20):
         g = gen_general_sum(4, int(rng.integers(10_000)))
-        pop = _pop_of(rng.dirichlet(np.ones(4), size=3))
-        opp = _pop_of(rng.dirichlet(np.ones(4), size=4))
+        pop = Population(rng.dirichlet(np.ones(4), size=3))
+        opp = Population(rng.dirichlet(np.ones(4), size=4))
         refresh_confirming(pop, opp, g, 0)
         for i, (j, sc) in enumerate(_brute_confirm(pop, opp, g, 0)):
             assert pop.mu_index[i] == j
@@ -173,8 +215,8 @@ def test_runs_without_clipping_never_touch_confirming_caches(preset, monkeypatch
 def test_clipping_floor_and_count():
     rng = np.random.default_rng(12)
     g = gen_general_sum(4, 0)
-    pop = _pop_of(rng.dirichlet(np.ones(4), size=5))
-    opp = _pop_of(rng.dirichlet(np.ones(4), size=2))
+    pop = Population(rng.dirichlet(np.ones(4), size=5))
+    opp = Population(rng.dirichlet(np.ones(4), size=2))
     refresh_confirming(pop, opp, g, 0)
     refresh_confirming(opp, pop, g, 1)
     emp = build_empirical(g, pop, opp, clip=True, s=0.4)
@@ -186,8 +228,8 @@ def test_clipping_floor_and_count():
 def test_clipping_keeps_top_sc_advantage():
     rng = np.random.default_rng(13)
     g = gen_general_sum(4, 1)
-    pop = _pop_of(rng.dirichlet(np.ones(4), size=6))
-    opp = _pop_of(rng.dirichlet(np.ones(4), size=3))
+    pop = Population(rng.dirichlet(np.ones(4), size=6))
+    opp = Population(rng.dirichlet(np.ones(4), size=3))
     refresh_confirming(pop, opp, g, 0)
     refresh_confirming(opp, pop, g, 1)
     emp = build_empirical(g, pop, opp, clip=True, s=0.5)
@@ -200,8 +242,8 @@ def test_clipping_keeps_top_sc_advantage():
 def test_clipping_never_mutates_population():
     rng = np.random.default_rng(14)
     g = gen_general_sum(3, 2)
-    pop = _pop_of(rng.dirichlet(np.ones(3), size=4))
-    opp = _pop_of(rng.dirichlet(np.ones(3), size=4))
+    pop = Population(rng.dirichlet(np.ones(3), size=4))
+    opp = Population(rng.dirichlet(np.ones(3), size=4))
     refresh_confirming(pop, opp, g, 0)
     refresh_confirming(opp, pop, g, 1)
     before = [m.copy() for m in pop.members]
@@ -211,8 +253,8 @@ def test_clipping_never_mutates_population():
         assert np.array_equal(a, b)
 
 def test_clipping_refreshes_stale_caches():
-    pop = _pop_of([uniform(3), pure(3, 0), pure(3, 1)])
-    opp = _pop_of([uniform(3), pure(3, 2)])
+    pop = Population([uniform(3), pure(3, 0), pure(3, 1)])
+    opp = Population([uniform(3), pure(3, 2)])
     emp = build_empirical(RPS, pop, opp, clip=True, s=0.5)
     assert not any(pop.stale) and not any(opp.stale)
     for i, (j, sc) in enumerate(_brute_confirm(pop, opp, RPS, 0)):
@@ -222,13 +264,13 @@ def test_clipping_refreshes_stale_caches():
 
 def test_build_empirical_empty_population_error():
     with pytest.raises(EngineError):
-        build_empirical(RPS, Population(), _pop_of([uniform(3)]))
+        build_empirical(RPS, Population(np.empty((0, 3))), Population([uniform(3)]))
 
 def test_meta_nash_lifts_clipped_indices():
     rng = np.random.default_rng(15)
     g = gen_general_sum(4, 3)
-    pop = _pop_of(rng.dirichlet(np.ones(4), size=5))
-    opp = _pop_of(rng.dirichlet(np.ones(4), size=5))
+    pop = Population(rng.dirichlet(np.ones(4), size=5))
+    opp = Population(rng.dirichlet(np.ones(4), size=5))
     refresh_confirming(pop, opp, g, 0)
     refresh_confirming(opp, pop, g, 1)
     emp = build_empirical(g, pop, opp, clip=True, s=0.4)
@@ -244,7 +286,7 @@ def test_meta_nash_lifts_clipped_indices():
 # Aggregation and oracles
 
 def test_aggregate_and_br_oracle():
-    pop = _pop_of([pure(3, 0), pure(3, 1)])
+    pop = Population([pure(3, 0), pure(3, 1)])
     agg = aggregate(pop, np.array([0.25, 0.75]))
     assert np.allclose(agg, [0.25, 0.75, 0.0])
     with pytest.raises(GameError):
@@ -268,6 +310,51 @@ def test_candidates_are_simplex_valid():
         C = _candidates(pi, rng.uniform(0, 2.0))
         assert (C >= 0).all()
         assert np.abs(C.sum(axis=1) - 1.0).max() <= 1e-12
+
+def _reference_candidates(pi_t, step):
+    n = pi_t.shape[0]
+    V = np.empty((2 * n, n))
+    V[:n] = np.abs(pi_t[None, :] + step * np.eye(n))
+    V[n:] = np.abs(pi_t[None, :] - step * np.eye(n))
+    sums = V.sum(axis=1, keepdims=True)
+    np.maximum(sums, 1e-15, out=sums)
+    return V / sums
+
+def _reference_advantage_many(game, player, P):
+    m_self = own_matrix(game, player)
+    m_opp = own_matrix(game, 1 - player)
+    with solvers._blas_threads_for(P.shape[0] * P.shape[1] * m_self.shape[1]):
+        opp_vals = P @ m_opp.T
+        self_vals = P @ m_self
+    tied = opp_vals >= opp_vals.max(axis=1, keepdims=True) - solvers.TIE_ATOL
+    return np.where(tied, self_vals, np.inf).min(axis=1)
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 160),
+       m=st.integers(1, 160), player=st.sampled_from([0, 1]),
+       integer=st.booleans(), step=st.sampled_from([0.0, 1e-3, 0.3, 1e9]),
+       pi_kind=st.sampled_from(["uniform", "near_pure", "with_zero", "mixed"]))
+def test_candidate_scoring_matches_reference_bit_for_bit(seed, n, m, player,
+                                                         integer, step, pi_kind):
+    rng = np.random.default_rng(seed)
+    shape = (n, m) if player == 0 else (m, n)
+    # Integer payoffs make exact ties in the opponent's replies.
+    draw = ((lambda: rng.integers(-2, 3, size=shape).astype(float)) if integer
+            else (lambda: rng.normal(size=shape)))
+    g = new_game(draw(), draw())
+    if pi_kind == "uniform":
+        pi = uniform(n)
+    elif pi_kind == "near_pure":
+        pi = np.abs(pure(n, int(rng.integers(n))) + 1e-14 * rng.normal(size=n))
+        pi /= pi.sum()
+    else:
+        pi = rng.dirichlet(np.ones(n))
+        if pi_kind == "with_zero":
+            pi[int(rng.integers(n))] = 0.0
+    C = _candidates(pi, step)
+    assert np.array_equal(C, _reference_candidates(pi, step))
+    assert np.array_equal(advantage_many(g, player, C),
+                          _reference_advantage_many(g, player, C))
 
 class FixedRng:
     """Stand-in RNG yielding a fixed uniform draw."""
@@ -452,11 +539,11 @@ def test_report_exploitability_matches_solver_exactly():
     g = gen_symmetric_zero_sum(5, 9)
     state = init_state(g, make_cfg(seed=3, clipping_enabled=False))
     for _ in range(5):
-        before_row = [m.copy() for m in state.pop_row.members]
-        before_col = [m.copy() for m in state.pop_col.members]
+        # Members are replaced copy-on-write, so the old arrays are snapshots.
+        before_row, before_col = state.pop_row.members, state.pop_col.members
         rep = run_iteration(state)
-        agg_row = rep.theta.theta_row @ np.vstack(before_row)
-        agg_col = rep.theta.theta_col @ np.vstack(before_col)
+        agg_row = rep.theta.theta_row @ before_row
+        agg_col = rep.theta.theta_col @ before_col
         assert rep.exploitability == exploitability(g, agg_row, agg_col)
 
 def test_all_stored_members_simplex_valid():
@@ -465,7 +552,7 @@ def test_all_stored_members_simplex_valid():
         state = init_state(g, make_cfg(variant=variant, seed=4))
         for _ in range(8):
             run_iteration(state)
-        for m in state.pop_row.members + state.pop_col.members:
+        for m in (*state.pop_row.members, *state.pop_col.members):
             assert (m >= -1e-12).all()
             assert abs(m.sum() - 1.0) <= 1e-12
 
@@ -503,12 +590,22 @@ def test_prosocial_mode_reports_both_rewards():
 
 def test_checkpoint_round_trip_resumes_identically():
     g = gen_general_sum(4, 17)
-    cfg = make_cfg(seed=5, max_iterations=0)
+    # im = 0.5 rejects updates, so the populations grow and end with a
+    # fresh member whose caches are still unset (inf and NaN).
+    cfg = make_cfg(seed=5, max_iterations=0, im=0.5)
     state = init_state(g, cfg)
     for _ in range(6):
         run_iteration(state)
-    doc = state_to_dict(state)
+    doc = json.loads(json.dumps(state_to_dict(state)))
+    assert set(doc["pop_row"]) == {f.name for f in fields(Population)}
     resumed = state_from_dict(g, doc)
+    for a, b in ((state.pop_row, resumed.pop_row),
+                 (state.pop_col, resumed.pop_col)):
+        for f in fields(Population):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True)
+        assert not b.members.flags.writeable
+    assert np.isposinf(state.pop_row.mu_value).any()
     tail_a = [run_iteration(state).exploitability for _ in range(4)]
     tail_b = [run_iteration(resumed).exploitability for _ in range(4)]
     assert tail_a == tail_b

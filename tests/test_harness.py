@@ -3,6 +3,7 @@ import concurrent.futures
 import csv
 import functools
 import json
+import math
 import multiprocessing
 import os
 from dataclasses import fields
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 from metagame_forge import harness
 from metagame_forge.cli import main
 from metagame_forge.engine import MODES, AlgorithmConfig
-from metagame_forge.games import GameError, GameGenSpec, builtin, save_game
+from metagame_forge.games import (BUILTINS, GAME_KINDS, GameError, GameGenSpec,
+                                  builtin, save_game)
 from metagame_forge.harness import (METRICS_COLUMNS, PRESETS, ExperimentConfig,
                                     aggregate_rows, execute_grid,
                                     load_experiment, make_config,
@@ -90,9 +92,11 @@ ALGORITHMS = (st.sampled_from(sorted(PRESETS))
               | st.fixed_dictionaries({"name": st.sampled_from(sorted(PRESETS)) | JSON},
                                       optional={"overrides": OVERRIDES | JSON})
               | JSON)
-GAMES = (st.fixed_dictionaries({"kind": st.sampled_from(["elo", "builtin"]) | JSON},
-                               optional={"dim": SMALL_INTS | JSON,
-                                         "builtin_name": JSON})
+GAMES = (st.fixed_dictionaries(
+             {"kind": st.sampled_from(GAME_KINDS + ("nope",)) | JSON},
+             optional={"dim": SMALL_INTS | JSON, "noise": st.floats() | JSON,
+                       "seed": SMALL_INTS | JSON,
+                       "builtin_name": st.sampled_from(sorted(BUILTINS)) | JSON})
          | JSON)
 SEEDS = (st.fixed_dictionaries({"start": SMALL_INTS | JSON,
                                 "stop": SMALL_INTS | st.integers() | JSON})
@@ -116,6 +120,9 @@ def test_parse_experiment_raises_only_game_error(doc):
     cfg.validate()
     for name, overrides in cfg.algorithms:
         make_config(name, seed=0, max_iterations=1, **overrides)
+    for game in cfg.games:
+        if isinstance(game, GameGenSpec) and game.dim <= 12:
+            game.build()   # a spec that passed validation builds
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +365,23 @@ def test_cli_dead_pool_worker_exits_1(tmp_path, monkeypatch, capsys):
     assert err.startswith("error: a grid worker process died")
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "out" / "metrics.csv").exists()
+
+def test_cli_bad_game_spec_exits_2(tmp_path, capsys):
+    cases = (({"kind": "elo", "dim": "x"}, "dim"), ({"kind": "nope"}, "nope"),
+             ({"kind": "transitive", "dim": 1}, "dim"),
+             ({"kind": "elo", "dim": 4, "noise": math.nan}, "noise"),
+             ({"kind": "elo", "dim": 4, "noise": -0.5}, "noise"),
+             ({"kind": "elo", "dim": 4, "seed": -1}, "seed"),
+             ({"kind": "builtin", "builtin_name": "chess"}, "chess"))
+    for i, (spec, word) in enumerate(cases):
+        config = {"games": [spec], "algorithms": ["vanilla_psro"], "seeds": [0],
+                  "output_dir": str(tmp_path / "out")}
+        cpath = tmp_path / f"exp{i}.json"
+        cpath.write_text(json.dumps(config))
+        assert main(["run", "--config", str(cpath)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and word in err
+    assert not (tmp_path / "out").exists()
 
 def test_cli_invalid_config_exits_2(tmp_path):
     cpath = tmp_path / "broken.json"
