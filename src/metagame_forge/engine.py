@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -524,28 +524,3 @@ def run(game: BimatrixGame, config: AlgorithmConfig,
     trajectory of per-iteration reports.  Deterministic in the config seed."""
     state = init_state(game, config, mode)
     return [run_iteration(state) for _ in range(config.max_iterations)]
-
-
-# ---------------------------------------------------------------------------
-# Checkpointing
-
-def state_to_dict(state: EngineState) -> dict:
-    def pop_doc(pop: Population) -> dict:
-        return {f.name: getattr(pop, f.name).tolist() for f in fields(pop)}
-
-    return {
-        "mode": state.mode,
-        "iteration": state.iteration,
-        "config": state.config.__dict__.copy(),
-        "pop_row": pop_doc(state.pop_row),
-        "pop_col": pop_doc(state.pop_col),
-        "rng_state": state.rng.bit_generator.state,
-    }
-
-
-def state_from_dict(game: BimatrixGame, doc: dict) -> EngineState:
-    config = AlgorithmConfig(**doc["config"])
-    rng = np.random.default_rng()
-    rng.bit_generator.state = doc["rng_state"]
-    return EngineState(game, config, doc["mode"], Population(**doc["pop_row"]),
-                       Population(**doc["pop_col"]), rng, doc["iteration"])

@@ -10,6 +10,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +75,12 @@ class BimatrixGame:
 
     def dims(self, player: int) -> int:
         return self.n_rows if player == 0 else self.n_cols
+
+    @cached_property
+    def exact_zero_sum(self) -> bool:
+        """u_col == -u_row entry for entry.  Only a game flagged symmetric
+        zero-sum is checked, so a general-sum game never builds -u_row."""
+        return self.symmetric_zero_sum and bool(np.array_equal(self.u_col, -self.u_row))
 
 
 def new_game(u_row, u_col, name: str = "game") -> BimatrixGame:
@@ -141,10 +148,14 @@ def payoff(game: BimatrixGame, pi_row, pi_col) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Generators
 
-def _check_dim(dim: int) -> None:
-    if dim < 2:
-        raise GameError("dim must be >= 2")
+# At dim 5,000 the payoffs and one 2n x n candidate block with its two
+# products take 1.6 GB; far larger noise overflows `gen_elo`'s payoffs.
+MAX_DIM, MAX_NOISE = 5_000, 1e6
 
+
+def _check_dim(dim: int) -> None:
+    if not 2 <= dim <= MAX_DIM:
+        raise GameError(f"dim must be in [2, {MAX_DIM}], got {dim}")
 
 def gen_symmetric_zero_sum(dim: int, seed: int) -> BimatrixGame:
     """Random symmetric zero-sum game: U = A - A^T, A with iid N(0,1) entries."""
@@ -152,7 +163,7 @@ def gen_symmetric_zero_sum(dim: int, seed: int) -> BimatrixGame:
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((dim, dim))
     u = a - a.T
-    return BimatrixGame(freeze(u), freeze(-u), f"symzs_d{dim}_s{seed}", True)
+    return new_game(u, -u, f"symzs_d{dim}_s{seed}")
 
 
 def gen_transitive(dim: int, seed: int) -> BimatrixGame:
@@ -167,7 +178,7 @@ def gen_transitive(dim: int, seed: int) -> BimatrixGame:
     f = np.sort(rng.standard_normal(dim))
     b = np.tanh(f[:, None] - f[None, :])
     u = (b - b.T) / 2.0
-    return BimatrixGame(freeze(u), freeze(-u), f"transitive_d{dim}_s{seed}", True)
+    return new_game(u, -u, f"transitive_d{dim}_s{seed}")
 
 
 def gen_elo(dim: int, noise: float, seed: int) -> BimatrixGame:
@@ -186,7 +197,7 @@ def gen_elo(dim: int, noise: float, seed: int) -> BimatrixGame:
     if noise > 0:
         b = b + rng.normal(0.0, noise, size=(dim, dim))
     u = (b - b.T) / 2.0
-    return BimatrixGame(freeze(u), freeze(-u), f"elo_d{dim}_n{noise:g}_s{seed}", True)
+    return new_game(u, -u, f"elo_d{dim}_n{noise:g}_s{seed}")
 
 
 def gen_general_sum(dim: int, seed: int) -> BimatrixGame:
@@ -235,8 +246,10 @@ class GameGenSpec:
             raise GameError(f"unknown builtin game {self.builtin_name!r}")
         if self.kind != "builtin":
             _check_dim(self.dim)
-        if self.noise < 0 or self.seed < 0:
-            raise GameError("noise and seed must be >= 0")
+        if not 0 <= self.noise <= MAX_NOISE:
+            raise GameError(f"noise must be in [0, {MAX_NOISE:g}], got {self.noise!r}")
+        if self.seed < 0:
+            raise GameError("seed must be >= 0")
 
     def build(self) -> BimatrixGame:
         self.validate()

@@ -139,13 +139,18 @@ def advantage_many(game: BimatrixGame, player: int, strategies: np.ndarray) -> n
     The opponent's best-response tie set is formed to TIE_ATOL and the
     pessimistic minimum of the player's payoff over that set is returned,
     one value per strategy.
+
+    In an exactly zero-sum game the opponent's payoffs are the player's,
+    negated bit for bit (rounding is symmetric), so its tie set holds the
+    player's row minimum and larger values only: one product suffices.
     """
     m_self = own_matrix(game, player)
-    m_opp = own_matrix(game, 1 - player)
     P = np.atleast_2d(np.asarray(strategies, dtype=float))
     with _blas_threads_for(P.shape[0] * P.shape[1] * m_self.shape[1]):
-        opp_vals = P @ m_opp.T       # (k, opp-dim): opponent payoff per pure reply
         self_vals = P @ m_self       # (k, opp-dim): player payoff per pure reply
+        if game.exact_zero_sum:
+            return self_vals.min(axis=1)
+        opp_vals = P @ own_matrix(game, 1 - player).T  # opponent payoff per reply
     best = opp_vals.max(axis=1, keepdims=True)
     np.putmask(self_vals, ~(opp_vals >= best - TIE_ATOL), np.inf)
     return self_vals.min(axis=1)
@@ -172,7 +177,8 @@ def fictitious_play(m_row, m_col, max_iters: int = 2000,
     throughout and the jump is exact.
 
     The reply payoffs at the averages give both the residual and the next
-    best responses, so each accepted step computes them once.
+    best responses, so each accepted step computes them once.  A batch that
+    fails on the row side never forms the row candidate.
     """
     m_row = np.asarray(m_row, dtype=float)
     m_col = np.asarray(m_col, dtype=float)
@@ -185,35 +191,39 @@ def fictitious_play(m_row, m_col, max_iters: int = 2000,
     avg_c = np.full(m, 1.0 / m)
     ry = m_row @ avg_c
     xc = avg_r @ m_col
+    cand_r, cand_c, cand_ry, cand_xc = (np.empty_like(a) for a in (avg_r, avg_c, ry, xc))
 
     steps = 0
     weight = 1.0
-    residual = float((ry.max() - avg_r @ ry) + (xc.max() - xc @ avg_c))
+    br_r, br_c = int(ry.argmax()), int(xc.argmax())   # ry[br_r] == ry.max()
+    residual = float((ry[br_r] - avg_r @ ry) + (xc[br_c] - xc @ avg_c))
     jump = 1
     while steps < max_iters and residual > tol:
-        br_r = int(ry.argmax())
-        br_c = int(xc.argmax())
         k = min(jump, max_iters - steps)
         w2 = weight + k
-        cand_r = (weight * avg_r) / w2
-        cand_r[br_r] += k / w2
-        cand_c = (weight * avg_c) / w2
+        np.divide(np.multiply(weight, avg_c, out=cand_c), w2, out=cand_c)
         cand_c[br_c] += k / w2
-        cand_ry = m_row @ cand_c
-        cand_xc = cand_r @ m_col
-        if k > 1:
-            # Accept the batch only if both best responses are unchanged at
-            # the endpoint (linearity makes them constant on the interior).
-            if int(cand_ry.argmax()) != br_r or int(cand_xc.argmax()) != br_c:
-                jump = max(1, jump // 2)
-                continue
-            jump *= 2
-        else:
-            jump = max(2, jump)
-        avg_r, avg_c, ry, xc = cand_r, cand_c, cand_ry, cand_xc
+        np.matmul(m_row, cand_c, out=cand_ry)
+        next_r = int(cand_ry.argmax())
+        # Accept a batch only if both best responses are unchanged at the
+        # endpoint (linearity makes them constant on the interior).
+        if k > 1 and next_r != br_r:
+            jump = max(1, jump // 2)
+            continue
+        np.divide(np.multiply(weight, avg_r, out=cand_r), w2, out=cand_r)
+        cand_r[br_r] += k / w2
+        np.matmul(cand_r, m_col, out=cand_xc)
+        next_c = int(cand_xc.argmax())
+        if k > 1 and next_c != br_c:
+            jump = max(1, jump // 2)
+            continue
+        jump = jump * 2 if k > 1 else max(2, jump)
+        avg_r, cand_r, avg_c, cand_c = cand_r, avg_r, cand_c, avg_c
+        ry, cand_ry, xc, cand_xc = cand_ry, ry, cand_xc, xc
+        br_r, br_c = next_r, next_c
         weight = w2
         steps += k
-        residual = float((ry.max() - avg_r @ ry) + (xc.max() - xc @ avg_c))
+        residual = float((ry[br_r] - avg_r @ ry) + (xc[br_c] - xc @ avg_c))
     return MetaSolution(avg_r, avg_c, max(residual, 0.0), steps)
 
 

@@ -62,6 +62,7 @@ def test_criterion_1_stackelberg_reward():
     assert abs(div - 2.0) <= 0.1, f"diversity_psro mean reward {div}"
 
 
+@pytest.mark.slow
 def test_criterion_2_stag_hunt_selection():
     """Prosocial stag hunt: clipping selects the payoff-dominant equilibrium
     (joint reward 60) in at least 90 of 100 seeds; the best-response baseline
@@ -86,6 +87,7 @@ ZS_SHARED = {"fp_max_iters": 50}
 ZS_SC = {"lambda_d": 0.2, "im": -0.05, "lr": 0.3}
 
 
+@pytest.mark.slow
 def test_criterion_3_zero_sum_exploitability_ordering():
     """Elo(100, noise=1.0) and symmetric zero-sum(100), 10 seeds, 150
     iterations, clipping off: median final exploitability of the full
@@ -265,6 +267,7 @@ def test_criterion_7_determinism_and_schema(tmp_path):
     print("criterion 7 determinism and schema: PASS")
 
 
+@pytest.mark.slow
 def test_criterion_8_scale_smoke():
     """dim=1000 general-sum: one run finishes quickly with non-decreasing
     population sizes; across 5 seeds the full algorithm's final joint reward

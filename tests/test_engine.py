@@ -1,7 +1,6 @@
-"""Engine: populations, confirming caches, clipping, update rules, run loop,
-and checkpointing."""
+"""Engine: populations, confirming caches, clipping, update rules and the run
+loop."""
 import gc
-import json
 import math
 import tracemalloc
 from dataclasses import fields
@@ -17,8 +16,7 @@ from metagame_forge.engine import (AlgorithmConfig, EngineError, Population,
                                    _candidates, _diversity_argmax, init_state,
                                    lookahead_step, meta_nash,
                                    population_update, refresh_confirming, run,
-                                   run_iteration, state_from_dict,
-                                   state_to_dict)
+                                   run_iteration)
 from metagame_forge.games import (GameError, builtin, gen_general_sum,
                                   gen_symmetric_zero_sum, gen_transitive,
                                   new_game, pure, uniform)
@@ -583,29 +581,3 @@ def test_prosocial_mode_reports_both_rewards():
     reports = run(g, make_cfg(seed=0, max_iterations=10), "prosocial")
     rep = reports[-1]
     assert np.isfinite(rep.reward_row) and np.isfinite(rep.reward_col)
-
-
-# ---------------------------------------------------------------------------
-# Checkpointing
-
-def test_checkpoint_round_trip_resumes_identically():
-    g = gen_general_sum(4, 17)
-    # im = 0.5 rejects updates, so the populations grow and end with a
-    # fresh member whose caches are still unset (inf and NaN).
-    cfg = make_cfg(seed=5, max_iterations=0, im=0.5)
-    state = init_state(g, cfg)
-    for _ in range(6):
-        run_iteration(state)
-    doc = json.loads(json.dumps(state_to_dict(state)))
-    assert set(doc["pop_row"]) == {f.name for f in fields(Population)}
-    resumed = state_from_dict(g, doc)
-    for a, b in ((state.pop_row, resumed.pop_row),
-                 (state.pop_col, resumed.pop_col)):
-        for f in fields(Population):
-            x, y = getattr(a, f.name), getattr(b, f.name)
-            assert x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True)
-        assert not b.members.flags.writeable
-    assert np.isposinf(state.pop_row.mu_value).any()
-    tail_a = [run_iteration(state).exploitability for _ in range(4)]
-    tail_b = [run_iteration(resumed).exploitability for _ in range(4)]
-    assert tail_a == tail_b

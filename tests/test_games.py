@@ -6,8 +6,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from metagame_forge.games import (BimatrixGame, GameError, GameGenSpec,
-                                  StrategyError, builtin, cyclic_balance,
+from metagame_forge.games import (MAX_DIM, MAX_NOISE, BimatrixGame,
+                                  GameError, GameGenSpec, StrategyError,
+                                  builtin, cyclic_balance,
                                   gen_elo, gen_general_sum,
                                   gen_symmetric_zero_sum, gen_transitive,
                                   load_game, new_game, normalize, payoff, pure,
@@ -141,6 +142,19 @@ def test_generators_reject_small_dim():
             fn()
     with pytest.raises(GameError):
         gen_elo(4, -0.5, 0)
+
+def test_zero_sum_generators_reject_non_finite_payoffs():
+    # Noise this large overflows the antisymmetrized payoffs to +-inf.
+    with pytest.raises(GameError, match="finite"):
+        gen_elo(4, 1e308, 0)
+
+def test_gamegenspec_bounds_dim_and_noise():
+    GameGenSpec("elo", dim=MAX_DIM, noise=MAX_NOISE).validate()
+    for spec, word in ((GameGenSpec("elo", dim=MAX_DIM + 1), "dim"),
+                       (GameGenSpec("elo", dim=4, noise=MAX_NOISE * 2), "noise"),
+                       (GameGenSpec("elo", dim=4, noise=1e308), "noise")):
+        with pytest.raises(GameError, match=word):
+            spec.validate()
 
 def test_gamegenspec_dispatch():
     assert GameGenSpec("elo", dim=6, noise=0.5, seed=2).build().n_rows == 6

@@ -383,6 +383,25 @@ def test_cli_bad_game_spec_exits_2(tmp_path, capsys):
         assert err.startswith("error: ") and word in err
     assert not (tmp_path / "out").exists()
 
+@pytest.mark.parametrize("field, value", [("dim", 10**6), ("noise", 1e308)])
+def test_cli_unbuildable_game_exits_2_at_parse_time(tmp_path, capsys, field,
+                                                    value):
+    # Such a game would not fit in memory (dim) or not be finite (noise).
+    config = {"games": [{"kind": "elo", "dim": 4, field: value}],
+              "algorithms": ["vanilla_psro"], "seeds": [0],
+              "output_dir": str(tmp_path / "out")}
+    cpath = tmp_path / "exp.json"
+    cpath.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cpath)]) == 2
+    assert not (tmp_path / "out").exists()
+    out = tmp_path / "game.json"
+    assert main(["gen-game", "--kind", "elo", "--dim", "4", f"--{field}",
+                 str(value), "-o", str(out)]) == 2
+    assert not out.exists()
+    errs = capsys.readouterr().err.splitlines()
+    assert len(errs) == 2
+    assert all(e.startswith("error: ") and field in e for e in errs)
+
 def test_cli_invalid_config_exits_2(tmp_path):
     cpath = tmp_path / "broken.json"
     cpath.write_text("{not json")

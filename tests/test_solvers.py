@@ -1,19 +1,23 @@
 """Exact solvers: best response, exploitability, advantage, fictitious play,
 expected cardinality, and the two desk-scale oracles."""
+import collections
+import inspect
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from metagame_forge.games import (GameError, builtin, gen_general_sum,
-                                  gen_symmetric_zero_sum, gen_transitive,
-                                  new_game, pure, uniform)
+from metagame_forge.games import (BimatrixGame, GameError, builtin, gen_elo,
+                                  gen_general_sum, gen_symmetric_zero_sum,
+                                  gen_transitive, new_game, pure, uniform)
 from metagame_forge import solvers
-from metagame_forge.solvers import (advantage, advantage_many, best_response,
-                                    ec_of_gram, expected_cardinality,
-                                    exploitability, fictitious_play,
-                                    nash_support_enumeration,
-                                    stackelberg_grid_value)
+from metagame_forge.solvers import (COL, ROW, TIE_ATOL, advantage,
+                                    advantage_many, best_response, ec_of_gram,
+                                    expected_cardinality, exploitability,
+                                    fictitious_play, nash_support_enumeration,
+                                    own_matrix, stackelberg_grid_value)
 
 RPS = builtin("rps")
 T1 = builtin("stackelberg_table1")
@@ -102,6 +106,64 @@ def test_advantage_many_matches_scalar():
     vec = advantage_many(g, 0, P)
     for i in range(10):
         assert abs(vec[i] - advantage(g, 0, P[i])) <= 1e-12
+
+
+def _advantage_many_two_products(game, player, P):
+    """Reference: `advantage_many` without the zero-sum shortcut, forming
+    the opponent's tie set from its own product and masking the rest."""
+    m_self = own_matrix(game, player)
+    m_opp = own_matrix(game, 1 - player)
+    with solvers._blas_threads_for(P.shape[0] * P.shape[1] * m_self.shape[1]):
+        opp_vals = P @ m_opp.T
+        self_vals = P @ m_self
+    best = opp_vals.max(axis=1, keepdims=True)
+    np.putmask(self_vals, ~(opp_vals >= best - TIE_ATOL), np.inf)
+    return self_vals.min(axis=1)
+
+def test_exact_zero_sum_property(monkeypatch):
+    for g in (RPS, gen_symmetric_zero_sum(6, 1), gen_transitive(6, 1),
+              gen_elo(6, 1.0, 1)):
+        assert g.exact_zero_sum
+    # Matching pennies is zero-sum but not symmetric, so it is not flagged
+    # and takes the general path, as do the general-sum games.
+    for g in (MP, T1, gen_general_sum(6, 1)):
+        assert not g.exact_zero_sum
+    u = RPS.u_row
+    assert not BimatrixGame(u, -u, "unflagged", False).exact_zero_sum
+    near = new_game(u, -u + 1e-13)
+    assert near.symmetric_zero_sum and not near.exact_zero_sum
+    # One payoff matrix, and so one product, only on the exact path.
+    used = []
+    monkeypatch.setattr(solvers, "own_matrix",
+                        lambda g, p: used.append(p) or own_matrix(g, p))
+    for g, matrices in ((RPS, 1), (near, 2), (MP, 2)):
+        used.clear()
+        advantage_many(g, COL, np.eye(g.n_cols))
+        assert len(used) == matrices
+
+@settings(max_examples=80, deadline=None)
+@example(seed=1, n=200, player=ROW, offset=False)
+@example(seed=2, n=200, player=COL, offset=False)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 200),
+       player=st.sampled_from([ROW, COL]), offset=st.booleans())
+def test_zero_sum_advantage_matches_two_products_bit_for_bit(seed, n, player,
+                                                             offset):
+    # Integer payoffs and pure or two-action rows tie often.  At n >= 171 the
+    # 2n x n x n product passes ONE_THREAD_MNK and runs on BLAS threads.
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-2, 3, size=(n, n)).astype(float)
+    u = a - a.T
+    # u_col off -u_row by 1e-13 is still flagged, but is not exactly
+    # zero-sum, so it must take the general path.
+    game = new_game(u, -u + 1e-13 if offset else -u)
+    assert game.symmetric_zero_sum and game.exact_zero_sum == (not offset)
+    pairs = (np.eye(n) + np.roll(np.eye(n), 1, axis=1)) / 2.0
+    mixed = rng.dirichlet(np.ones(n), size=n // 2)
+    P = np.vstack([np.eye(n), pairs[: n - n // 2], mixed])
+    got = advantage_many(game, player, P)
+    want = _advantage_many_two_products(game, player, P)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))  # signed zeros
 
 
 @pytest.mark.skipif(solvers._OPENBLAS_THREADS is None,
@@ -195,14 +257,7 @@ def _fp_reference(m_row, m_col, max_iters, tol):
         residual = meta_exploitability(avg_r, avg_c)
     return avg_r, avg_c, max(residual, 0.0), steps
 
-@settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 160),
-       m=st.integers(1, 160), zero_sum=st.booleans(),
-       integer=st.booleans(),
-       max_iters=st.sampled_from([1, 5, 50, 500]),
-       tol=st.sampled_from([0.0, 1e-8, 1e-3]))
-def test_fp_matches_reference_bit_for_bit(seed, n, m, zero_sum, integer,
-                                          max_iters, tol):
+def _fp_case(seed, n, m, zero_sum, integer, elo):
     rng = np.random.default_rng(seed)
     if integer:
         # Small integer payoffs tie often, so argmax tie-breaks are exercised.
@@ -211,14 +266,64 @@ def test_fp_matches_reference_bit_for_bit(seed, n, m, zero_sum, integer,
     else:
         m_row = rng.normal(size=(n, m))
         m_col = rng.normal(size=(n, m))
+    if elo:
+        # An empirical game of an Elo game: its first n strategies against
+        # its first m, so the two sides reply differently.
+        m_row = gen_elo(max(n, m, 2), 1.0, seed).u_row[:n, :m]
     if zero_sum:
         m_col = -m_row
+    return m_row, m_col
+
+# Fictitious play on this case rejects batch probes on both sides.
+FP_BOTH_SIDES = dict(seed=7, n=60, m=100, zero_sum=True, integer=False,
+                     elo=True, max_iters=50, tol=1e-3)
+
+@settings(max_examples=150, deadline=None)
+@example(**FP_BOTH_SIDES)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 160),
+       m=st.integers(1, 160), zero_sum=st.booleans(),
+       integer=st.booleans(), elo=st.booleans(),
+       max_iters=st.sampled_from([1, 5, 50, 500]),
+       tol=st.sampled_from([0.0, 1e-8, 1e-3]))
+def test_fp_matches_reference_bit_for_bit(seed, n, m, zero_sum, integer, elo,
+                                          max_iters, tol):
+    m_row, m_col = _fp_case(seed, n, m, zero_sum, integer, elo)
     sol = fictitious_play(m_row, m_col, max_iters, tol)
     ref_r, ref_c, residual, steps = _fp_reference(m_row, m_col, max_iters, tol)
     assert np.array_equal(sol.theta_row, ref_r)
     assert np.array_equal(sol.theta_col, ref_c)
     assert sol.residual == residual
     assert sol.iterations_used == steps
+
+def test_fp_reference_rejects_on_both_sides(monkeypatch):
+    """The FP_BOTH_SIDES example makes `_fp_reference` reject batch probes on
+    the row side and on the column side.  Each of its argmax calls is told
+    apart by the source line that makes it."""
+    case = dict(FP_BOTH_SIDES)
+    max_iters, tol = case.pop("max_iters"), case.pop("tol")
+    m_row, m_col = _fp_case(**case)
+    lines, first = inspect.getsourcelines(_fp_reference)
+    role = {first + i: key for i, text in enumerate(lines)
+            for key in ("m_row @ avg_c", "avg_r @ m_col", "m_row @ cand_c",
+                        "cand_r @ m_col") if f"np.argmax({key})" in text}
+    calls = []
+    argmax = np.argmax
+
+    def spy(a):
+        calls.append((role[sys._getframe(1).f_lineno], int(argmax(a))))
+        return calls[-1][1]
+
+    monkeypatch.setattr(np, "argmax", spy)
+    _fp_reference(m_row, m_col, max_iters, tol)
+    monkeypatch.undo()
+    last, rejected = {}, collections.Counter()
+    for key, index in calls:
+        if key == "m_row @ cand_c" and index != last["m_row @ avg_c"]:
+            rejected["row"] += 1
+        if key == "cand_r @ m_col" and index != last["avg_r @ m_col"]:
+            rejected["col"] += 1
+        last[key] = index
+    assert rejected["row"] > 0 and rejected["col"] > 0
 
 
 # ---------------------------------------------------------------------------
