@@ -6,13 +6,11 @@ clipping for equilibrium selection in general-sum games, plus the exact
 solvers and experiment harness backing them.
 """
 from .games import (BimatrixGame, GameError, GameGenSpec, StrategyError,
-                    builtin, cyclic_balance, gen_elo, gen_general_sum,
-                    gen_symmetric_zero_sum, gen_transitive, load_game,
-                    new_game, payoff, save_game, transitivity_violation_rate)
+                    builtin, gen_elo, gen_general_sum, gen_symmetric_zero_sum,
+                    gen_transitive, load_game, new_game, payoff, save_game)
 from .solvers import (BestResponseResult, MetaSolution, advantage,
-                      best_response, expected_cardinality, exploitability,
-                      fictitious_play, nash_support_enumeration,
-                      stackelberg_grid_value)
+                      best_response, exploitability, fictitious_play,
+                      nash_support_enumeration, stackelberg_grid_value)
 from .engine import (AlgorithmConfig, EmpiricalGame, EngineState,
                      IterationReport, Population, aggregate, br_oracle,
                      build_empirical, init_state, lookahead_step, meta_nash,

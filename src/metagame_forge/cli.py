@@ -9,8 +9,8 @@ Subcommands::
 
 Exit codes: 0 success, 1 at least one grid cell failed or a grid worker
 process died (for example, killed for running out of memory; no metrics are
-then written), 2 invalid input (including a non-integer
-``METAGAME_FORGE_THREADS`` and an unknown or mistyped algorithm override).
+then written), 2 invalid input (including ``--jobs 0`` and an unknown or
+mistyped algorithm override).
 """
 from __future__ import annotations
 
@@ -29,7 +29,11 @@ from .games import (GAME_KINDS, GameError, GameGenSpec, StrategyError,
 def _load_strategy(path, n: int) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    return validate_strategy(np.asarray(data, dtype=float), n)
+    try:
+        p = np.asarray(data, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise StrategyError(f"strategy file {path} does not hold numbers: {exc}") from None
+    return validate_strategy(p, n)
 
 
 def _cmd_run(args) -> int:
@@ -37,7 +41,7 @@ def _cmd_run(args) -> int:
     if args.seeds:
         lo, hi = args.seeds.split("..")
         config.seeds = list(range(int(lo), int(hi)))
-    if args.jobs:
+    if args.jobs is not None:
         config.jobs = args.jobs
     if args.out:
         config.output_dir = args.out

@@ -54,11 +54,9 @@ class AlgorithmConfig:
     im: float = 0.03               # relative improvement bound
     clip_fraction: float = 0.8     # fraction of the population retained (s)
     clipping_enabled: bool = True
-    keep_old_on_reject: bool = False
     fp_max_iters: int = 2000
     fp_tol: float = 1e-3
     max_iterations: int = 100
-    init_pop_size: int = 1
     seed: int = 0
 
     def validate(self) -> None:
@@ -75,8 +73,8 @@ class AlgorithmConfig:
             # im < 0 tolerates bounded regressions, keeping a refinement run
             # alive; im <= -1 would accept arbitrary losses.
             raise GameError("im must be >= -1")
-        if self.init_pop_size < 1 or self.max_iterations < 0:
-            raise GameError("init_pop_size >= 1 and max_iterations >= 0 required")
+        if self.max_iterations < 0:
+            raise GameError("max_iterations must be >= 0")
         if self.fp_max_iters < 1 or self.fp_tol < 0:
             raise GameError("fp_max_iters >= 1 and fp_tol >= 0 required")
 
@@ -180,16 +178,16 @@ def init_state(game: BimatrixGame, config: AlgorithmConfig,
     if mode not in MODES:
         raise GameError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(config.seed)
-    rows, cols = [], []
-    for _ in range(config.init_pop_size):
-        rows.append(rng.dirichlet(np.ones(game.n_rows)))
-        cols.append(rng.dirichlet(np.ones(game.n_cols)))
+    row = rng.dirichlet(np.ones(game.n_rows))
+    col = rng.dirichlet(np.ones(game.n_cols))
     if mode == "stackelberg_player":
         # The column side is a pure best responder, not a learner: its
         # "population" is the set of pure replies met so far, seeded with the
-        # reply to the leader's initial members.
-        cols = [br_oracle(game, 1, np.mean(rows, axis=0))]
-    return EngineState(game, config, mode, Population(rows), Population(cols), rng)
+        # reply to the leader's initial member.  Its random member is still
+        # drawn, so every mode continues the same rng stream.
+        col = br_oracle(game, 1, row)
+    return EngineState(game, config, mode, Population([row]), Population([col]),
+                       rng)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +268,12 @@ def build_empirical(game: BimatrixGame, pop_row: Population, pop_col: Population
     ci = _retained_indices(pop_col, clip, s)
     R = pop_row.members[ri]
     C = pop_col.members[ci]
-    return EmpiricalGame(R @ game.u_row @ C.T, R @ game.u_col @ C.T, ri, ci)
+    m_row = R @ game.u_row @ C.T
+    # Negation is exact and rounding symmetric, so in an exactly zero-sum
+    # game this equals the column product entry for entry; only an exact
+    # zero may differ in sign, which no comparison in the meta-solver sees.
+    m_col = -m_row if game.exact_zero_sum else R @ game.u_col @ C.T
+    return EmpiricalGame(m_row, m_col, ri, ci)
 
 
 def meta_nash(empirical: EmpiricalGame, pop_row_size: int, pop_col_size: int,
@@ -433,10 +436,8 @@ def population_update(game: BimatrixGame, player: int, state: EngineState,
     else:
         improved = (num / den - 1.0) >= cfg.im
 
-    changed = []
-    if improved or not cfg.keep_old_on_reject:
-        pop.replace(last, pi_star)
-        changed.append(last)
+    pop.replace(last, pi_star)
+    changed = [last]
     if not improved:
         pop.append(state.rng.dirichlet(np.ones(game.dims(player))))
         changed.append(len(pop) - 1)

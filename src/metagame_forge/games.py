@@ -1,4 +1,4 @@
-"""Bimatrix games: types, benchmark generators, serialization, diagnostics.
+"""Bimatrix games: types, benchmark generators, serialization.
 
 Games are immutable after construction and safe to share between workers.
 All generators are pure functions of their parameters: the same (dim, noise,
@@ -13,11 +13,6 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
-
-# Tolerance used when auto-detecting the symmetric zero-sum structure and
-# when validating simplex vectors after normalization.
-STRUCT_ATOL = 1e-12
-
 
 class GameError(ValueError):
     """Malformed game data: shape mismatch, non-finite entries, bad schema."""
@@ -63,7 +58,6 @@ class BimatrixGame:
     u_row: np.ndarray
     u_col: np.ndarray
     name: str = "game"
-    symmetric_zero_sum: bool = False
 
     @property
     def n_rows(self) -> int:
@@ -78,17 +72,12 @@ class BimatrixGame:
 
     @cached_property
     def exact_zero_sum(self) -> bool:
-        """u_col == -u_row entry for entry.  Only a game flagged symmetric
-        zero-sum is checked, so a general-sum game never builds -u_row."""
-        return self.symmetric_zero_sum and bool(np.array_equal(self.u_col, -self.u_row))
+        """u_col == -u_row entry for entry."""
+        return bool(np.array_equal(self.u_col, -self.u_row))
 
 
 def new_game(u_row, u_col, name: str = "game") -> BimatrixGame:
-    """Validate payoff matrices and build a game.
-
-    The symmetric zero-sum flag is set automatically when u_col == -u_row and
-    u_row is antisymmetric (both within 1e-12).
-    """
+    """Validate payoff matrices and build a game."""
     try:
         u_row = np.asarray(u_row, dtype=float)
         u_col = np.asarray(u_col, dtype=float)
@@ -100,31 +89,18 @@ def new_game(u_row, u_col, name: str = "game") -> BimatrixGame:
         raise GameError(f"payoff shape mismatch: {u_row.shape} vs {u_col.shape}")
     if not (np.isfinite(u_row).all() and np.isfinite(u_col).all()):
         raise GameError("payoff matrices must be finite")
-    flag = bool(
-        u_row.shape[0] == u_row.shape[1]
-        and np.abs(u_col + u_row).max() <= STRUCT_ATOL
-        and np.abs(u_row + u_row.T).max() <= STRUCT_ATOL
-    )
-    return BimatrixGame(freeze(u_row), freeze(u_col), name, flag)
+    return BimatrixGame(freeze(u_row), freeze(u_col), name)
 
 
 # ---------------------------------------------------------------------------
 # Mixed strategies (plain 1-D probability vectors)
 
-def normalize(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    s = v.sum()
-    if not np.isfinite(s) or s <= 0 or (v < 0).any():
-        raise StrategyError("cannot normalize to a probability vector")
-    return v / s
-
-
 def validate_strategy(p, n: int) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.shape[0] != n:
         raise StrategyError(f"strategy length {p.shape} does not match {n} actions")
-    if (p < 0).any() or abs(p.sum() - 1.0) > 1e-9:
-        raise StrategyError("strategy is not on the probability simplex")
+    if not ((p >= 0).all() and abs(p.sum() - 1.0) <= 1e-9):   # NaN fails both
+        raise StrategyError("strategy is not a finite point of the probability simplex")
     return p
 
 
@@ -274,7 +250,6 @@ def save_game(game: BimatrixGame, path) -> None:
         "n_cols": game.n_cols,
         "U_row": game.u_row.tolist(),
         "U_col": game.u_col.tolist(),
-        "symmetric_zero_sum": game.symmetric_zero_sum,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
@@ -295,35 +270,3 @@ def load_game(path) -> BimatrixGame:
     if game.n_rows != doc["n_rows"] or game.n_cols != doc["n_cols"]:
         raise GameError(f"game file {path}: declared shape does not match matrices")
     return game
-
-
-# ---------------------------------------------------------------------------
-# Structural diagnostics for symmetric zero-sum games
-
-def _require_zero_sum(game: BimatrixGame) -> None:
-    if not game.symmetric_zero_sum:
-        raise GameError(f"{game.name} is not flagged symmetric zero-sum")
-
-
-def transitivity_violation_rate(game: BimatrixGame, samples: int, seed: int) -> float:
-    """Fraction of sampled pure triples (i,j,k) where i beats-or-ties j and
-    j beats-or-ties k but i loses to k.  Triples are drawn uniformly from the
-    full index cube; payoff exactly 0 counts as "beats-or-ties"."""
-    _require_zero_sum(game)
-    if samples < 1:
-        raise GameError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    n = game.n_rows
-    i, j, k = rng.integers(0, n, size=(3, samples))
-    u = game.u_row
-    bad = (u[i, j] >= 0) & (u[j, k] >= 0) & (u[i, k] < 0)
-    return float(bad.mean())
-
-
-def cyclic_balance(game: BimatrixGame, row_index: int) -> float:
-    """Mean payoff of a pure strategy against the uniform pure opponent; zero
-    means the strategy sits on a balanced cycle under the uniform measure."""
-    _require_zero_sum(game)
-    if not 0 <= row_index < game.n_rows:
-        raise GameError(f"row index {row_index} out of range")
-    return float(game.u_row[row_index].mean())

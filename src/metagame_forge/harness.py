@@ -27,8 +27,6 @@ METRICS_COLUMNS = [
 
 PLOT_METRICS = ("exploitability", "reward_row", "reward_col", "joint_reward")
 
-ENV_JOBS = "METAGAME_FORGE_THREADS"
-
 # Ablations toggle exactly one lever of the full algorithm.
 PRESETS = {
     "vanilla_psro": {"variant": "vanilla_psro", "clipping_enabled": False},
@@ -199,19 +197,11 @@ def execute_grid(config: ExperimentConfig, log=print) -> tuple[list, int]:
     """Run the full grid; returns (rows, n_failed).  A failing cell is logged
     and skipped, the rest of the grid still runs."""
     config.validate()
-    jobs = config.jobs
-    env = os.environ.get(ENV_JOBS)
-    if env:
-        try:
-            jobs = max(1, int(env))
-        except ValueError:
-            raise GameError(
-                f"{ENV_JOBS} must be an integer, got {env!r}") from None
     cells = [(g, name, overrides, seed, config.mode, config.max_iterations)
              for g in config.games
              for (name, overrides) in config.algorithms
              for seed in config.seeds]
-    jobs = min(jobs, len(cells))   # a fork-started pool starts them all at once
+    jobs = min(config.jobs, len(cells))   # a fork-started pool starts them all at once
     if jobs == 1:
         results = [_cell_worker(cell) for cell in cells]
     else:
@@ -246,12 +236,18 @@ def read_metrics(path) -> list:
         rows = []
         for raw in reader:
             row = dict(raw)
-            for key in ("seed", "iteration", "pop_size_row", "pop_size_col",
-                        "clipped_row", "clipped_col"):
-                row[key] = int(row[key])
-            for key in ("exploitability", "reward_row", "reward_col",
-                        "joint_reward", "wall_ms"):
-                row[key] = float(row[key])
+            try:   # a short row holds None, a long one a None key
+                if None in row:
+                    raise ValueError("more fields than the header")
+                for key in ("seed", "iteration", "pop_size_row", "pop_size_col",
+                            "clipped_row", "clipped_col"):
+                    row[key] = int(row[key])
+                for key in ("exploitability", "reward_row", "reward_col",
+                            "joint_reward", "wall_ms"):
+                    row[key] = float(row[key])
+            except (TypeError, ValueError) as exc:
+                raise GameError(f"malformed row in {path}, line "
+                                f"{reader.line_num}: {exc}") from None
             rows.append(row)
     return rows
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .games import BimatrixGame, GameError, StrategyError, validate_strategy
+from .games import BimatrixGame, GameError, validate_strategy
 
 # Absolute tolerance for forming best-response tie sets; ties are broken by
 # lowest index everywhere for determinism.
@@ -83,7 +83,6 @@ class BestResponseResult:
     index: int
     value: float
     tied_indices: tuple[int, ...]
-    responder_opponent_value: float
 
 
 @dataclass
@@ -96,32 +95,18 @@ class MetaSolution:
     iterations_used: int
 
 
-def best_response(game: BimatrixGame, responder: int, opponent_mixed,
-                  restriction=None) -> BestResponseResult:
+def best_response(game: BimatrixGame, responder: int,
+                  opponent_mixed) -> BestResponseResult:
     """Pure best response of `responder` to an opponent mixed strategy.
 
-    `restriction`, when given, limits the allowed pure responses to an index
-    subset.  Ties within TIE_ATOL are reported; the winning index is the
-    lowest tied one.
+    Ties within TIE_ATOL are reported; the winning index is the lowest tied
+    one.
     """
-    m_self = own_matrix(game, responder)
-    m_opp = own_matrix(game, 1 - responder)
     q = validate_strategy(opponent_mixed, game.dims(1 - responder))
-    values = m_self @ q
-    if restriction is not None:
-        allowed = np.asarray(sorted(set(int(i) for i in restriction)), dtype=int)
-        if allowed.size == 0:
-            raise GameError("empty best-response restriction")
-        if allowed.min() < 0 or allowed.max() >= values.shape[0]:
-            raise GameError("restriction index out of range")
-    else:
-        allowed = np.arange(values.shape[0])
-    best = values[allowed].max()
-    tied = tuple(int(i) for i in allowed[values[allowed] >= best - TIE_ATOL])
-    index = tied[0]
-    # Opponent's expected payoff when the responder commits to `index`.
-    opp_value = float(q @ m_opp[:, index])
-    return BestResponseResult(index, float(best), tied, opp_value)
+    values = own_matrix(game, responder) @ q
+    best = values.max()
+    tied = tuple(int(i) for i in np.flatnonzero(values >= best - TIE_ATOL))
+    return BestResponseResult(tied[0], float(best), tied)
 
 
 def exploitability(game: BimatrixGame, pi_row, pi_col) -> float:
@@ -230,18 +215,9 @@ def fictitious_play(m_row, m_col, max_iters: int = 2000,
 # ---------------------------------------------------------------------------
 # Expected cardinality (determinantal diversity score)
 
-def expected_cardinality(M) -> float:
-    """EC = Tr(I - (L+I)^-1) with L = M M^T, computed via SPD solves."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.size == 0:
-        raise GameError("expected_cardinality needs a nonempty matrix")
-    if not np.isfinite(M).all():
-        raise GameError("expected_cardinality needs finite entries")
-    return ec_of_gram(M @ M.T)
-
-
 def ec_of_gram(L: np.ndarray) -> float:
-    """Expected cardinality from a precomputed Gram matrix L = M M^T."""
+    """Expected cardinality EC = Tr(I - (L+I)^-1) of the meta-matrix M with
+    Gram matrix L = M M^T, via one Cholesky factorization."""
     t = L.shape[0]
     c = cho_factor(L + np.eye(t), lower=True)
     return float(t - np.trace(cho_solve(c, np.eye(t))))

@@ -23,9 +23,8 @@ from metagame_forge.games import (builtin, gen_elo, gen_general_sum,
 from metagame_forge.harness import (METRICS_COLUMNS, ExperimentConfig,
                                     make_config, run_experiment)
 from metagame_forge.games import GameGenSpec
-from metagame_forge.solvers import (advantage, expected_cardinality,
-                                    exploitability, fictitious_play,
-                                    nash_support_enumeration)
+from metagame_forge.solvers import (advantage, ec_of_gram, exploitability,
+                                    fictitious_play, nash_support_enumeration)
 
 
 def _final(game, preset, seed, iters, mode="self_play", **overrides):
@@ -223,10 +222,10 @@ def test_criterion_6_numerical_cross_checks():
         m = rng.normal(size=(int(rng.integers(1, 21)), int(rng.integers(1, 21))))
         sv = np.linalg.svd(m, compute_uv=False)
         expected = float((sv**2 / (1.0 + sv**2)).sum())
-        assert abs(expected_cardinality(m) - expected) <= 1e-9
-    assert abs(expected_cardinality([[0.0]])) <= 1e-12
-    assert abs(expected_cardinality([[1.0]]) - 0.5) <= 1e-12
-    assert abs(expected_cardinality(np.eye(3)) - 1.5) <= 1e-12
+        assert abs(ec_of_gram(m @ m.T) - expected) <= 1e-9
+    assert abs(ec_of_gram(np.zeros((1, 1)))) <= 1e-12
+    assert abs(ec_of_gram(np.ones((1, 1))) - 0.5) <= 1e-12
+    assert abs(ec_of_gram(np.eye(3)) - 1.5) <= 1e-12
     mp = builtin("matching_pennies")
     sol = fictitious_play(mp.u_row, mp.u_col, max_iters=10_000, tol=0.0)
     assert np.abs(sol.theta_row - 0.5).max() <= 0.05

@@ -22,7 +22,8 @@ from metagame_forge.games import (GameError, builtin, gen_general_sum,
                                   new_game, pure, uniform)
 from metagame_forge.harness import make_config
 from metagame_forge.solvers import (advantage, advantage_many, ec_bordered,
-                                    ec_of_gram, exploitability, own_matrix)
+                                    ec_of_gram, exploitability,
+                                    fictitious_play, own_matrix)
 
 RPS = builtin("rps")
 T1 = builtin("stackelberg_table1")
@@ -40,7 +41,7 @@ def make_cfg(**kw):
 def test_config_validation_errors():
     for bad in ({"variant": "alpha_rank"}, {"lambda_d": 1.5}, {"lambda_d": -0.1},
                 {"clip_fraction": 2.0}, {"lr": 0.0}, {"im": -1.5},
-                {"lambda_1": -1.0}, {"init_pop_size": 0}, {"fp_max_iters": 0},
+                {"lambda_1": -1.0}, {"max_iterations": -1}, {"fp_max_iters": 0},
                 {"fp_tol": -1.0}):
         with pytest.raises(GameError):
             make_cfg(**bad)
@@ -63,8 +64,12 @@ def test_config_rejects_non_finite(name, value):
 # Initialization
 
 def test_init_state_population_sizes():
-    state = init_state(RPS, make_cfg(init_pop_size=3, seed=0))
-    assert len(state.pop_row) == 3 and len(state.pop_col) == 3
+    # One Dirichlet member per side, the row side drawn first.
+    state = init_state(RPS, make_cfg(seed=0))
+    assert len(state.pop_row) == 1 and len(state.pop_col) == 1
+    rng = np.random.default_rng(0)
+    assert np.array_equal(state.pop_row.members[0], rng.dirichlet(np.ones(3)))
+    assert np.array_equal(state.pop_col.members[0], rng.dirichlet(np.ones(3)))
     for m in (*state.pop_row.members, *state.pop_col.members):
         assert (m >= 0).all() and abs(m.sum() - 1.0) <= 1e-12
 
@@ -73,6 +78,11 @@ def test_init_state_stackelberg_follower_is_pure_br():
     assert len(state.pop_col) == 1
     follower = state.pop_col.members[0]
     assert sorted(follower) == [0.0, 1.0]
+    assert np.array_equal(follower, br_oracle(T1, 1, state.pop_row.members[0]))
+    # The column member is still drawn, so the rng stream matches self-play.
+    rng = np.random.default_rng(0)
+    rng.dirichlet(np.ones(2)), rng.dirichlet(np.ones(2))
+    assert state.rng.uniform() == rng.uniform()
 
 def test_init_state_rejects_unknown_mode():
     with pytest.raises(GameError):
@@ -182,7 +192,7 @@ def test_cache_invalidation_keeps_caches_exact_through_updates():
     # equal a from-scratch recomputation.
     for seed in range(5):
         g = gen_general_sum(5, seed)
-        state = init_state(g, make_cfg(seed=seed, init_pop_size=2, im=0.5))
+        state = init_state(g, make_cfg(seed=seed, im=0.5))
         for _ in range(12):
             run_iteration(state)
         refresh_confirming(state.pop_row, state.pop_col, g, 0)
@@ -278,6 +288,27 @@ def test_meta_nash_lifts_clipped_indices():
     for i in dropped:
         assert sol.theta_row[i] == 0.0
     assert abs(sol.theta_row.sum() - 1.0) <= 1e-12
+
+def test_zero_sum_empirical_column_matrix_is_negated_row_matrix():
+    rng = np.random.default_rng(16)
+    for g in (RPS, builtin("matching_pennies"), gen_transitive(30, 2),
+              gen_symmetric_zero_sum(30, 3)):
+        # Pure members meet on zero payoffs, which cancel to exact zeros.
+        pop = Population(np.vstack([np.eye(g.n_rows),
+                                    rng.dirichlet(np.ones(g.n_rows), size=4)]))
+        opp = Population(np.vstack([np.eye(g.n_cols)[::-1],
+                                    rng.dirichlet(np.ones(g.n_cols), size=3)]))
+        emp = build_empirical(g, pop, opp)
+        want = pop.members @ g.u_col @ opp.members.T
+        assert np.array_equal(emp.m_col, want)
+        # Bit for bit, but for the sign of an exact zero.
+        bits, want_bits = emp.m_col.view(np.int64), want.view(np.int64)
+        assert np.array_equal(bits[want != 0], want_bits[want != 0])
+        got = fictitious_play(emp.m_row, emp.m_col, 500, 0.0)
+        ref = fictitious_play(emp.m_row, want, 500, 0.0)
+        for a, b in zip(vars(got).values(), vars(ref).values()):
+            assert np.array_equal(np.asarray(a).view(np.int64),
+                                  np.asarray(b).view(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -508,15 +539,6 @@ def test_update_branch_forced_by_lambda_d():
                        clipping_enabled=False)
         for rep in run(g, cfg, "self_play"):
             assert rep.oracle_branch_taken == (expected, expected)
-
-def test_update_keep_old_on_reject_preserves_refined_member():
-    g = gen_general_sum(4, 7)
-    state = init_state(g, make_cfg(im=1e9, keep_old_on_reject=True, seed=2,
-                                   clipping_enabled=False))
-    old = state.pop_row.members[0].copy()
-    run_iteration(state)
-    assert np.array_equal(state.pop_row.members[0], old)
-    assert len(state.pop_row) == 2
 
 
 # ---------------------------------------------------------------------------

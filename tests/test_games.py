@@ -1,4 +1,4 @@
-"""Game types, generators, serialization, and structural diagnostics."""
+"""Game types, generators, strategies and serialization."""
 import json
 
 import numpy as np
@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from metagame_forge.games import (MAX_DIM, MAX_NOISE, BimatrixGame,
                                   GameError, GameGenSpec, StrategyError,
-                                  builtin, cyclic_balance,
-                                  gen_elo, gen_general_sum,
+                                  builtin, gen_elo, gen_general_sum,
                                   gen_symmetric_zero_sum, gen_transitive,
-                                  load_game, new_game, normalize, payoff, pure,
-                                  save_game, transitivity_violation_rate,
+                                  load_game, new_game, payoff, pure, save_game,
                                   uniform, validate_strategy)
 
 
@@ -22,12 +20,13 @@ from metagame_forge.games import (MAX_DIM, MAX_NOISE, BimatrixGame,
 def test_new_game_shapes_and_flag():
     g = new_game([[0.0, -1.0], [1.0, 0.0]], [[0.0, 1.0], [-1.0, 0.0]])
     assert g.n_rows == 2 and g.n_cols == 2
-    assert g.symmetric_zero_sum
+    assert g.exact_zero_sum
 
-def test_new_game_flag_requires_antisymmetry():
-    # Zero-sum but not antisymmetric: flag stays off.
-    g = new_game([[1.0, 0.0], [0.0, 1.0]], [[-1.0, 0.0], [0.0, -1.0]])
-    assert not g.symmetric_zero_sum
+def test_new_game_zero_sum_needs_no_antisymmetry():
+    # Zero-sum but not antisymmetric, or not even square: still exact.
+    assert new_game([[1.0, 0.0], [0.0, 1.0]], [[-1.0, 0.0], [0.0, -1.0]]).exact_zero_sum
+    assert new_game([[1.0, -2.0, 0.5]], [[-1.0, 2.0, -0.5]]).exact_zero_sum
+    assert not new_game([[1.0, 0.0]], [[-1.0, 1e-300]]).exact_zero_sum
 
 def test_new_game_rejects_bad_input():
     with pytest.raises(GameError):
@@ -49,13 +48,20 @@ def test_matrices_are_immutable():
 def test_strategy_helpers():
     assert np.array_equal(pure(3, 1), [0.0, 1.0, 0.0])
     assert np.allclose(uniform(4), 0.25)
-    assert np.allclose(normalize([2.0, 2.0]), [0.5, 0.5])
-    with pytest.raises(StrategyError):
-        normalize([-1.0, 2.0])
     with pytest.raises(StrategyError):
         validate_strategy([0.5, 0.6], 2)
     with pytest.raises(StrategyError):
         validate_strategy([1.0], 2)
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.data())
+def test_validate_strategy_rejects_non_finite(seed, n, data):
+    p = np.random.default_rng(seed).dirichlet(np.ones(n))
+    validate_strategy(p, n)   # the finite point passes
+    for i in data.draw(st.lists(st.integers(0, n - 1), min_size=1)):
+        p[i] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    with pytest.raises(StrategyError):
+        validate_strategy(p, n)
 
 def test_payoff_builtin_values():
     t1 = builtin("stackelberg_table1")
@@ -93,7 +99,7 @@ def test_builtin_table2_matrices():
 
 def test_builtin_rps_is_symmetric_zero_sum():
     g = builtin("rps")
-    assert g.symmetric_zero_sum
+    assert g.exact_zero_sum
     assert np.array_equal(g.u_row, -g.u_row.T)
 
 def test_builtin_unknown_name():
@@ -118,13 +124,13 @@ def test_zero_sum_generators_antisymmetric_exactly():
               gen_elo(20, 1.0, 0)):
         assert np.abs(g.u_row + g.u_row.T).max() == 0.0
         assert np.abs(g.u_row + g.u_col).max() == 0.0
-        assert g.symmetric_zero_sum
+        assert g.exact_zero_sum
 
 def test_general_sum_support():
     g = gen_general_sum(100, 0)
     assert g.u_row.min() >= 0.0 and g.u_row.max() <= 10.0
     assert g.u_col.min() >= 0.0 and g.u_col.max() <= 10.0
-    assert not g.symmetric_zero_sum
+    assert not g.exact_zero_sum
 
 def test_transitive_strengths_are_ordered():
     g = gen_transitive(10, 5)
@@ -181,7 +187,8 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
     save_game(g, path)
     back = load_game(path)
     assert np.array_equal(back.u_row, g.u_row)
-    assert back.symmetric_zero_sum
+    assert back.exact_zero_sum
+    assert "symmetric_zero_sum" not in json.loads(path.read_text())
 
 def test_load_missing_field(tmp_path):
     path = tmp_path / "bad.json"
@@ -240,36 +247,3 @@ def test_load_game_raises_only_game_error(tmp_path, doc):
     finally:
         path.unlink()   # some file systems flush when a file is truncated
     assert game.u_row.shape == (doc["n_rows"], doc["n_cols"])
-
-# ---------------------------------------------------------------------------
-# Diagnostics
-
-def test_transitivity_rate_zero_on_transitive():
-    g = gen_transitive(30, 1)
-    assert transitivity_violation_rate(g, 5000, 0) == 0.0
-
-def test_transitivity_rate_rps_matches_exhaustive_count():
-    g = builtin("rps")
-    # Exhaustive oracle over the full 3x3x3 index cube: exactly the three
-    # cyclic triples violate, so the uniform-sampling rate converges to 3/27.
-    u = g.u_row
-    count = sum(1 for i in range(3) for j in range(3) for k in range(3)
-                if u[i, j] >= 0 and u[j, k] >= 0 and u[i, k] < 0)
-    assert count == 3
-    rate = transitivity_violation_rate(g, 200_000, 0)
-    assert abs(rate - 3.0 / 27.0) < 0.01
-
-def test_transitivity_rate_contract_errors():
-    with pytest.raises(GameError):
-        transitivity_violation_rate(builtin("rps"), 0, 0)
-    with pytest.raises(GameError):
-        transitivity_violation_rate(builtin("stackelberg_table1"), 10, 0)
-
-def test_cyclic_balance():
-    g = builtin("rps")
-    for i in range(3):
-        assert cyclic_balance(g, i) == 0.0
-    t = gen_transitive(10, 2)
-    assert cyclic_balance(t, 9) > 0.0
-    with pytest.raises(GameError):
-        cyclic_balance(g, 3)

@@ -162,12 +162,6 @@ def test_jobs_do_not_affect_output(tmp_path):
     assert _strip_wall(tmp_path / "a" / "out" / "metrics.csv") == \
            _strip_wall(tmp_path / "b" / "out" / "metrics.csv")
 
-def test_env_var_overrides_jobs(tmp_path, monkeypatch):
-    monkeypatch.setenv("METAGAME_FORGE_THREADS", "2")
-    cfg = small_experiment(tmp_path, jobs=1, seeds=(0,))
-    rows, failed = execute_grid(cfg, log=lambda *_: None)
-    assert failed == 0 and len(rows) == 2 * 10
-
 def test_failing_cell_is_logged_and_skipped(tmp_path):
     cfg = small_experiment(tmp_path, seeds=(0,))
     cfg.games.append(str(tmp_path / "missing_game.json"))
@@ -192,6 +186,21 @@ def test_read_metrics_rejects_wrong_header(tmp_path):
     path.write_text("foo,bar\n1,2\n")
     with pytest.raises(GameError):
         read_metrics(path)
+
+def test_read_metrics_names_file_and_line_of_malformed_row(tmp_path):
+    cfg = small_experiment(tmp_path, seeds=(0,))
+    run_experiment(cfg, log=lambda *_: None)
+    lines = (tmp_path / "out" / "metrics.csv").read_text().splitlines()
+    cells = lines[3].split(",")
+    # A short row, a long row, and a seed that is not a number.
+    for row in (cells[:-1], cells + ["7"], cells[:3] + ["x"] + cells[4:]):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines[:3] + [",".join(row)] + lines[4:]) + "\n")
+        with pytest.raises(GameError, match="line 4") as info:
+            read_metrics(path)
+        assert str(path) in str(info.value)
+        assert main(["aggregate", "--in", str(path), "--out",
+                     str(tmp_path / "s.csv")]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +251,7 @@ def test_cli_gen_game_elo(tmp_path):
                  "--seed", "3", "-o", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["n_rows"] == 10 and doc["symmetric_zero_sum"] is True
+    assert doc["n_rows"] == 10 and "symmetric_zero_sum" not in doc
 
 def test_cli_gen_game_rejects_dim_one(tmp_path):
     code = main(["gen-game", "--kind", "elo", "--dim", "1", "-o",
@@ -282,6 +291,23 @@ def test_cli_eval_payoff_prints_both(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out.split() == ["2", "1"]
 
+@pytest.mark.parametrize("entries", ["[NaN, NaN, NaN]", "[0.5, null, 0.5]",
+                                     "[Infinity, 0, 0]", '{"a": 1}', '"abc"',
+                                     "[[1], [1, 2]]", "[1e400, 0, 0]"])
+def test_cli_eval_rejects_bad_strategy_file(tmp_path, capsys, entries):
+    gpath = tmp_path / "rps.json"
+    save_game(builtin("rps"), gpath)
+    bad = tmp_path / "bad.json"
+    bad.write_text(entries)
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps([1 / 3, 1 / 3, 1 / 3]))
+    for row, col in ((bad, good), (good, bad)):
+        code = main(["eval", "--game", str(gpath), "--row", str(row), "--col",
+                     str(col), "--metric", "payoff"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ")
+
 def test_cli_run_and_aggregate(tmp_path):
     config = {
         "games": [{"kind": "builtin", "builtin_name": "matching_pennies"}],
@@ -309,8 +335,24 @@ def test_cli_run_empty_seeds_exits_2(tmp_path):
     cpath.write_text(json.dumps(config))
     assert main(["run", "--config", str(cpath)]) == 2
 
-def test_cli_non_integer_thread_count_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("METAGAME_FORGE_THREADS", "two")
+def test_cli_non_integer_thread_count_exits_2(tmp_path, capsys):
+    config = {
+        "games": [{"kind": "builtin", "builtin_name": "rps"}],
+        "algorithms": ["vanilla_psro"],
+        "seeds": [0],
+        "jobs": "two",
+        "output_dir": str(tmp_path / "out"),
+    }
+    cpath = tmp_path / "exp.json"
+    cpath.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cpath)]) == 2
+    assert "'two'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:   # argparse rejects it
+        main(["run", "--config", str(cpath), "--jobs", "two"])
+    assert info.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+def test_cli_run_jobs_zero_exits_2(tmp_path, capsys):
     config = {
         "games": [{"kind": "builtin", "builtin_name": "rps"}],
         "algorithms": ["vanilla_psro"],
@@ -320,9 +362,9 @@ def test_cli_non_integer_thread_count_exits_2(tmp_path, monkeypatch, capsys):
     }
     cpath = tmp_path / "exp.json"
     cpath.write_text(json.dumps(config))
-    assert main(["run", "--config", str(cpath)]) == 2
-    err = capsys.readouterr().err
-    assert "METAGAME_FORGE_THREADS" in err and "'two'" in err
+    assert main(["run", "--config", str(cpath), "--jobs", "0"]) == 2
+    assert "jobs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 def test_cli_bad_override_exits_2(tmp_path, capsys):
     cases = (({"bogus": 1}, "bogus"), ({"lr": "x"}, "lr"),
@@ -345,7 +387,6 @@ def _die(*args, **kwargs):
     os._exit(3)
 
 def test_cli_dead_pool_worker_exits_1(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("METAGAME_FORGE_THREADS", raising=False)
     monkeypatch.setattr(harness, "run_cell", _die)
     monkeypatch.setattr(
         concurrent.futures, "ProcessPoolExecutor",

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from metagame_forge.games import (BimatrixGame, GameError, builtin, gen_elo,
+from metagame_forge.games import (GameError, builtin, gen_elo,
                                   gen_general_sum, gen_symmetric_zero_sum,
                                   gen_transitive, new_game, pure, uniform)
 from metagame_forge import solvers
 from metagame_forge.solvers import (COL, ROW, TIE_ATOL, advantage,
                                     advantage_many, best_response, ec_of_gram,
-                                    expected_cardinality, exploitability,
+                                    exploitability,
                                     fictitious_play, nash_support_enumeration,
                                     own_matrix, stackelberg_grid_value)
 
@@ -31,7 +31,6 @@ MP = builtin("matching_pennies")
 def test_br_rps_to_rock():
     res = best_response(RPS, 1, pure(3, 0))
     assert res.index == 1 and res.value == 1.0
-    assert res.responder_opponent_value == -1.0
 
 def test_br_rps_to_uniform_all_tied():
     res = best_response(RPS, 1, uniform(3))
@@ -54,14 +53,6 @@ def test_br_value_is_max_and_index_is_lowest_tie():
         vals = g.u_row @ q
         assert abs(res.value - vals.max()) <= 1e-12
         assert res.index == min(res.tied_indices)
-
-def test_br_restriction():
-    res = best_response(RPS, 1, pure(3, 0), restriction=[0, 2])
-    assert res.index == 0  # Paper excluded; Rock ties itself at 0 vs Scissors' -1
-    with pytest.raises(GameError):
-        best_response(RPS, 1, pure(3, 0), restriction=[])
-    with pytest.raises(GameError):
-        best_response(RPS, 1, pure(3, 0), restriction=[5])
 
 
 # ---------------------------------------------------------------------------
@@ -121,22 +112,19 @@ def _advantage_many_two_products(game, player, P):
     return self_vals.min(axis=1)
 
 def test_exact_zero_sum_property(monkeypatch):
-    for g in (RPS, gen_symmetric_zero_sum(6, 1), gen_transitive(6, 1),
+    # Matching pennies is zero-sum without being symmetric: it is exact too.
+    for g in (RPS, MP, gen_symmetric_zero_sum(6, 1), gen_transitive(6, 1),
               gen_elo(6, 1.0, 1)):
         assert g.exact_zero_sum
-    # Matching pennies is zero-sum but not symmetric, so it is not flagged
-    # and takes the general path, as do the general-sum games.
-    for g in (MP, T1, gen_general_sum(6, 1)):
-        assert not g.exact_zero_sum
     u = RPS.u_row
-    assert not BimatrixGame(u, -u, "unflagged", False).exact_zero_sum
     near = new_game(u, -u + 1e-13)
-    assert near.symmetric_zero_sum and not near.exact_zero_sum
+    for g in (near, T1, gen_general_sum(6, 1)):
+        assert not g.exact_zero_sum
     # One payoff matrix, and so one product, only on the exact path.
     used = []
     monkeypatch.setattr(solvers, "own_matrix",
                         lambda g, p: used.append(p) or own_matrix(g, p))
-    for g, matrices in ((RPS, 1), (near, 2), (MP, 2)):
+    for g, matrices in ((RPS, 1), (MP, 1), (near, 2), (T1, 2)):
         used.clear()
         advantage_many(g, COL, np.eye(g.n_cols))
         assert len(used) == matrices
@@ -153,10 +141,10 @@ def test_zero_sum_advantage_matches_two_products_bit_for_bit(seed, n, player,
     rng = np.random.default_rng(seed)
     a = rng.integers(-2, 3, size=(n, n)).astype(float)
     u = a - a.T
-    # u_col off -u_row by 1e-13 is still flagged, but is not exactly
-    # zero-sum, so it must take the general path.
+    # u_col off -u_row by 1e-13 is not exactly zero-sum, so it must take the
+    # general path.
     game = new_game(u, -u + 1e-13 if offset else -u)
-    assert game.symmetric_zero_sum and game.exact_zero_sum == (not offset)
+    assert game.exact_zero_sum == (not offset)
     pairs = (np.eye(n) + np.roll(np.eye(n), 1, axis=1)) / 2.0
     mixed = rng.dirichlet(np.ones(n), size=n // 2)
     P = np.vstack([np.eye(n), pairs[: n - n // 2], mixed])
@@ -330,9 +318,9 @@ def test_fp_reference_rejects_on_both_sides(monkeypatch):
 # Expected cardinality
 
 def test_ec_hand_values():
-    assert abs(expected_cardinality([[0.0]])) <= 1e-12
-    assert abs(expected_cardinality([[1.0]]) - 0.5) <= 1e-12
-    assert abs(expected_cardinality(np.eye(3)) - 1.5) <= 1e-12
+    assert abs(ec_of_gram(np.zeros((1, 1)))) <= 1e-12
+    assert abs(ec_of_gram(np.ones((1, 1))) - 0.5) <= 1e-12
+    assert abs(ec_of_gram(np.eye(3)) - 1.5) <= 1e-12
 
 def test_ec_matches_singular_value_formula():
     rng = np.random.default_rng(4)
@@ -340,21 +328,20 @@ def test_ec_matches_singular_value_formula():
         m = rng.normal(size=(rng.integers(1, 10), rng.integers(1, 10)))
         sv = np.linalg.svd(m, compute_uv=False)
         expected = float((sv**2 / (1.0 + sv**2)).sum())
-        assert abs(expected_cardinality(m) - expected) <= 1e-9
+        assert abs(ec_of_gram(m @ m.T) - expected) <= 1e-9
 
 def test_ec_of_gram_consistency():
+    # M M^T and M^T M share their nonzero eigenvalues, so their EC agrees.
     rng = np.random.default_rng(5)
     m = rng.normal(size=(4, 7))
-    assert abs(ec_of_gram(m @ m.T) - expected_cardinality(m)) <= 1e-9
+    assert abs(ec_of_gram(m @ m.T) - ec_of_gram(m.T @ m)) <= 1e-9
 
 def test_ec_range_and_errors():
     rng = np.random.default_rng(6)
     m = rng.normal(size=(5, 5))
-    assert 0.0 <= expected_cardinality(m) < 5.0
-    with pytest.raises(GameError):
-        expected_cardinality(np.zeros((0, 3)))
-    with pytest.raises(GameError):
-        expected_cardinality([[np.nan]])
+    assert 0.0 <= ec_of_gram(m @ m.T) < 5.0
+    with pytest.raises(ValueError):   # from the Cholesky's finiteness check
+        ec_of_gram(np.array([[np.nan]]))
 
 
 # ---------------------------------------------------------------------------
