@@ -40,7 +40,7 @@ def _cmd_run(args) -> int:
     config = harness.load_experiment(args.config)
     if args.seeds:
         lo, hi = args.seeds.split("..")
-        config.seeds = list(range(int(lo), int(hi)))
+        config.seeds = harness.parse_seeds({"start": int(lo), "stop": int(hi)})
     if args.jobs is not None:
         config.jobs = args.jobs
     if args.out:

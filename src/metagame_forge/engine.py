@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,10 +79,9 @@ class AlgorithmConfig:
             raise GameError("fp_max_iters >= 1 and fp_tol >= 0 required")
 
 
-# Confirming-cache arrays of a Population: the value a new member starts
-# with, and the dtype.  No reply reaches a fresh member's infinite mu_value.
-CACHES = {"mu_index": (-1, int), "mu_value": (math.inf, float),
-          "sc_advantage": (math.nan, float), "stale": (True, bool)}
+# Confirming-cache arrays of a Population: a new member's value, and dtype.
+CACHES = {"mu_index": (-1, int), "sc_advantage": (math.nan, float),
+          "stale": (True, bool)}
 
 
 @dataclass
@@ -95,17 +94,19 @@ class Population:
 
     ``mu_index[i]`` is the opponent population member best-responding to
     member i; ties are resolved pessimistically (the tied response minimizing
-    member i's own payoff, lowest index among those).  ``mu_value`` keeps the
-    opponent's payoff at that response so cache invalidation can test whether
-    a changed opponent member could enter the tie set.  Only runs that clip
-    fill the caches (lazily, in `build_empirical`).
+    member i's own payoff, lowest index among those).  ``stale[i]`` marks an
+    entry to recompute: a replaced or appended member's own, and every entry
+    once the opponent population changes.  ``replies[i]`` memoises the two
+    rows of member i that depend on its strategy alone, so one population is
+    confirmed against one (game, player).  Only runs that clip fill the
+    caches (lazily, in `build_empirical`).
     """
 
     members: np.ndarray
     mu_index: np.ndarray = None
-    mu_value: np.ndarray = None
     sc_advantage: np.ndarray = None
     stale: np.ndarray = None
+    replies: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.members = freeze(np.array(self.members, dtype=float))  # a copy
@@ -127,6 +128,7 @@ class Population:
         members[index] = strategy
         self.members = freeze(members)
         self.stale[index] = True
+        self.replies.pop(index, None)
 
 
 @dataclass
@@ -202,42 +204,23 @@ def refresh_confirming(pop: Population, opponent_pop: Population,
     m_self = own_matrix(game, player)
     m_opp = own_matrix(game, 1 - player)
     O = opponent_pop.members
-    for i in np.flatnonzero(pop.stale):
-        p = pop.members[i]
-        opp_vals = O @ (m_opp @ p)       # opponent payoff per opponent member
-        self_vals = O @ (m_self.T @ p)   # own payoff per opponent member
-        best = opp_vals.max()
-        tied = np.flatnonzero(opp_vals >= best - TIE_ATOL)
+    for i in map(int, np.flatnonzero(pop.stale)):
+        if i not in pop.replies:
+            pop.replies[i] = (m_opp @ pop.members[i], m_self.T @ pop.members[i])
+        r_opp, r_self = pop.replies[i]
+        opp_vals = O @ r_opp     # opponent payoff per opponent member
+        self_vals = O @ r_self   # own payoff per opponent member
+        tied = np.flatnonzero(opp_vals >= opp_vals.max() - TIE_ATOL)
         j = int(tied[int(np.argmin(self_vals[tied]))])
         pop.mu_index[i] = j
-        pop.mu_value[i] = float(best)
         pop.sc_advantage[i] = float(self_vals[j])
         pop.stale[i] = False
 
 
-def _invalidate_for_change(own_pop: Population, opp_pop: Population,
-                           game: BimatrixGame, player: int,
-                           changed: list, old_reply_values: dict) -> None:
-    """Mark opponent-side confirming caches stale after members of
-    ``own_pop`` (owned by ``player``) at indices ``changed`` were replaced or
-    appended.
-
-    An opponent entry can only be affected if the changed member was its
-    cached response, sat in (or near) its tie set before the change, or the
-    new strategy reaches the tie set now.  ``old_reply_values`` maps a
-    replaced index to the opponent-side payoff vector of the old strategy.
-    """
-    # Cached mu_value of an opponent entry is the best payoff achievable by
-    # members of own_pop responding to it, so reply values use player's matrix.
-    m_player = own_matrix(game, player)
-    tie_floor = opp_pop.mu_value - TIE_ATOL
-    affected = np.isin(opp_pop.mu_index, changed)
-    for c in changed:
-        new_vals = opp_pop.members @ (m_player.T @ own_pop.members[c])
-        affected |= new_vals >= tie_floor
-        if c in old_reply_values:
-            affected |= old_reply_values[c] >= tie_floor
-    opp_pop.stale[affected] = True
+def _invalidate_for_change(opp_pop: Population) -> None:
+    """Mark every opponent-side confirming cache stale after a member of the
+    population it is confirmed against was replaced or appended."""
+    opp_pop.stale[:] = True
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +392,6 @@ def population_update(game: BimatrixGame, player: int, state: EngineState,
     start.  Returns the branch taken."""
     cfg = state.config
     pop = state.pop(player)
-    opp_pop = state.pop(1 - player)
     theta_self = theta.theta_row if player == 0 else theta.theta_col
     theta_opp = theta.theta_col if player == 0 else theta.theta_row
     pi_t = pop.members[-1]
@@ -437,13 +419,10 @@ def population_update(game: BimatrixGame, player: int, state: EngineState,
         improved = (num / den - 1.0) >= cfg.im
 
     pop.replace(last, pi_star)
-    changed = [last]
     if not improved:
         pop.append(state.rng.dirichlet(np.ones(game.dims(player))))
-        changed.append(len(pop) - 1)
     if state.clips:
-        old_vals = {last: opp_pop.members @ (m_self.T @ pi_t)}
-        _invalidate_for_change(pop, opp_pop, game, player, changed, old_vals)
+        _invalidate_for_change(state.pop(1 - player))
     return branch
 
 
@@ -457,8 +436,7 @@ def _append_member(game: BimatrixGame, player: int, state: EngineState,
         return
     pop.append(strategy)
     if state.clips:
-        _invalidate_for_change(pop, state.pop(1 - player), game, player,
-                               [len(pop) - 1], {})
+        _invalidate_for_change(state.pop(1 - player))
 
 
 def run_iteration(state: EngineState) -> IterationReport:

@@ -22,21 +22,25 @@ class StrategyError(ValueError):
     """A vector that is not a valid mixed strategy for the given game."""
 
 
-# Field annotations `check_fields` knows.  A float field takes an integer too,
+# Field annotations `check_value` knows.  A float field takes an integer too,
 # as JSON writes 1.0 as 1, but only a bool field takes a bool.
 FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str,
                "bool": bool}
 
 
+def check_value(name: str, value, type_name: str) -> None:
+    """Raise GameError unless ``value`` is a finite ``type_name`` value."""
+    kind = FIELD_TYPES[type_name]
+    if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+        raise GameError(f"{name} must be a {type_name}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise GameError(f"{name} must be finite")
+
+
 def check_fields(obj) -> None:
-    """Raise GameError unless every field of the dataclass ``obj`` holds a
-    value of its annotated type and every float is finite."""
+    """`check_value` on every field of the dataclass ``obj``."""
     for f in fields(obj):
-        value, kind = getattr(obj, f.name), FIELD_TYPES[f.type]
-        if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
-            raise GameError(f"{f.name} must be a {f.type}, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise GameError(f"{f.name} must be finite")
+        check_value(f.name, getattr(obj, f.name), f.type)
 
 
 def freeze(a: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import MODES, AlgorithmConfig, run
-from .games import BimatrixGame, GameError, GameGenSpec, load_game
+from .games import BimatrixGame, GameError, GameGenSpec, check_value, load_game
 
 METRICS_COLUMNS = [
     "run_id", "algorithm", "game", "seed", "iteration", "exploitability",
@@ -65,8 +65,11 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.games or not self.algorithms or not self.seeds:
             raise GameError("games, algorithms and seeds must be nonempty")
-        if self.max_iterations < 1 or self.jobs < 1:
-            raise GameError("max_iterations and jobs must be >= 1")
+        for name, value in (("max_iterations", self.max_iterations),
+                            ("jobs", self.jobs), *(("seed", s) for s in self.seeds)):
+            check_value(name, value, "int")
+        if self.max_iterations < 1 or self.jobs < 1 or min(self.seeds) < 0:
+            raise GameError("max_iterations and jobs must be >= 1, seeds >= 0")
         if self.mode not in MODES:
             raise GameError(f"unknown mode {self.mode!r}")
         if not isinstance(self.output_dir, (str, os.PathLike)):
@@ -81,13 +84,16 @@ class ExperimentConfig:
             make_config(name, **overrides)
 
 
-def _parse_seeds(spec) -> list:
-    if isinstance(spec, dict):
-        start, stop = int(spec["start"]), int(spec["stop"])
-        if stop - start > 100_000:   # a typo, too long to build
-            raise GameError(f"seed range of {stop - start} exceeds 100000")
-        return list(range(start, stop))
-    return [int(s) for s in spec]
+def parse_seeds(spec) -> list:
+    """Seeds from a list, or from a half-open range {"start": a, "stop": b}."""
+    if not isinstance(spec, dict):
+        return list(spec)
+    start, stop = spec["start"], spec["stop"]
+    check_value("seeds start", start, "int")
+    check_value("seeds stop", stop, "int")
+    if stop - start > 100_000:   # a typo, too long to build
+        raise GameError(f"seed range of {stop - start} exceeds 100000")
+    return list(range(start, stop))
 
 
 def _parse_algorithms(spec) -> list:
@@ -107,10 +113,10 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
                    for g in doc["games"]],
             algorithms=_parse_algorithms(doc["algorithms"]),
             mode=doc.get("mode", "self_play"),
-            seeds=_parse_seeds(doc["seeds"]),
-            max_iterations=int(doc.get("max_iterations", 50)),
+            seeds=parse_seeds(doc["seeds"]),
+            max_iterations=doc.get("max_iterations", 50),
             output_dir=doc.get("output_dir", "out"),
-            jobs=int(doc.get("jobs", 1)),
+            jobs=doc.get("jobs", 1),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GameError(f"invalid experiment config: {exc}") from exc

@@ -49,7 +49,7 @@ def test_traced_rounds_reach_every_hooked_span(tmp_path, monkeypatch):
     assert result.errors == [] and result.cells_failed == 0
     assert result.iterations == 3
     assert rc == 0
-    for name in ("engine.refresh_confirming", "engine.population_update",
-                 "harness.run_cell"):
+    for name in ("engine.refresh_confirming", "engine.invalidate",
+                 "engine.population_update", "harness.run_cell"):
         assert tracer.calls(name) > 0, name
     assert tracer.counts["refresh_confirming.entries"] > 0

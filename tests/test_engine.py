@@ -101,17 +101,19 @@ def test_population_owns_read_only_copies():
     with pytest.raises(ValueError):
         pop.members[0, 0] = 1.0
     assert pop.mu_index.tolist() == [-1, -1] and pop.stale.tolist() == [True, True]
-    assert np.isposinf(pop.mu_value).all() and np.isnan(pop.sc_advantage).all()
+    assert np.isnan(pop.sc_advantage).all() and pop.replies == {}
 
 def test_population_replace_is_copy_on_write():
     pop = Population([uniform(3), pure(3, 0)])
-    pop.stale[:] = False
+    refresh_confirming(pop, Population([uniform(3)]), RPS, 0)
+    assert sorted(pop.replies) == [0, 1]
     snapshot, last = pop.members, pop.members[-1]
     pop.replace(1, pure(3, 2))
     assert np.array_equal(snapshot, [uniform(3), pure(3, 0)])
     assert np.array_equal(last, pure(3, 0))
     assert np.array_equal(pop.members[1], pure(3, 2))
     assert pop.stale.tolist() == [False, True]
+    assert sorted(pop.replies) == [0]   # member 1's rows were of its old strategy
 
 def test_kept_members_hold_no_candidate_block():
     # A kept member is a copy of its candidate row, not a view keeping the
@@ -187,12 +189,11 @@ def test_confirming_matches_brute_force_on_random_pops():
             assert pop.mu_index[i] == j
             assert abs(pop.sc_advantage[i] - sc) <= 1e-12
 
-def test_cache_invalidation_keeps_caches_exact_through_updates():
-    # The gold test: after arbitrary engine updates, incremental caches must
-    # equal a from-scratch recomputation.
+def _assert_caches_exact_through_updates(mode, im):
+    states = []
     for seed in range(5):
         g = gen_general_sum(5, seed)
-        state = init_state(g, make_cfg(seed=seed, im=0.5))
+        state = init_state(g, make_cfg(seed=seed, im=im), mode)
         for _ in range(12):
             run_iteration(state)
         refresh_confirming(state.pop_row, state.pop_col, g, 0)
@@ -202,6 +203,22 @@ def test_cache_invalidation_keeps_caches_exact_through_updates():
             for i, (j, sc) in enumerate(_brute_confirm(pop, opp, g, player)):
                 assert abs(pop.sc_advantage[i] - sc) <= 1e-9, \
                     f"seed {seed} player {player} member {i}"
+        states.append(state)
+    return states
+
+def test_cache_invalidation_keeps_caches_exact_through_updates():
+    # The gold test: after arbitrary engine updates, incremental caches must
+    # equal a from-scratch recomputation.
+    _assert_caches_exact_through_updates("self_play", 0.5)
+
+def test_cache_invalidation_exact_after_follower_appends():
+    # The Stackelberg follower's population grows only by appended replies.
+    _assert_caches_exact_through_updates("stackelberg_player", 0.5)
+
+def test_cache_invalidation_exact_when_every_update_replaces():
+    # im = -1 accepts every update: members are replaced, none is appended.
+    for state in _assert_caches_exact_through_updates("self_play", -1.0):
+        assert len(state.pop_row) == len(state.pop_col) == 1
 
 @pytest.mark.parametrize("preset", ["vanilla_psro", "diversity_psro",
                                     "sc_psro_no_clipping"])

@@ -98,26 +98,37 @@ GAMES = (st.fixed_dictionaries(
                        "seed": SMALL_INTS | JSON,
                        "builtin_name": st.sampled_from(sorted(BUILTINS)) | JSON})
          | JSON)
-SEEDS = (st.fixed_dictionaries({"start": SMALL_INTS | JSON,
-                                "stop": SMALL_INTS | st.integers() | JSON})
-         | st.lists(SMALL_INTS | JSON, max_size=3) | JSON)
+NUMBERS = SMALL_INTS | st.floats(-2, 12) | st.booleans()
+SEEDS = (st.fixed_dictionaries({"start": NUMBERS | JSON,
+                                "stop": NUMBERS | st.integers() | JSON})
+         | st.lists(NUMBERS | JSON, max_size=3) | JSON)
 EXPERIMENTS = JSON | st.fixed_dictionaries(
     {"games": st.lists(GAMES, max_size=3) | JSON,
      "algorithms": st.lists(ALGORITHMS, max_size=3) | JSON,
      "seeds": SEEDS},
     optional={"mode": st.sampled_from(MODES) | JSON,
-              "max_iterations": SMALL_INTS | JSON,
+              "max_iterations": NUMBERS | JSON,
               "output_dir": st.just("out") | JSON,
-              "jobs": SMALL_INTS | JSON})
+              "jobs": NUMBERS | JSON})
+# Valid games and algorithms, so that the grid numbers decide the outcome.
+GRIDS = st.fixed_dictionaries(
+    {"games": st.just([{"kind": "builtin", "builtin_name": "rps"}]),
+     "algorithms": st.just(["vanilla_psro"]), "seeds": SEEDS},
+    optional={"max_iterations": NUMBERS, "jobs": NUMBERS})
 
 @settings(max_examples=400, deadline=None)
-@given(doc=EXPERIMENTS)
+@given(doc=EXPERIMENTS | GRIDS)
 def test_parse_experiment_raises_only_game_error(doc):
     try:
         cfg = parse_experiment(doc)
     except GameError:
         return
     cfg.validate()
+    # Only integers parse, so none was truncated and no bool read as 0 or 1.
+    seeds = (doc["seeds"] if isinstance(doc["seeds"], list)
+             else (doc["seeds"]["start"], doc["seeds"]["stop"]))
+    for value in (doc.get("max_iterations", 50), doc.get("jobs", 1), *seeds):
+        assert type(value) is int and value >= 0
     for name, overrides in cfg.algorithms:
         make_config(name, seed=0, max_iterations=1, **overrides)
     for game in cfg.games:
@@ -442,6 +453,36 @@ def test_cli_unbuildable_game_exits_2_at_parse_time(tmp_path, capsys, field,
     errs = capsys.readouterr().err.splitlines()
     assert len(errs) == 2
     assert all(e.startswith("error: ") and field in e for e in errs)
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("an invalid grid reached run_experiment")
+
+@pytest.mark.parametrize("changes, argv, word", [
+    ({"seeds": [-1]}, [], "seed"),
+    ({"seeds": [0.9, 1.5]}, [], "seed"),
+    ({"seeds": [True]}, [], "seed"),
+    ({"seeds": {"start": 0.5, "stop": 2}}, [], "start"),
+    ({"seeds": {"start": -1, "stop": 2}}, [], "seeds"),
+    ({"max_iterations": 2.9}, [], "max_iterations"),
+    ({"max_iterations": True}, [], "max_iterations"),
+    ({"jobs": 1.7}, [], "jobs"),
+    ({"jobs": True}, [], "jobs"),
+    ({}, ["--seeds", "0..100000000"], "100000"),
+    ({}, ["--seeds=-1..2"], "seeds"),
+])
+def test_cli_run_rejects_bad_grid_settings(tmp_path, monkeypatch, capsys,
+                                           changes, argv, word):
+    # Each of these once ran: truncated by int(), a bool read as 1, a negative
+    # seed failing every cell, or a 10^8-seed range built past the cap.
+    monkeypatch.setattr(harness, "run_experiment", _forbidden)
+    config = dict({"games": [{"kind": "builtin", "builtin_name": "rps"}],
+                   "algorithms": ["vanilla_psro"], "seeds": [0],
+                   "output_dir": str(tmp_path / "out")}, **changes)
+    cpath = tmp_path / "exp.json"
+    cpath.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cpath), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and word in err
 
 def test_cli_invalid_config_exits_2(tmp_path):
     cpath = tmp_path / "broken.json"
