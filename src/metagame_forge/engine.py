@@ -30,7 +30,7 @@ import numpy as np
 
 from .games import BimatrixGame, GameError, check_fields, freeze, payoff
 from .solvers import (TIE_ATOL, MetaSolution, advantage, advantage_many,
-                      best_response, ec_bordered, ec_of_gram,
+                      best_response, ec_of_gram, ec_rank_one,
                       exploitability, fictitious_play, own_matrix)
 
 VARIANTS = ("vanilla_psro", "diversity_psro", "sc_psro")
@@ -307,18 +307,19 @@ def _candidates(pi_t: np.ndarray, step: float) -> np.ndarray:
     return V
 
 
-def _ec_scores(G: np.ndarray, cross: np.ndarray, cand_rows: np.ndarray,
+def _ec_scores(fixed_rows: np.ndarray, cand_rows: np.ndarray,
                index: np.ndarray) -> np.ndarray:
-    """Expected cardinality of the meta-matrix made of the k fixed rows (Gram
-    block ``G``) plus candidate row i, for each i in ``index``: one Cholesky
-    of the candidate's own bordered Gram matrix each.
+    """Expected cardinality of the meta-matrix made of the k fixed rows plus
+    candidate row i, for each i in ``index``: one Cholesky of the candidate's
+    own bordered Gram matrix each.
 
     Each score depends only on its candidate's bordered matrix, so it carries
     the same bits whichever other candidates are scored alongside it.
     """
-    k = G.shape[0]
+    k = fixed_rows.shape[0]
+    cross = cand_rows @ fixed_rows.T
     L = np.empty((k + 1, k + 1))
-    L[:k, :k] = G
+    L[:k, :k] = fixed_rows @ fixed_rows.T
     scores = np.empty(len(index))
     for j, i in enumerate(index):
         L[:k, k] = cross[i]
@@ -338,13 +339,13 @@ def _diversity_argmax(game: BimatrixGame, player: int, pi_t: np.ndarray,
     advantage.  Ties go to the lowest candidate index.
 
     The result is the argmax of the exact per-candidate scores (`_ec_scores`
-    for every candidate), certified from a cheaper pass.  `ec_bordered`
-    scores all candidates in closed form, differing from the exact EC by at
-    most ``bound`` each.  The advantage term is the same array in both, and
-    rounding the sum adds at most ``2 eps |score|`` per side.  So every
-    exact total lies within ``margin`` of its approximation, and the exact
-    argmax is among the candidates whose approximate total is within
-    ``2 * margin`` of the approximate maximum.  Only those are scored
+    for every candidate), certified from a cheaper pass.  `ec_rank_one`
+    scores all candidates from one factorization, each within ``bound`` of
+    its exact EC at every payoff scale.  The advantage term is the same array
+    in both, and rounding the sum adds at most ``2 eps |score|`` per side.
+    So every exact total lies within ``margin`` of its approximation, and
+    the exact argmax is among the candidates whose approximate total is
+    within ``2 * margin`` of the approximate maximum.  Only those are scored
     exactly; on a non-finite approximation all of them are.
     """
     m_self = own_matrix(game, player)
@@ -352,9 +353,7 @@ def _diversity_argmax(game: BimatrixGame, player: int, pi_t: np.ndarray,
     meta = m_self @ opp_members.T
     cand_rows = C @ meta
     fixed_rows = fixed_members @ meta
-    G = fixed_rows @ fixed_rows.T
-    cross = cand_rows @ fixed_rows.T
-    approx, bound = ec_bordered(G, cross, np.einsum("ij,ij->i", cand_rows, cand_rows))
+    approx, bound = ec_rank_one(fixed_rows, cand_rows)
     weighted = (lambda_1 * advantage_many(game, player, C) if lambda_1 > 0
                 else np.zeros(C.shape[0]))
     approx = approx + weighted
@@ -363,7 +362,7 @@ def _diversity_argmax(game: BimatrixGame, player: int, pi_t: np.ndarray,
         keep = np.flatnonzero(approx >= approx.max() - 2.0 * margin)
     else:
         keep = np.arange(C.shape[0])
-    scores = _ec_scores(G, cross, cand_rows, keep) + weighted[keep]
+    scores = _ec_scores(fixed_rows, cand_rows, keep) + weighted[keep]
     return C[keep[int(np.argmax(scores))]]
 
 

@@ -68,8 +68,8 @@ class ExperimentConfig:
         for name, value in (("max_iterations", self.max_iterations),
                             ("jobs", self.jobs), *(("seed", s) for s in self.seeds)):
             check_value(name, value, "int")
-        if self.max_iterations < 1 or self.jobs < 1 or min(self.seeds) < 0:
-            raise GameError("max_iterations and jobs must be >= 1, seeds >= 0")
+        if not 1 <= self.max_iterations <= 100_000 or self.jobs < 1 or min(self.seeds) < 0:
+            raise GameError("max_iterations must be in [1, 100000], jobs >= 1, seeds >= 0")
         if self.mode not in MODES:
             raise GameError(f"unknown mode {self.mode!r}")
         if not isinstance(self.output_dir, (str, os.PathLike)):
@@ -207,7 +207,7 @@ def execute_grid(config: ExperimentConfig, log=print) -> tuple[list, int]:
              for g in config.games
              for (name, overrides) in config.algorithms
              for seed in config.seeds]
-    jobs = min(config.jobs, len(cells))   # a fork-started pool starts them all at once
+    jobs = min(config.jobs, len(cells), os.cpu_count() or 1)  # all start at once
     if jobs == 1:
         results = [_cell_worker(cell) for cell in cells]
     else:

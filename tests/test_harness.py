@@ -182,6 +182,25 @@ def test_failing_cell_is_logged_and_skipped(tmp_path):
     assert len(rows) == 2 * 10           # the good game still ran
     assert logs and "missing_game" in logs[0]
 
+# An unknown CPU count (None) runs the cells serially, with no pool.
+@pytest.mark.parametrize("cpus, sizes", [(64, [3]), (2, [2]), (None, [])])
+def test_grid_pool_is_capped_by_cells_and_cpus(tmp_path, monkeypatch, cpus,
+                                               sizes):
+    asked = []
+
+    def pool(max_workers):      # threads, so no worker process starts
+        asked.append(max_workers)
+        return concurrent.futures.ThreadPoolExecutor(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(harness, "run_cell", lambda *args: [])
+    cfg = parse_experiment({"games": [{"kind": "builtin", "builtin_name": "rps"}],
+                            "algorithms": ["vanilla_psro"], "seeds": [0, 1, 2],
+                            "jobs": 10**9, "output_dir": str(tmp_path / "out")})
+    assert execute_grid(cfg) == ([], 0)
+    assert asked == sizes
+
 def test_plot_data_files(tmp_path):
     cfg = small_experiment(tmp_path, seeds=(0, 1))
     run_experiment(cfg, log=lambda *_: None)
@@ -399,6 +418,7 @@ def _die(*args, **kwargs):
 
 def test_cli_dead_pool_worker_exits_1(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(harness, "run_cell", _die)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)   # a pool even on one CPU
     monkeypatch.setattr(
         concurrent.futures, "ProcessPoolExecutor",
         functools.partial(concurrent.futures.ProcessPoolExecutor,
@@ -469,11 +489,13 @@ def _forbidden(*args, **kwargs):
     ({"jobs": True}, [], "jobs"),
     ({}, ["--seeds", "0..100000000"], "100000"),
     ({}, ["--seeds=-1..2"], "seeds"),
+    ({"max_iterations": 10**12}, [], "max_iterations"),
 ])
 def test_cli_run_rejects_bad_grid_settings(tmp_path, monkeypatch, capsys,
                                            changes, argv, word):
     # Each of these once ran: truncated by int(), a bool read as 1, a negative
-    # seed failing every cell, or a 10^8-seed range built past the cap.
+    # seed failing every cell, a 10^8-seed range built past the cap, or 10^12
+    # iterations a cell.
     monkeypatch.setattr(harness, "run_experiment", _forbidden)
     config = dict({"games": [{"kind": "builtin", "builtin_name": "rps"}],
                    "algorithms": ["vanilla_psro"], "seeds": [0],

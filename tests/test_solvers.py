@@ -15,7 +15,7 @@ from metagame_forge.games import (GameError, builtin, gen_elo,
 from metagame_forge import solvers
 from metagame_forge.solvers import (COL, ROW, TIE_ATOL, advantage,
                                     advantage_many, best_response, ec_of_gram,
-                                    exploitability,
+                                    ec_rank_one, exploitability,
                                     fictitious_play, nash_support_enumeration,
                                     own_matrix, stackelberg_grid_value)
 
@@ -342,6 +342,25 @@ def test_ec_range_and_errors():
     assert 0.0 <= ec_of_gram(m @ m.T) < 5.0
     with pytest.raises(ValueError):   # from the Cholesky's finiteness check
         ec_of_gram(np.array([[np.nan]]))
+
+def test_ec_rank_one_within_bound_at_every_gram_scale():
+    # Near-duplicate fixed rows and candidates near them make every bordered
+    # Gram matrix nearly singular, so an error growing faster than the Gram
+    # scale leaves the bound within a few decades.  m runs up to full-scale
+    # population sizes.
+    rng = np.random.default_rng(7)
+    for m, k in ((5, 2), (40, 5), (150, 3)):
+        base = rng.normal(size=m)
+        base /= np.linalg.norm(base)
+        for decade in range(2, 13):
+            s = 10.0 ** (decade / 2)          # Gram entries near 10**decade
+            F = s * base + 1e-3 * rng.normal(size=(k, m))
+            X = s * base + np.vstack([1e-3 * rng.normal(size=(8, m)),
+                                      rng.normal(size=(8, m))])
+            approx, bound = ec_rank_one(F, X)
+            for x, a in zip(X, approx):
+                M = np.vstack([F, x])
+                assert abs(a - ec_of_gram(M @ M.T)) <= bound / 1000, (m, decade)
 
 
 # ---------------------------------------------------------------------------
