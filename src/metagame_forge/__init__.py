@@ -9,8 +9,7 @@ from .games import (BimatrixGame, GameError, GameGenSpec, StrategyError,
                     builtin, gen_elo, gen_general_sum, gen_symmetric_zero_sum,
                     gen_transitive, load_game, new_game, payoff, save_game)
 from .solvers import (BestResponseResult, MetaSolution, advantage,
-                      best_response, exploitability, fictitious_play,
-                      nash_support_enumeration, stackelberg_grid_value)
+                      best_response, exploitability, fictitious_play)
 from .engine import (AlgorithmConfig, EmpiricalGame, EngineState,
                      IterationReport, Population, aggregate, br_oracle,
                      build_empirical, init_state, lookahead_step, meta_nash,

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .games import BimatrixGame, GameError, check_fields, freeze, payoff
-from .solvers import (TIE_ATOL, MetaSolution, advantage, advantage_many,
-                      best_response, ec_of_gram, ec_rank_one,
+from .solvers import (ONE_THREAD_MNK, TIE_ATOL, MetaSolution, advantage,
+                      advantage_many, best_response, ec_of_gram, ec_rank_one,
                       exploitability, fictitious_play, own_matrix)
 
 VARIANTS = ("vanilla_psro", "diversity_psro", "sc_psro")
@@ -307,6 +307,72 @@ def _candidates(pi_t: np.ndarray, step: float) -> np.ndarray:
     return V
 
 
+def _certified_advantage_argmax(game: BimatrixGame, player: int,
+                                pi_t: np.ndarray, step: float,
+                                C: np.ndarray):
+    """The index of ``C = _candidates(pi_t, step)`` (pi_t on the simplex)
+    whose row ``np.argmax(advantage_many(game, player, C))`` picks, found
+    without the dense products, or None where rounding bounds cannot settle
+    it.
+
+    Candidate i moves coordinate a of pi_t by ``delta[i]`` and divides by
+    ``sums[i]``, so its payoffs against the pure replies are
+    ``(pi_t @ M + delta[i] * M[a]) / sums[i]``: elementwise work in row
+    chunks.  Each payoff that ``advantage_many`` computes lies within
+    ``rho[i] / sums[i]`` of this value, rho being M's entry of ``rhos``.
+    gamma_n bounds the dense dot products, ``pi_t @ M`` and the sums; the
+    factor 16 covers them, and the few other roundings, more than twice
+    over.  A reply whose tie-set membership these errors could flip counts
+    for the lower bound of the advantage and not for the upper one.  The
+    best lower bound must beat the upper bound of every candidate with
+    another row; then the dense argmax has its row, whatever that row's own
+    bits.  A bound past TIE_ATOL / 4, as from payoffs past about 70 at
+    dim 1000, could settle no tie set and gives None; within it, the sums
+    also stay clear of the clamp in `_candidates`.  An exactly zero-sum
+    game, where ``advantage_many`` takes the minimum over all replies, needs
+    no other path: the reply at the player's minimum is, up to rounding,
+    the opponent's best, so the bounds hold it as they hold a tie set.
+    """
+    n = pi_t.shape[0]
+    p = np.abs(pi_t)
+    delta = np.abs(np.concatenate([pi_t + step, pi_t - step])) - np.tile(p, 2)
+    total = p.sum()
+    sums = total + delta
+    eps = np.finfo(float).eps / 2
+    scale = 16.0 * n * eps / (1.0 - n * eps) * (sums + total + np.abs(delta))
+    mats = [own_matrix(game, player), own_matrix(game, 1 - player).T]
+    bases = [p @ M for M in mats]
+    rhos = [scale * max(M.max(), -M.min(), TIE_ATOL) for M in mats]
+    if not all((rho <= sums * (TIE_ATOL / 4)).all() for rho in rhos):
+        return None
+    lo = np.empty(2 * n)
+    hi = np.empty(2 * n)
+    m = mats[0].shape[1]
+    X = np.empty((max(1, 65536 // m), m))
+    for start in range(0, n, X.shape[0]):
+        a = slice(start, min(start + X.shape[0], n))
+        rows = mats[1][a]     # the values that pick the replies
+        for i in (slice(a.start, a.stop), slice(n + a.start, n + a.stop)):
+            x = np.multiply(rows, delta[i, None], out=X[:rows.shape[0]])
+            x += bases[1]
+            thr = x.max(axis=1) - sums[i] * TIE_ATOL
+            # Both the reply and the best one may be off by rho; the rest of
+            # the band covers the rounding of the threshold itself.
+            band = 3.0 * rhos[1][i]
+            # Each row's own maximum is a possible reply, so every row starts
+            # a run in r; the player's payoffs are formed only at these.
+            r, c = np.divmod(np.flatnonzero(x >= (thr - band)[:, None]), m)
+            y = bases[0][c] + delta[i][r] * mats[0][start + r, c]
+            runs = np.flatnonzero(np.diff(r, prepend=-1))
+            lo[i] = np.minimum.reduceat(y, runs)
+            hi[i] = np.minimum.reduceat(
+                np.where(x[r, c] >= (thr + band)[r], y, np.inf), runs)
+    lo = (lo - rhos[0]) / sums
+    hi = (hi + rhos[0]) / sums
+    k = int(np.argmax(lo))
+    return k if (C[hi >= lo[k]] == C[k]).all() else None
+
+
 def _ec_scores(fixed_rows: np.ndarray, cand_rows: np.ndarray,
                index: np.ndarray) -> np.ndarray:
     """Expected cardinality of the meta-matrix made of the k fixed rows plus
@@ -371,11 +437,23 @@ def lookahead_step(game: BimatrixGame, player: int, pi_t: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:
     """Advantage hill-climb: sample a step size bounded by the max-norm of the
     player's own meta-weights, enumerate pure-direction candidates, and return
-    the one with the highest advantage."""
+    the one with the highest advantage.
+
+    Where the candidate block is big enough for BLAS threads, the rounding
+    bounds of `_certified_advantage_argmax` usually settle the argmax without
+    its products; the dense scores decide the rest."""
     bound = min(lr_base, float(np.abs(theta_self).max()))
     step = rng.uniform(0.0, bound)
     C = _candidates(pi_t, step)
-    return C[int(np.argmax(advantage_many(game, player, C)))]
+    best = None
+    # The threading cutoff of `_blas_threads_for`, reused as the point where
+    # the pass starts to pay; it was timed only at dims 100 (slower) and
+    # 1000 (faster).
+    if C.size * game.dims(1 - player) >= ONE_THREAD_MNK:
+        best = _certified_advantage_argmax(game, player, pi_t, step, C)
+    if best is None:
+        best = int(np.argmax(advantage_many(game, player, C)))
+    return C[best]
 
 
 # ---------------------------------------------------------------------------

@@ -108,16 +108,6 @@ def validate_strategy(p, n: int) -> np.ndarray:
     return p
 
 
-def pure(n: int, index: int) -> np.ndarray:
-    p = np.zeros(n)
-    p[index] = 1.0
-    return p
-
-
-def uniform(n: int) -> np.ndarray:
-    return np.full(n, 1.0 / n)
-
-
 def payoff(game: BimatrixGame, pi_row, pi_col) -> tuple[float, float]:
     """Expected utilities (row_value, col_value) of a mixed-strategy profile."""
     p = validate_strategy(pi_row, game.n_rows)

@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 import traceback
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -82,6 +83,13 @@ class ExperimentConfig:
                 raise GameError(f"{name}: 'seed' and 'max_iterations' are set "
                                 "by the grid, not per algorithm")
             make_config(name, **overrides)
+        # Rows and summaries are keyed by these, so a repeat would merge runs.
+        for what, keys in (("seed", self.seeds),
+                           ("algorithm", [name for name, _ in self.algorithms]),
+                           ("game", [_game_key(g) for g in self.games])):
+            twice = [key for key, count in Counter(keys).items() if count > 1]
+            if twice:
+                raise GameError(f"{what} {twice[0]!r} appears twice in the grid")
 
 
 def parse_seeds(spec) -> list:

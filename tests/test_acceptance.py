@@ -24,7 +24,8 @@ from metagame_forge.harness import (METRICS_COLUMNS, ExperimentConfig,
                                     make_config, run_experiment)
 from metagame_forge.games import GameGenSpec
 from metagame_forge.solvers import (advantage, ec_of_gram, exploitability,
-                                    fictitious_play, nash_support_enumeration)
+                                    fictitious_play)
+from oracles import nash_support_enumeration
 
 
 def _final(game, preset, seed, iters, mode="self_play", **overrides):

@@ -19,11 +19,12 @@ from metagame_forge.engine import (AlgorithmConfig, EngineError, Population,
                                    run_iteration)
 from metagame_forge.games import (GameError, builtin, gen_general_sum,
                                   gen_symmetric_zero_sum, gen_transitive,
-                                  new_game, pure, uniform)
+                                  new_game)
 from metagame_forge.harness import make_config
 from metagame_forge.solvers import (advantage, advantage_many, ec_of_gram,
                                     ec_rank_one, exploitability,
                                     fictitious_play, own_matrix)
+from oracles import pure, uniform
 
 RPS = builtin("rps")
 T1 = builtin("stackelberg_table1")
@@ -436,6 +437,138 @@ def test_lookahead_table1_moves_toward_stackelberg_mix():
                          FixedRng(1.0))
     assert advantage(T1, 0, out) > 2.0
     assert out[0] > 1.0 / 3.0
+
+def _draw_certify_case(seed, n, m, player, zero_sum, payoffs, scale,
+                       pi_kind, step):
+    rng = np.random.default_rng(seed)
+    shape = (n, m) if player == 0 else (m, n)
+    if payoffs == "integer":    # exact ties among the opponent's replies
+        draw = lambda: scale * rng.integers(-2, 3, size=shape).astype(float)
+    else:
+        draw = lambda: scale * rng.normal(size=shape)
+    u_row = draw()
+    u_col = -u_row if zero_sum else draw()
+    if payoffs == "tie_atol" and not zero_sum and m > 1:
+        # Two replies exactly TIE_ATOL apart for the opponent.
+        if player == 0:
+            u_col[:, 1] = u_col[:, 0] - solvers.TIE_ATOL
+        else:
+            u_row[1] = u_row[0] - solvers.TIE_ATOL
+    g = new_game(u_row, u_col)
+    if pi_kind == "near_pure":
+        pi = pure(n, int(rng.integers(n))) + 1e-12 * rng.uniform(size=n)
+    else:
+        pi = rng.dirichlet(np.ones(n))
+    if pi_kind == "with_zeros":    # bitwise-identical +/- rows
+        pi[rng.permutation(n)[: n // 2]] = 0.0
+    pi /= pi.sum()
+    if pi_kind == "step_coordinate":    # a "-" row with coordinate a at 0
+        step = float(pi[int(rng.integers(n))])
+    return g, pi, step
+
+def _dense_argmax_row(g, player, C, threads):
+    if threads is None:
+        return C[int(np.argmax(advantage_many(g, player, C)))]
+    get, set_ = solvers._OPENBLAS_THREADS
+    before = get()
+    set_(threads)
+    try:
+        return C[int(np.argmax(advantage_many(g, player, C)))]
+    finally:
+        set_(before)
+
+@pytest.mark.skipif(solvers._OPENBLAS_THREADS is None,
+                    reason="numpy has no bundled OpenBLAS")
+@pytest.mark.parametrize("threads", [1, 2])
+@settings(max_examples=150, deadline=None)
+# Integer payoffs: "+" candidates on equal-payoff actions tie in exact
+# arithmetic, and a zero bound picks one that the dense scores do not.
+@example(seed=0, n=200, m=1, player=0, zero_sum=False, payoffs="integer",
+         scale=1.0, pi_kind="dirichlet", step=0.3)
+@given(seed=st.integers(0, 2**31 - 1),
+       n=st.one_of(st.integers(1, 24), st.integers(200, 240)),
+       m=st.one_of(st.integers(1, 40), st.integers(125, 160)),
+       player=st.sampled_from([0, 1]),
+       zero_sum=st.booleans(),
+       payoffs=st.sampled_from(["normal", "integer", "tie_atol"]),
+       scale=st.sampled_from([1.0, 10.0, 1e3, 1e6]),
+       pi_kind=st.sampled_from(["dirichlet", "near_pure", "with_zeros",
+                                "step_coordinate"]),
+       step=st.sampled_from([1e-6, 1e-3, 0.3, 0.9]))
+def test_certified_advantage_argmax_matches_dense(threads, seed, n, m, player,
+                                                  zero_sum, payoffs, scale,
+                                                  pi_kind, step):
+    # Both sides of the lookahead gate: with n >= 200 and m >= 125 the block
+    # has 2 n n m >= 1e7 multiply-adds, so the dense products run on the
+    # set thread count, which changes their last bits; smaller blocks run on
+    # one thread whatever is set.
+    g, pi, step = _draw_certify_case(seed, n, m, player, zero_sum, payoffs,
+                                     scale, pi_kind, step)
+    C = _candidates(pi, step)
+    i = engine._certified_advantage_argmax(g, player, pi, step, C)
+    if i is not None:
+        assert np.array_equal(C[i], _dense_argmax_row(g, player, C, threads))
+
+@pytest.mark.parametrize("n, m", [(60, 50), (220, 130)])
+def test_certified_advantage_argmax_settles_most_draws(n, m):
+    # Well-conditioned draws: unit-scale continuous payoffs, a Dirichlet
+    # pi_t.  Always answering None would keep the dense products.  At
+    # n = 220, m = 130 (1.26e7 multiply-adds a block, above the gate) the
+    # dense products run on the set thread count.
+    threads = (None,) if solvers._OPENBLAS_THREADS is None else (1, 2)
+    settled = 0
+    for seed in range(20):
+        g, pi, step = _draw_certify_case(seed, n, m, seed % 2, seed % 4 == 0,
+                                         "normal", 1.0, "dirichlet", 0.3)
+        C = _candidates(pi, step)
+        i = engine._certified_advantage_argmax(g, seed % 2, pi, step, C)
+        if i is not None:
+            settled += 1
+            for t in threads:
+                assert np.array_equal(C[i],
+                                      _dense_argmax_row(g, seed % 2, C, t))
+    assert settled >= 16
+
+def test_lookahead_below_gate_keeps_dense_path(monkeypatch):
+    # dim 100: 200 x 100 x 100 = 2e6 multiply-adds a block, below the gate.
+    called = []
+    monkeypatch.setattr(engine, "_certified_advantage_argmax",
+                        lambda *args: called.append(args))
+    reports = run(gen_symmetric_zero_sum(100, 7),
+                  make_config("sc_psro_no_diversity", seed=0, max_iterations=4))
+    assert all(r.oracle_branch_taken == ("lookahead",) * 2 for r in reports)
+    assert called == []
+
+def test_lookahead_above_gate_skips_dense_products(monkeypatch):
+    # dim 200: 400 x 200 x 200 = 1.6e7 multiply-adds a block.  Each record
+    # is (certified index or None, dense scorings) of one lookahead step.
+    records = []
+    certify, score, step = (engine._certified_advantage_argmax,
+                            engine.advantage_many, engine.lookahead_step)
+
+    def counted_certify(game, player, pi_t, step_size, C):
+        i = records[-1][0] = certify(game, player, pi_t, step_size, C)
+        if i is not None:
+            dense = C[int(np.argmax(score(game, player, C)))]
+            assert np.array_equal(C[i], dense)
+        return i
+
+    def counted_score(*args):
+        records[-1][1] += 1
+        return score(*args)
+
+    def counted_step(*args):
+        records.append([None, 0])
+        return step(*args)
+
+    monkeypatch.setattr(engine, "_certified_advantage_argmax", counted_certify)
+    monkeypatch.setattr(engine, "advantage_many", counted_score)
+    monkeypatch.setattr(engine, "lookahead_step", counted_step)
+    run(gen_general_sum(200, 7),
+        make_config("sc_psro_no_diversity", seed=0, max_iterations=4))
+    assert len(records) == 8
+    assert any(i is not None and dense == 0 for i, dense in records)
+    assert all((i is None) == (dense == 1) for i, dense in records)
 
 def test_diversity_single_direction_returns_pi_t():
     g = new_game([[1.0, 0.0]], [[0.0, 1.0]])  # one row action

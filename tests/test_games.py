@@ -10,8 +10,9 @@ from metagame_forge.games import (MAX_DIM, MAX_NOISE, BimatrixGame,
                                   GameError, GameGenSpec, StrategyError,
                                   builtin, gen_elo, gen_general_sum,
                                   gen_symmetric_zero_sum, gen_transitive,
-                                  load_game, new_game, payoff, pure, save_game,
-                                  uniform, validate_strategy)
+                                  load_game, new_game, payoff, save_game,
+                                  validate_strategy)
+from oracles import pure, uniform
 
 
 # ---------------------------------------------------------------------------

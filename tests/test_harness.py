@@ -490,12 +490,19 @@ def _forbidden(*args, **kwargs):
     ({}, ["--seeds", "0..100000000"], "100000"),
     ({}, ["--seeds=-1..2"], "seeds"),
     ({"max_iterations": 10**12}, [], "max_iterations"),
+    ({"seeds": [0, 0]}, [], "seed 0"),
+    ({"algorithms": [{"name": "sc_psro", "overrides": {"lr": 0.1}},
+                     {"name": "sc_psro", "overrides": {"lr": 0.2}}]}, [],
+     "algorithm 'sc_psro'"),
+    ({"games": [{"kind": "builtin", "builtin_name": "rps"}, "rps.json"]}, [],
+     "game 'rps'"),
 ])
 def test_cli_run_rejects_bad_grid_settings(tmp_path, monkeypatch, capsys,
                                            changes, argv, word):
     # Each of these once ran: truncated by int(), a bool read as 1, a negative
-    # seed failing every cell, a 10^8-seed range built past the cap, or 10^12
-    # iterations a cell.
+    # seed failing every cell, a 10^8-seed range built past the cap, 10^12
+    # iterations a cell, or repeated seeds, algorithms or games whose rows
+    # merged in metrics.csv and summary.csv.
     monkeypatch.setattr(harness, "run_experiment", _forbidden)
     config = dict({"games": [{"kind": "builtin", "builtin_name": "rps"}],
                    "algorithms": ["vanilla_psro"], "seeds": [0],

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 
 from metagame_forge.games import (GameError, builtin, gen_elo,
                                   gen_general_sum, gen_symmetric_zero_sum,
-                                  gen_transitive, new_game, pure, uniform)
+                                  gen_transitive, new_game)
 from metagame_forge import solvers
 from metagame_forge.solvers import (COL, ROW, TIE_ATOL, advantage,
                                     advantage_many, best_response, ec_of_gram,
                                     ec_rank_one, exploitability,
-                                    fictitious_play, nash_support_enumeration,
-                                    own_matrix, stackelberg_grid_value)
+                                    fictitious_play, own_matrix)
+from oracles import (nash_support_enumeration, pure, stackelberg_grid_value,
+                     uniform)
 
 RPS = builtin("rps")
 T1 = builtin("stackelberg_table1")
