@@ -9,8 +9,9 @@ Subcommands::
 
 Exit codes: 0 success, 1 at least one grid cell failed or a grid worker
 process died (for example, killed for running out of memory; no metrics are
-then written), 2 invalid input (including ``--jobs 0`` and an unknown or
-mistyped algorithm override).
+then written), 2 invalid input (including ``--jobs 0``, an unknown or
+mistyped algorithm override, and a path that cannot be read or written,
+such as a directory).
 """
 from __future__ import annotations
 
@@ -124,8 +125,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GameError, StrategyError, FileNotFoundError,
-            json.JSONDecodeError, ValueError) as exc:
+    except (GameError, StrategyError, OSError, json.JSONDecodeError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenExecutor:   # BrokenProcessPool: a pool worker died

@@ -290,16 +290,18 @@ def br_oracle(game: BimatrixGame, player: int, opponent_aggregate) -> np.ndarray
 # ---------------------------------------------------------------------------
 # New-strategy steps
 
-def _candidates(pi_t: np.ndarray, step: float) -> np.ndarray:
+def _candidates(pi_t: np.ndarray, step: float, rows=None) -> np.ndarray:
     """One candidate per signed pure direction: |pi_t +/- step * e_a|,
-    normalized.  Negative directions shift mass away from a coordinate, which
-    the absolute-value normalization keeps on the simplex; without them the
-    hill climb can only concentrate mass, never refine a mixture."""
+    normalized; row a moves coordinate a up and row n + a moves it down.
+    Negative directions shift mass away from a coordinate, which the
+    absolute-value normalization keeps on the simplex; without them the hill
+    climb can only concentrate mass, never refine a mixture.  ``rows``
+    builds only those candidates (all 2n by default), each with the bits it
+    has in the full block."""
     n = pi_t.shape[0]
-    V = np.tile(pi_t, (2 * n, 1))
-    diag = np.arange(n)
-    V[diag, diag] += step
-    V[n + diag, diag] -= step
+    rows = np.arange(2 * n) if rows is None else np.asarray(rows)
+    V = np.tile(pi_t, (rows.shape[0], 1))
+    V[np.arange(rows.shape[0]), rows % n] += np.where(rows < n, step, -step)
     np.abs(V, out=V)
     sums = V.sum(axis=1, keepdims=True)
     np.maximum(sums, 1e-15, out=sums)
@@ -307,13 +309,21 @@ def _candidates(pi_t: np.ndarray, step: float) -> np.ndarray:
     return V
 
 
-def _certified_advantage_argmax(game: BimatrixGame, player: int,
-                                pi_t: np.ndarray, step: float,
-                                C: np.ndarray):
-    """The index of ``C = _candidates(pi_t, step)`` (pi_t on the simplex)
-    whose row ``np.argmax(advantage_many(game, player, C))`` picks, found
-    without the dense products, or None where rounding bounds cannot settle
-    it.
+def _bounds_pay(game: BimatrixGame, player: int) -> bool:
+    """Whether `_advantage_bounds` is tried for ``player``'s candidates: for
+    blocks of at least ONE_THREAD_MNK multiply-adds, the threading cutoff of
+    `_blas_threads_for`, reused as the point where the pass starts to pay;
+    it was timed only at dims 100 (slower) and 1000 (faster)."""
+    n = game.dims(player)
+    return 2 * n * n * game.dims(1 - player) >= ONE_THREAD_MNK
+
+
+def _advantage_bounds(game: BimatrixGame, player: int, pi_t: np.ndarray,
+                      step: float):
+    """Bounds ``(lo, hi)`` on the advantage that `advantage_many` gives each
+    row of ``_candidates(pi_t, step)`` (pi_t on the simplex), found without
+    the dense products, whatever rows share their block and on any thread
+    count; or None where the bounds would be loose.
 
     Candidate i moves coordinate a of pi_t by ``delta[i]`` and divides by
     ``sums[i]``, so its payoffs against the pure replies are
@@ -323,15 +333,13 @@ def _certified_advantage_argmax(game: BimatrixGame, player: int,
     gamma_n bounds the dense dot products, ``pi_t @ M`` and the sums; the
     factor 16 covers them, and the few other roundings, more than twice
     over.  A reply whose tie-set membership these errors could flip counts
-    for the lower bound of the advantage and not for the upper one.  The
-    best lower bound must beat the upper bound of every candidate with
-    another row; then the dense argmax has its row, whatever that row's own
-    bits.  A bound past TIE_ATOL / 4, as from payoffs past about 70 at
-    dim 1000, could settle no tie set and gives None; within it, the sums
-    also stay clear of the clamp in `_candidates`.  An exactly zero-sum
-    game, where ``advantage_many`` takes the minimum over all replies, needs
-    no other path: the reply at the player's minimum is, up to rounding,
-    the opponent's best, so the bounds hold it as they hold a tie set.
+    for the lower bound of the advantage and not for the upper one.  A
+    bound past TIE_ATOL / 4, as from payoffs past about 70 at dim 1000,
+    could settle no tie set and gives None; within it, the sums also stay
+    clear of the clamp in `_candidates`.  An exactly zero-sum game, where
+    ``advantage_many`` takes the minimum over all replies, needs no other
+    path: the reply at the player's minimum is, up to rounding, the
+    opponent's best, so the bounds hold it as they hold a tie set.
     """
     n = pi_t.shape[0]
     p = np.abs(pi_t)
@@ -367,10 +375,7 @@ def _certified_advantage_argmax(game: BimatrixGame, player: int,
             lo[i] = np.minimum.reduceat(y, runs)
             hi[i] = np.minimum.reduceat(
                 np.where(x[r, c] >= (thr + band)[r], y, np.inf), runs)
-    lo = (lo - rhos[0]) / sums
-    hi = (hi + rhos[0]) / sums
-    k = int(np.argmax(lo))
-    return k if (C[hi >= lo[k]] == C[k]).all() else None
+    return (lo - rhos[0]) / sums, (hi + rhos[0]) / sums
 
 
 def _ec_scores(fixed_rows: np.ndarray, cand_rows: np.ndarray,
@@ -405,14 +410,18 @@ def _diversity_argmax(game: BimatrixGame, player: int, pi_t: np.ndarray,
     advantage.  Ties go to the lowest candidate index.
 
     The result is the argmax of the exact per-candidate scores (`_ec_scores`
-    for every candidate), certified from a cheaper pass.  `ec_rank_one`
-    scores all candidates from one factorization, each within ``bound`` of
-    its exact EC at every payoff scale.  The advantage term is the same array
-    in both, and rounding the sum adds at most ``2 eps |score|`` per side.
-    So every exact total lies within ``margin`` of its approximation, and
-    the exact argmax is among the candidates whose approximate total is
-    within ``2 * margin`` of the approximate maximum.  Only those are scored
-    exactly; on a non-finite approximation all of them are.
+    for every candidate, plus the weighted dense advantage), certified from
+    cheaper passes.  `ec_rank_one` scores all candidates from one
+    factorization, each within ``bound`` of its exact EC at every payoff
+    scale.  Where `_advantage_bounds` gives bounds, a candidate survives if
+    its highest possible total reaches the best lowest one, ``slack``
+    covering the rounding of the weighted terms and sums, and the dense
+    advantage is computed for the survivors alone.  Otherwise the dense
+    advantage of every candidate is added to the approximation, every exact
+    total then lies within ``margin`` of it, and the survivors are the
+    candidates within ``2 * margin`` of the approximate maximum; on a
+    non-finite approximation all of them are.  Only survivors are scored
+    exactly.
     """
     m_self = own_matrix(game, player)
     C = _candidates(pi_t, lr)
@@ -420,15 +429,35 @@ def _diversity_argmax(game: BimatrixGame, player: int, pi_t: np.ndarray,
     cand_rows = C @ meta
     fixed_rows = fixed_members @ meta
     approx, bound = ec_rank_one(fixed_rows, cand_rows)
-    weighted = (lambda_1 * advantage_many(game, player, C) if lambda_1 > 0
-                else np.zeros(C.shape[0]))
-    approx = approx + weighted
-    if np.isfinite(approx).all():
-        margin = bound + 2.0 * np.finfo(float).eps * np.abs(approx).max()
-        keep = np.flatnonzero(approx >= approx.max() - 2.0 * margin)
+    eps = np.finfo(float).eps
+    finite = np.isfinite(approx).all()
+    bounds = (_advantage_bounds(game, player, pi_t, lr)
+              if lambda_1 > 0 and finite and _bounds_pay(game, player)
+              else None)
+    if bounds is not None:
+        lo, hi = bounds
+        # Rounding the weighted advantage, an exact total and the sums
+        # below moves a total by at most 6 unit roundoffs of its terms'
+        # magnitudes; the slack allows 16.
+        slack = 8.0 * eps * (np.abs(approx) + bound
+                             + lambda_1 * np.maximum(np.abs(lo), np.abs(hi)))
+        low = approx - bound + lambda_1 * lo - slack
+        high = approx + bound + lambda_1 * hi + slack
+        # A weight so large that the sums overflow to NaN keeps them all.
+        keep = np.flatnonzero(~(high < low.max()))
+        weighted = lambda_1 * advantage_many(game, player, C[keep],
+                                             block_rows=C.shape[0])
     else:
-        keep = np.arange(C.shape[0])
-    scores = _ec_scores(fixed_rows, cand_rows, keep) + weighted[keep]
+        weighted = (lambda_1 * advantage_many(game, player, C) if lambda_1 > 0
+                    else np.zeros(C.shape[0]))
+        approx = approx + weighted
+        if finite:
+            margin = bound + 2.0 * eps * np.abs(approx).max()
+            keep = np.flatnonzero(approx >= approx.max() - 2.0 * margin)
+        else:
+            keep = np.arange(C.shape[0])
+        weighted = weighted[keep]
+    scores = _ec_scores(fixed_rows, cand_rows, keep) + weighted
     return C[keep[int(np.argmax(scores))]]
 
 
@@ -437,23 +466,25 @@ def lookahead_step(game: BimatrixGame, player: int, pi_t: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:
     """Advantage hill-climb: sample a step size bounded by the max-norm of the
     player's own meta-weights, enumerate pure-direction candidates, and return
-    the one with the highest advantage.
+    the one with the highest advantage (the lowest index among ties).
 
-    Where the candidate block is big enough for BLAS threads, the rounding
-    bounds of `_certified_advantage_argmax` usually settle the argmax without
-    its products; the dense scores decide the rest."""
+    Where `_advantage_bounds` gives bounds, only the candidates whose upper
+    bound reaches the best lower bound can win.  They are built alone, and
+    when they are all one row that row is returned; otherwise the dense
+    scores of these survivors decide."""
     bound = min(lr_base, float(np.abs(theta_self).max()))
     step = rng.uniform(0.0, bound)
-    C = _candidates(pi_t, step)
-    best = None
-    # The threading cutoff of `_blas_threads_for`, reused as the point where
-    # the pass starts to pay; it was timed only at dims 100 (slower) and
-    # 1000 (faster).
-    if C.size * game.dims(1 - player) >= ONE_THREAD_MNK:
-        best = _certified_advantage_argmax(game, player, pi_t, step, C)
-    if best is None:
-        best = int(np.argmax(advantage_many(game, player, C)))
-    return C[best]
+    bounds = (_advantage_bounds(game, player, pi_t, step)
+              if _bounds_pay(game, player) else None)
+    if bounds is None:
+        C = _candidates(pi_t, step)
+        return C[int(np.argmax(advantage_many(game, player, C)))]
+    lo, hi = bounds
+    C = _candidates(pi_t, step, np.flatnonzero(hi >= lo.max()))
+    if (C == C[0]).all():
+        return C[0]
+    scores = advantage_many(game, player, C, block_rows=2 * pi_t.shape[0])
+    return C[int(np.argmax(scores))]
 
 
 # ---------------------------------------------------------------------------

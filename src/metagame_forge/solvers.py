@@ -116,7 +116,8 @@ def exploitability(game: BimatrixGame, pi_row, pi_col) -> float:
     return float(row_gap + col_gap)
 
 
-def advantage_many(game: BimatrixGame, player: int, strategies: np.ndarray) -> np.ndarray:
+def advantage_many(game: BimatrixGame, player: int, strategies: np.ndarray,
+                   block_rows: int | None = None) -> np.ndarray:
     """Advantage of each row of `strategies` (k x own-dim) for `player`.
 
     The opponent's best-response tie set is formed to TIE_ATOL and the
@@ -126,17 +127,27 @@ def advantage_many(game: BimatrixGame, player: int, strategies: np.ndarray) -> n
     In an exactly zero-sum game the opponent's payoffs are the player's,
     negated bit for bit (rounding is symmetric), so its tie set holds the
     player's row minimum and larger values only: one product suffices.
+
+    ``block_rows`` scores the strategies as rows picked from a block of that
+    many: the products run on the BLAS thread count of the whole block, and
+    a single row is scored twice, as a one-row product takes another BLAS
+    routine (gemv).  Thread count and routine each change the last bits; at
+    dim 1000 with OpenBLAS 0.3.31 the rows then carry the block's bits, but
+    at other shapes a product's row bits also depend on its row count.
     """
     m_self = own_matrix(game, player)
     P = np.atleast_2d(np.asarray(strategies, dtype=float))
-    with _blas_threads_for(P.shape[0] * P.shape[1] * m_self.shape[1]):
+    k = P.shape[0]
+    if block_rows is not None and k == 1:
+        P = np.repeat(P, 2, axis=0)
+    with _blas_threads_for((block_rows or k) * P.shape[1] * m_self.shape[1]):
         self_vals = P @ m_self       # (k, opp-dim): player payoff per pure reply
         if game.exact_zero_sum:
-            return self_vals.min(axis=1)
+            return self_vals.min(axis=1)[:k]
         opp_vals = P @ own_matrix(game, 1 - player).T  # opponent payoff per reply
     best = opp_vals.max(axis=1, keepdims=True)
     np.putmask(self_vals, ~(opp_vals >= best - TIE_ATOL), np.inf)
-    return self_vals.min(axis=1)
+    return self_vals.min(axis=1)[:k]
 
 
 def advantage(game: BimatrixGame, player: int, pi) -> float:

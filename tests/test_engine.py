@@ -1,5 +1,6 @@
 """Engine: populations, confirming caches, clipping, update rules and the run
 loop."""
+import contextlib
 import gc
 import math
 import tracemalloc
@@ -466,16 +467,34 @@ def _draw_certify_case(seed, n, m, player, zero_sum, payoffs, scale,
         step = float(pi[int(rng.integers(n))])
     return g, pi, step
 
-def _dense_argmax_row(g, player, C, threads):
+@contextlib.contextmanager
+def blas_threads(threads):
+    """Run the block on ``threads`` OpenBLAS threads (None: as set)."""
     if threads is None:
-        return C[int(np.argmax(advantage_many(g, player, C)))]
+        yield
+        return
     get, set_ = solvers._OPENBLAS_THREADS
     before = get()
     set_(threads)
     try:
-        return C[int(np.argmax(advantage_many(g, player, C)))]
+        yield
     finally:
         set_(before)
+
+def _dense_argmax_row(g, player, C, threads):
+    with blas_threads(threads):
+        return C[int(np.argmax(advantage_many(g, player, C)))]
+
+def _settled_index(g, player, pi, step, C):
+    """The candidate the advantage bounds settle, or None: the index of the
+    best lower bound where every candidate whose upper bound reaches it has
+    the same row."""
+    bounds = engine._advantage_bounds(g, player, pi, step)
+    if bounds is None:
+        return None
+    lo, hi = bounds
+    k = int(np.argmax(lo))
+    return k if (C[hi >= lo[k]] == C[k]).all() else None
 
 @pytest.mark.skipif(solvers._OPENBLAS_THREADS is None,
                     reason="numpy has no bundled OpenBLAS")
@@ -501,27 +520,35 @@ def test_certified_advantage_argmax_matches_dense(threads, seed, n, m, player,
     # Both sides of the lookahead gate: with n >= 200 and m >= 125 the block
     # has 2 n n m >= 1e7 multiply-adds, so the dense products run on the
     # set thread count, which changes their last bits; smaller blocks run on
-    # one thread whatever is set.
+    # one thread whatever is set.  The bounds hold every dense score, and a
+    # settled candidate is the dense argmax's row.
     g, pi, step = _draw_certify_case(seed, n, m, player, zero_sum, payoffs,
                                      scale, pi_kind, step)
     C = _candidates(pi, step)
-    i = engine._certified_advantage_argmax(g, player, pi, step, C)
+    bounds = engine._advantage_bounds(g, player, pi, step)
+    if bounds is None:
+        return
+    with blas_threads(threads):
+        dense = advantage_many(g, player, C)
+    lo, hi = bounds
+    assert (lo <= dense).all() and (dense <= hi).all()
+    i = _settled_index(g, player, pi, step, C)
     if i is not None:
-        assert np.array_equal(C[i], _dense_argmax_row(g, player, C, threads))
+        assert np.array_equal(C[i], C[int(np.argmax(dense))])
 
 @pytest.mark.parametrize("n, m", [(60, 50), (220, 130)])
 def test_certified_advantage_argmax_settles_most_draws(n, m):
     # Well-conditioned draws: unit-scale continuous payoffs, a Dirichlet
-    # pi_t.  Always answering None would keep the dense products.  At
-    # n = 220, m = 130 (1.26e7 multiply-adds a block, above the gate) the
-    # dense products run on the set thread count.
+    # pi_t.  Bounds that never settle would leave every pick to dense
+    # products.  At n = 220, m = 130 (1.26e7 multiply-adds a block, above
+    # the gate) the dense products run on the set thread count.
     threads = (None,) if solvers._OPENBLAS_THREADS is None else (1, 2)
     settled = 0
     for seed in range(20):
         g, pi, step = _draw_certify_case(seed, n, m, seed % 2, seed % 4 == 0,
                                          "normal", 1.0, "dirichlet", 0.3)
         C = _candidates(pi, step)
-        i = engine._certified_advantage_argmax(g, seed % 2, pi, step, C)
+        i = _settled_index(g, seed % 2, pi, step, C)
         if i is not None:
             settled += 1
             for t in threads:
@@ -529,46 +556,105 @@ def test_certified_advantage_argmax_settles_most_draws(n, m):
                                       _dense_argmax_row(g, seed % 2, C, t))
     assert settled >= 16
 
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 1200),
+       step=st.sampled_from([1e-6, 0.3, 1e9, "pi0"]),
+       pi_kind=st.sampled_from(["dirichlet", "near_pure", "with_zeros"]),
+       count=st.integers(1, 6), repeat=st.booleans())
+def test_candidate_rows_built_alone_match_full_block(seed, n, step, pi_kind,
+                                                     count, repeat):
+    rng = np.random.default_rng(seed)
+    if pi_kind == "near_pure":
+        pi = pure(n, int(rng.integers(n))) + 1e-12 * rng.uniform(size=n)
+    else:
+        pi = rng.dirichlet(np.ones(n))
+    if pi_kind == "with_zeros":
+        pi[rng.permutation(n)[: n // 2]] = 0.0
+    pi /= pi.sum()
+    step = float(pi[0]) if step == "pi0" else step
+    rows = rng.integers(0, 2 * n, size=count)
+    if repeat:
+        rows[-1] = rows[0]
+    assert np.array_equal(_candidates(pi, step, rows),
+                          _reference_candidates(pi, step)[rows])
+
+@pytest.mark.skipif(solvers._OPENBLAS_THREADS is None,
+                    reason="numpy has no bundled OpenBLAS")
+@pytest.mark.parametrize("threads", [1, 2])
+def test_survivor_rows_carry_full_block_bits_at_dim_1000(threads):
+    # Dim 1000, the shape of every shipped config above the gate.  Rows
+    # scored alone with block_rows (one row, repeated rows, +/- pairs, a few
+    # at random) carry the bits the full 2n-row block gives them, on the
+    # block's thread count.  At other shapes OpenBLAS gives a product's rows
+    # other bits as its row count changes, so this identity is not general.
+    rng = np.random.default_rng(threads)
+    n = 1000
+    u_row = rng.normal(size=(n, n))
+    for g in (new_game(u_row, rng.normal(size=(n, n))), new_game(u_row, -u_row)):
+        for player in (0, 1):
+            C = _candidates(rng.dirichlet(np.ones(n)), 0.3)
+            with blas_threads(threads):
+                full = advantage_many(g, player, C)
+                for rows in ([5], [n + 5], [3, 3], [7, n + 7], [2 * n - 1, 0],
+                             list(rng.integers(0, 2 * n, size=40)),
+                             [11, 11, 11]):
+                    alone = advantage_many(g, player, C[rows],
+                                           block_rows=2 * n)
+                    assert np.array_equal(alone, full[rows])
+
 def test_lookahead_below_gate_keeps_dense_path(monkeypatch):
-    # dim 100: 200 x 100 x 100 = 2e6 multiply-adds a block, below the gate.
+    # dim 100: 200 x 100 x 100 = 2e6 multiply-adds a block, below the gate;
+    # neither branch tries the bounds.
     called = []
-    monkeypatch.setattr(engine, "_certified_advantage_argmax",
+    monkeypatch.setattr(engine, "_advantage_bounds",
                         lambda *args: called.append(args))
     reports = run(gen_symmetric_zero_sum(100, 7),
-                  make_config("sc_psro_no_diversity", seed=0, max_iterations=4))
-    assert all(r.oracle_branch_taken == ("lookahead",) * 2 for r in reports)
+                  make_config("sc_psro", seed=0, max_iterations=4))
+    taken = {b for r in reports for b in r.oracle_branch_taken}
+    assert taken == {"lookahead", "diversity"}
     assert called == []
 
 def test_lookahead_above_gate_skips_dense_products(monkeypatch):
     # dim 200: 400 x 200 x 200 = 1.6e7 multiply-adds a block.  Each record
-    # is (certified index or None, dense scorings) of one lookahead step.
+    # holds one lookahead step's bounds and the (rows, block_rows) of each
+    # advantage_many call it makes.  The full 2n-row block is scored only
+    # where the bounds are loose; otherwise only the candidates that can win
+    # are, and none where they are one row, which is the dense argmax's row.
+    n = 200
     records = []
-    certify, score, step = (engine._certified_advantage_argmax,
-                            engine.advantage_many, engine.lookahead_step)
+    bounds_of, score, step = (engine._advantage_bounds, engine.advantage_many,
+                              engine.lookahead_step)
 
-    def counted_certify(game, player, pi_t, step_size, C):
-        i = records[-1][0] = certify(game, player, pi_t, step_size, C)
-        if i is not None:
-            dense = C[int(np.argmax(score(game, player, C)))]
-            assert np.array_equal(C[i], dense)
-        return i
+    def counted_bounds(game, player, pi_t, step_size):
+        records[-1]["bounds"] = bounds_of(game, player, pi_t, step_size)
+        records[-1]["C"] = _candidates(pi_t, step_size)
+        return records[-1]["bounds"]
 
-    def counted_score(*args):
-        records[-1][1] += 1
-        return score(*args)
+    def counted_score(game, player, P, block_rows=None):
+        records[-1]["calls"].append((P.shape[0], block_rows))
+        return score(game, player, P, block_rows=block_rows)
 
-    def counted_step(*args):
-        records.append([None, 0])
-        return step(*args)
+    def counted_step(game, player, *args):
+        records.append({"bounds": None, "calls": []})
+        out = step(game, player, *args)
+        if records[-1]["calls"] == []:
+            C = records[-1]["C"]
+            assert np.array_equal(out, _dense_argmax_row(game, player, C, None))
+        return out
 
-    monkeypatch.setattr(engine, "_certified_advantage_argmax", counted_certify)
+    monkeypatch.setattr(engine, "_advantage_bounds", counted_bounds)
     monkeypatch.setattr(engine, "advantage_many", counted_score)
     monkeypatch.setattr(engine, "lookahead_step", counted_step)
-    run(gen_general_sum(200, 7),
+    run(gen_general_sum(n, 7),
         make_config("sc_psro_no_diversity", seed=0, max_iterations=4))
     assert len(records) == 8
-    assert any(i is not None and dense == 0 for i, dense in records)
-    assert all((i is None) == (dense == 1) for i, dense in records)
+    assert any(r["calls"] == [] for r in records)
+    for r in records:
+        if r["bounds"] is None:
+            assert r["calls"] == [(2 * n, None)]
+        else:
+            assert all(rows < 2 * n and block == 2 * n
+                       for rows, block in r["calls"])
 
 def test_diversity_single_direction_returns_pi_t():
     g = new_game([[1.0, 0.0]], [[0.0, 1.0]])  # one row action
@@ -672,6 +758,38 @@ def test_diversity_argmax_matches_brute_force(seed, n, n_opp, player,
     approx, bound = ec_rank_one(fixed_rows, cand_rows)
     assert 1000.0 * np.abs(approx - ec).max() <= bound
 
+
+@pytest.mark.skipif(solvers._OPENBLAS_THREADS is None,
+                    reason="numpy has no bundled OpenBLAS")
+@pytest.mark.parametrize("threads", [1, 2])
+def test_diversity_argmax_matches_brute_force_above_gate(threads, monkeypatch):
+    # Dim 1000, above the gate: the advantage bounds pick the survivors and
+    # only their dense advantage is computed.  lr = 1e9 makes the +/- twins
+    # of criterion 8, whose totals only the dense bits order.
+    n = 1000
+    scored = []
+    score = engine.advantage_many
+
+    def counted_score(game, player, P, block_rows=None):
+        scored.append(P.shape[0])
+        return score(game, player, P, block_rows=block_rows)
+
+    monkeypatch.setattr(engine, "advantage_many", counted_score)
+    rng = np.random.default_rng(10 + threads)
+    u_row = rng.normal(size=(n, n))
+    games = (new_game(u_row, rng.normal(size=(n, n))), new_game(u_row, -u_row))
+    cases = [(games[0], 1, 0.3, 1.0, 0), (games[0], 0, 1e-3, 1e9, 2)]
+    cases += [(games[i % 2], i // 2 % 2, 1e9, 1.0, 1 + i) for i in range(6)]
+    for g, player, lr, lambda_1, n_fixed in cases:
+        pi = rng.dirichlet(np.ones(n))
+        F = rng.dirichlet(np.ones(n), size=n_fixed)
+        opp = rng.dirichlet(np.ones(n), size=5)
+        with blas_threads(threads):
+            out = _diversity_argmax(g, player, pi, F, opp, lr, lambda_1)
+            C, _, total = _brute_diversity_scores(g, player, pi, F, opp, lr,
+                                                  lambda_1)
+        assert np.array_equal(out, C[int(np.argmax(total))])
+    assert len(scored) == len(cases) and max(scored) < 2 * n
 
 # ---------------------------------------------------------------------------
 # Population update rule

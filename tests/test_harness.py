@@ -517,3 +517,19 @@ def test_cli_invalid_config_exits_2(tmp_path):
     cpath = tmp_path / "broken.json"
     cpath.write_text("{not json")
     assert main(["run", "--config", str(cpath)]) == 2
+
+@pytest.mark.parametrize("command", ["run", "eval", "gen-game"])
+def test_cli_directory_path_exits_2(tmp_path, capsys, command):
+    # A path that names a directory cannot be opened as a file.
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    strategy = tmp_path / "uniform.json"
+    strategy.write_text(json.dumps([0.5, 0.5]))
+    argv = {"run": ["run", "--config", str(folder)],
+            "eval": ["eval", "--game", str(folder), "--row", str(strategy),
+                     "--col", str(strategy), "--metric", "payoff"],
+            "gen-game": ["gen-game", "--kind", "elo", "--dim", "4",
+                         "-o", str(folder)]}[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
