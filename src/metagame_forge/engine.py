@@ -31,7 +31,8 @@ import numpy as np
 from .games import BimatrixGame, GameError, check_fields, freeze, payoff
 from .solvers import (ONE_THREAD_MNK, TIE_ATOL, MetaSolution, advantage,
                       advantage_many, best_response, ec_of_gram, ec_rank_one,
-                      exploitability, fictitious_play, own_matrix)
+                      exploitability, fictitious_play, own_matrix,
+                      rows_keep_block_bits)
 
 VARIANTS = ("vanilla_psro", "diversity_psro", "sc_psro")
 MODES = ("self_play", "stackelberg_player", "prosocial")
@@ -413,15 +414,14 @@ def _diversity_argmax(game: BimatrixGame, player: int, pi_t: np.ndarray,
     for every candidate, plus the weighted dense advantage), certified from
     cheaper passes.  `ec_rank_one` scores all candidates from one
     factorization, each within ``bound`` of its exact EC at every payoff
-    scale.  Where `_advantage_bounds` gives bounds, a candidate survives if
-    its highest possible total reaches the best lowest one, ``slack``
-    covering the rounding of the weighted terms and sums, and the dense
-    advantage is computed for the survivors alone.  Otherwise the dense
-    advantage of every candidate is added to the approximation, every exact
-    total then lies within ``margin`` of it, and the survivors are the
-    candidates within ``2 * margin`` of the approximate maximum; on a
-    non-finite approximation all of them are.  Only survivors are scored
-    exactly.
+    scale.  The advantage term lies within ``(lo, hi)``: the bounds of
+    `_advantage_bounds` where they are tight and the survivors keep the
+    block's bits (`rows_keep_block_bits`), otherwise the dense advantage of
+    every candidate.  A candidate survives if its highest possible total
+    reaches the best lowest one, ``slack`` covering the rounding of the
+    weighted terms and sums; on a non-finite approximation all of them do.
+    Only survivors are scored exactly, and where the bounds picked them only
+    they are given the dense advantage.
     """
     m_self = own_matrix(game, player)
     C = _candidates(pi_t, lr)
@@ -429,34 +429,29 @@ def _diversity_argmax(game: BimatrixGame, player: int, pi_t: np.ndarray,
     cand_rows = C @ meta
     fixed_rows = fixed_members @ meta
     approx, bound = ec_rank_one(fixed_rows, cand_rows)
-    eps = np.finfo(float).eps
     finite = np.isfinite(approx).all()
+    dense = None
     bounds = (_advantage_bounds(game, player, pi_t, lr)
               if lambda_1 > 0 and finite and _bounds_pay(game, player)
-              else None)
-    if bounds is not None:
-        lo, hi = bounds
-        # Rounding the weighted advantage, an exact total and the sums
-        # below moves a total by at most 6 unit roundoffs of its terms'
-        # magnitudes; the slack allows 16.
-        slack = 8.0 * eps * (np.abs(approx) + bound
-                             + lambda_1 * np.maximum(np.abs(lo), np.abs(hi)))
-        low = approx - bound + lambda_1 * lo - slack
-        high = approx + bound + lambda_1 * hi + slack
-        # A weight so large that the sums overflow to NaN keeps them all.
-        keep = np.flatnonzero(~(high < low.max()))
-        weighted = lambda_1 * advantage_many(game, player, C[keep],
-                                             block_rows=C.shape[0])
-    else:
-        weighted = (lambda_1 * advantage_many(game, player, C) if lambda_1 > 0
-                    else np.zeros(C.shape[0]))
-        approx = approx + weighted
-        if finite:
-            margin = bound + 2.0 * eps * np.abs(approx).max()
-            keep = np.flatnonzero(approx >= approx.max() - 2.0 * margin)
-        else:
-            keep = np.arange(C.shape[0])
-        weighted = weighted[keep]
+              and rows_keep_block_bits(game, player, C.shape[0]) else None)
+    if bounds is None:
+        dense = (advantage_many(game, player, C) if lambda_1 > 0
+                 else np.zeros(C.shape[0]))
+        bounds = dense, dense
+    lo, hi = bounds
+    # Rounding the weighted advantage, an exact total and the sums below
+    # moves a total by at most 6 unit roundoffs of its terms' magnitudes;
+    # the slack allows 16.
+    slack = 8.0 * np.finfo(float).eps * (
+        np.abs(approx) + bound + lambda_1 * np.maximum(np.abs(lo), np.abs(hi)))
+    low = approx - bound + lambda_1 * lo - slack
+    high = approx + bound + lambda_1 * hi + slack
+    # A weight so large that the sums overflow to NaN keeps them all.
+    keep = (np.flatnonzero(~(high < low.max())) if finite
+            else np.arange(C.shape[0]))
+    weighted = lambda_1 * (dense[keep] if dense is not None else
+                           advantage_many(game, player, C[keep],
+                                          block_rows=C.shape[0]))
     scores = _ec_scores(fixed_rows, cand_rows, keep) + weighted
     return C[keep[int(np.argmax(scores))]]
 
@@ -470,21 +465,24 @@ def lookahead_step(game: BimatrixGame, player: int, pi_t: np.ndarray,
 
     Where `_advantage_bounds` gives bounds, only the candidates whose upper
     bound reaches the best lower bound can win.  They are built alone, and
-    when they are all one row that row is returned; otherwise the dense
-    scores of these survivors decide."""
+    when they are all one row that row is returned; otherwise, where they
+    keep the block's bits (`rows_keep_block_bits`), the dense scores of these
+    survivors decide.  Else the dense scores of every candidate do."""
     bound = min(lr_base, float(np.abs(theta_self).max()))
     step = rng.uniform(0.0, bound)
+    n = pi_t.shape[0]
     bounds = (_advantage_bounds(game, player, pi_t, step)
               if _bounds_pay(game, player) else None)
-    if bounds is None:
-        C = _candidates(pi_t, step)
-        return C[int(np.argmax(advantage_many(game, player, C)))]
-    lo, hi = bounds
-    C = _candidates(pi_t, step, np.flatnonzero(hi >= lo.max()))
-    if (C == C[0]).all():
-        return C[0]
-    scores = advantage_many(game, player, C, block_rows=2 * pi_t.shape[0])
-    return C[int(np.argmax(scores))]
+    if bounds is not None:
+        lo, hi = bounds
+        C = _candidates(pi_t, step, np.flatnonzero(hi >= lo.max()))
+        if (C == C[0]).all():
+            return C[0]
+        if rows_keep_block_bits(game, player, 2 * n):
+            scores = advantage_many(game, player, C, block_rows=2 * n)
+            return C[int(np.argmax(scores))]
+    C = _candidates(pi_t, step)
+    return C[int(np.argmax(advantage_many(game, player, C)))]
 
 
 # ---------------------------------------------------------------------------

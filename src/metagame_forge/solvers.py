@@ -32,6 +32,10 @@ ROW, COL = 0, 1
 # work still gain from threads (1.7x on the dim-1000 cell), so they keep them.
 ONE_THREAD_MNK = 1e7
 
+# Rows that `advantage_many` scores apart from their candidate block go
+# through products of this many rows (see `rows_keep_block_bits`).
+PICKED_ROWS = 16
+
 
 def _openblas_threads():
     """(get, set) of the number of threads of numpy's bundled OpenBLAS, or
@@ -116,6 +120,14 @@ def exploitability(game: BimatrixGame, pi_row, pi_col) -> float:
     return float(row_gap + col_gap)
 
 
+def _rows_product(P: np.ndarray, M: np.ndarray, block_rows) -> np.ndarray:
+    """``P @ M``, in chunks of PICKED_ROWS rows where ``block_rows`` is set."""
+    if block_rows is None:
+        return P @ M
+    return np.concatenate([P[i:i + PICKED_ROWS] @ M
+                           for i in range(0, P.shape[0], PICKED_ROWS)])
+
+
 def advantage_many(game: BimatrixGame, player: int, strategies: np.ndarray,
                    block_rows: int | None = None) -> np.ndarray:
     """Advantage of each row of `strategies` (k x own-dim) for `player`.
@@ -129,25 +141,72 @@ def advantage_many(game: BimatrixGame, player: int, strategies: np.ndarray,
     player's row minimum and larger values only: one product suffices.
 
     ``block_rows`` scores the strategies as rows picked from a block of that
-    many: the products run on the BLAS thread count of the whole block, and
-    a single row is scored twice, as a one-row product takes another BLAS
-    routine (gemv).  Thread count and routine each change the last bits; at
-    dim 1000 with OpenBLAS 0.3.31 the rows then carry the block's bits, but
-    at other shapes a product's row bits also depend on its row count.
+    many: the products run on the BLAS thread count of the whole block, in
+    chunks of PICKED_ROWS rows, the last one filled up with repeated rows
+    (a one-row product would take another BLAS routine, gemv).  Where
+    `rows_keep_block_bits` holds, the rows then carry the bits the whole
+    block gives them.
     """
     m_self = own_matrix(game, player)
     P = np.atleast_2d(np.asarray(strategies, dtype=float))
     k = P.shape[0]
-    if block_rows is not None and k == 1:
-        P = np.repeat(P, 2, axis=0)
+    if block_rows is not None:
+        P = np.resize(P, (-(-k // PICKED_ROWS) * PICKED_ROWS, P.shape[1]))
     with _blas_threads_for((block_rows or k) * P.shape[1] * m_self.shape[1]):
-        self_vals = P @ m_self       # (k, opp-dim): player payoff per pure reply
+        self_vals = _rows_product(P, m_self, block_rows)  # player payoff per reply
         if game.exact_zero_sum:
             return self_vals.min(axis=1)[:k]
-        opp_vals = P @ own_matrix(game, 1 - player).T  # opponent payoff per reply
+        opp_vals = _rows_product(P, own_matrix(game, 1 - player).T, block_rows)
     best = opp_vals.max(axis=1, keepdims=True)
     np.putmask(self_vals, ~(opp_vals >= best - TIE_ATOL), np.inf)
     return self_vals.min(axis=1)[:k]
+
+
+def _picks_match(P: np.ndarray, M: np.ndarray, picks) -> bool:
+    """Whether each set of rows of P, multiplied alone, gives the bits of
+    the same rows of ``P @ M``."""
+    full = P @ M
+    return all(np.array_equal(P[rows] @ M, full[rows]) for rows in picks)
+
+
+# Answers of `rows_keep_block_bits`, by product shapes, layouts and threads.
+_BLOCK_BITS: dict = {}
+
+
+def rows_keep_block_bits(game: BimatrixGame, player: int,
+                         block_rows: int) -> bool:
+    """Whether `advantage_many(..., block_rows=)` gives rows picked from a
+    block of ``block_rows`` candidates the bits the whole block gives them.
+
+    This depends on the BLAS at the products' shapes, layouts and thread
+    count, not on the values, which do not change the order of operations.
+    With OpenBLAS 0.3.31 (SkylakeX kernels) it held at dim 1000 against 1000
+    opponent actions, and failed at dim 220 against 140, at dims 500 and
+    700, and against 999 opponent actions: the smaller products gave other
+    bits in the last columns or in all of them, and some rows changed bits
+    with their position in the block.  So random rows are checked: chunks
+    of PICKED_ROWS rows from both ends of a random block and at random must
+    match the full block entry for entry.  The answer is kept per shape,
+    layout and thread count.
+    """
+    mats = [own_matrix(game, player)]
+    if not game.exact_zero_sum:
+        mats.append(own_matrix(game, 1 - player).T)
+    n, m = mats[0].shape
+    mnk = block_rows * n * m
+    threads = (None if _OPENBLAS_THREADS is None
+               else 1 if mnk < ONE_THREAD_MNK else _OPENBLAS_THREADS[0]())
+    key = (block_rows, threads, tuple((M.shape, M.strides) for M in mats))
+    if key not in _BLOCK_BITS:
+        rng = np.random.default_rng(0)
+        P = rng.random((block_rows, n))
+        picks = [np.arange(PICKED_ROWS) % block_rows,
+                 -1 - np.arange(PICKED_ROWS) % block_rows]
+        picks += [rng.integers(0, block_rows, size=PICKED_ROWS)
+                  for _ in range(3)]
+        with _blas_threads_for(mnk):
+            _BLOCK_BITS[key] = all(_picks_match(P, M, picks) for M in mats)
+    return _BLOCK_BITS[key]
 
 
 def advantage(game: BimatrixGame, player: int, pi) -> float:

@@ -481,6 +481,15 @@ def blas_threads(threads):
     finally:
         set_(before)
 
+class _FixedStep:
+    """Stands in for the generator `lookahead_step` draws its step from."""
+
+    def __init__(self, step):
+        self.step = step
+
+    def uniform(self, low, high):
+        return self.step
+
 def _dense_argmax_row(g, player, C, threads):
     with blas_threads(threads):
         return C[int(np.argmax(advantage_many(g, player, C)))]
@@ -520,16 +529,21 @@ def test_certified_advantage_argmax_matches_dense(threads, seed, n, m, player,
     # Both sides of the lookahead gate: with n >= 200 and m >= 125 the block
     # has 2 n n m >= 1e7 multiply-adds, so the dense products run on the
     # set thread count, which changes their last bits; smaller blocks run on
-    # one thread whatever is set.  The bounds hold every dense score, and a
-    # settled candidate is the dense argmax's row.
+    # one thread whatever is set.  The bounds hold every dense score, a
+    # settled candidate is the dense argmax's row, and so is every lookahead
+    # pick, settled or scored from the survivors alone.
     g, pi, step = _draw_certify_case(seed, n, m, player, zero_sum, payoffs,
                                      scale, pi_kind, step)
     C = _candidates(pi, step)
+    with blas_threads(threads):
+        dense = advantage_many(g, player, C)
+        # Settled, scored from survivors or dense: the full block's pick.
+        out = engine.lookahead_step(g, player, pi, np.ones(1), 1.0,
+                                    _FixedStep(step))
+    assert np.array_equal(out, C[int(np.argmax(dense))])
     bounds = engine._advantage_bounds(g, player, pi, step)
     if bounds is None:
         return
-    with blas_threads(threads):
-        dense = advantage_many(g, player, C)
     lo, hi = bounds
     assert (lo <= dense).all() and (dense <= hi).all()
     i = _settled_index(g, player, pi, step, C)
@@ -581,26 +595,39 @@ def test_candidate_rows_built_alone_match_full_block(seed, n, step, pi_kind,
 @pytest.mark.skipif(solvers._OPENBLAS_THREADS is None,
                     reason="numpy has no bundled OpenBLAS")
 @pytest.mark.parametrize("threads", [1, 2])
-def test_survivor_rows_carry_full_block_bits_at_dim_1000(threads):
-    # Dim 1000, the shape of every shipped config above the gate.  Rows
-    # scored alone with block_rows (one row, repeated rows, +/- pairs, a few
-    # at random) carry the bits the full 2n-row block gives them, on the
-    # block's thread count.  At other shapes OpenBLAS gives a product's rows
-    # other bits as its row count changes, so this identity is not general.
-    rng = np.random.default_rng(threads)
-    n = 1000
-    u_row = rng.normal(size=(n, n))
-    for g in (new_game(u_row, rng.normal(size=(n, n))), new_game(u_row, -u_row)):
-        for player in (0, 1):
-            C = _candidates(rng.dirichlet(np.ones(n)), 0.3)
-            with blas_threads(threads):
-                full = advantage_many(g, player, C)
-                for rows in ([5], [n + 5], [3, 3], [7, n + 7], [2 * n - 1, 0],
-                             list(rng.integers(0, 2 * n, size=40)),
-                             [11, 11, 11]):
-                    alone = advantage_many(g, player, C[rows],
-                                           block_rows=2 * n)
-                    assert np.array_equal(alone, full[rows])
+@settings(max_examples=60, deadline=None)
+# Dim 1000 against 1000 opponent actions, the criterion-8 cell's shape.
+@example(seed=0, n=1000, m=1000, player=0, zero_sum=False, count=2,
+         repeat=False)
+@example(seed=1, n=1000, m=1000, player=1, zero_sum=True, count=1,
+         repeat=False)
+# Chunks of 16 rows of dim 400 run below ONE_THREAD_MNK, the full block above
+# it, and here one thread gives other bits than two.
+@example(seed=2, n=400, m=400, player=0, zero_sum=False, count=3,
+         repeat=False)
+@given(seed=st.integers(0, 2**31 - 1),
+       n=st.one_of(st.integers(1, 30), st.integers(150, 420)),
+       m=st.one_of(st.integers(1, 30), st.integers(100, 420)),
+       player=st.sampled_from([0, 1]), zero_sum=st.booleans(),
+       count=st.integers(1, 40), repeat=st.booleans())
+def test_picked_rows_keep_full_block_bits(threads, seed, n, m, player,
+                                          zero_sum, count, repeat):
+    # Both sides of the gate.  Where rows_keep_block_bits holds, rows scored
+    # apart from their 2n-row candidate block (one row, repeated rows, more
+    # than one chunk) carry the bits the full block gives them on the set
+    # thread count.  Where it does not, the engine scores the full block.
+    rng = np.random.default_rng(seed)
+    shape = (n, m) if player == 0 else (m, n)
+    u_row = rng.normal(size=shape)
+    g = new_game(u_row, -u_row if zero_sum else rng.normal(size=shape))
+    C = _candidates(rng.dirichlet(np.ones(n)), 0.3)
+    rows = rng.integers(0, 2 * n, size=count)
+    if repeat:
+        rows[-1] = rows[0]
+    with blas_threads(threads):
+        if solvers.rows_keep_block_bits(g, player, 2 * n):
+            alone = advantage_many(g, player, C[rows], block_rows=2 * n)
+            assert np.array_equal(alone, advantage_many(g, player, C)[rows])
 
 def test_lookahead_below_gate_keeps_dense_path(monkeypatch):
     # dim 100: 200 x 100 x 100 = 2e6 multiply-adds a block, below the gate;
@@ -618,8 +645,9 @@ def test_lookahead_above_gate_skips_dense_products(monkeypatch):
     # dim 200: 400 x 200 x 200 = 1.6e7 multiply-adds a block.  Each record
     # holds one lookahead step's bounds and the (rows, block_rows) of each
     # advantage_many call it makes.  The full 2n-row block is scored only
-    # where the bounds are loose; otherwise only the candidates that can win
-    # are, and none where they are one row, which is the dense argmax's row.
+    # where the bounds are loose or picked rows would not keep its bits;
+    # otherwise only the candidates that can win are, and none where they
+    # are one row.  Every pick is the dense argmax's row.
     n = 200
     records = []
     bounds_of, score, step = (engine._advantage_bounds, engine.advantage_many,
@@ -635,9 +663,11 @@ def test_lookahead_above_gate_skips_dense_products(monkeypatch):
         return score(game, player, P, block_rows=block_rows)
 
     def counted_step(game, player, *args):
-        records.append({"bounds": None, "calls": []})
+        records.append({"bounds": None, "calls": [], "game": game,
+                        "player": player})
         out = step(game, player, *args)
-        if records[-1]["calls"] == []:
+        if records[-1]["bounds"] is not None:
+            # Settled or scored from survivors: the full block's dense pick.
             C = records[-1]["C"]
             assert np.array_equal(out, _dense_argmax_row(game, player, C, None))
         return out
@@ -650,7 +680,9 @@ def test_lookahead_above_gate_skips_dense_products(monkeypatch):
     assert len(records) == 8
     assert any(r["calls"] == [] for r in records)
     for r in records:
-        if r["bounds"] is None:
+        if r["bounds"] is None or (
+                r["calls"] and not solvers.rows_keep_block_bits(
+                    r["game"], r["player"], 2 * n)):
             assert r["calls"] == [(2 * n, None)]
         else:
             assert all(rows < 2 * n and block == 2 * n
@@ -762,16 +794,18 @@ def test_diversity_argmax_matches_brute_force(seed, n, n_opp, player,
 @pytest.mark.skipif(solvers._OPENBLAS_THREADS is None,
                     reason="numpy has no bundled OpenBLAS")
 @pytest.mark.parametrize("threads", [1, 2])
-def test_diversity_argmax_matches_brute_force_above_gate(threads, monkeypatch):
-    # Dim 1000, above the gate: the advantage bounds pick the survivors and
-    # only their dense advantage is computed.  lr = 1e9 makes the +/- twins
+@pytest.mark.parametrize("n", [200, 1000])
+def test_diversity_argmax_matches_brute_force_above_gate(n, threads,
+                                                         monkeypatch):
+    # Above the gate the advantage bounds pick the survivors, and only their
+    # dense advantage is computed where picked rows keep the full block's
+    # bits; elsewhere the full block is scored.  lr = 1e9 makes the +/- twins
     # of criterion 8, whose totals only the dense bits order.
-    n = 1000
     scored = []
     score = engine.advantage_many
 
     def counted_score(game, player, P, block_rows=None):
-        scored.append(P.shape[0])
+        scored.append((P.shape[0], block_rows))
         return score(game, player, P, block_rows=block_rows)
 
     monkeypatch.setattr(engine, "advantage_many", counted_score)
@@ -784,12 +818,16 @@ def test_diversity_argmax_matches_brute_force_above_gate(threads, monkeypatch):
         pi = rng.dirichlet(np.ones(n))
         F = rng.dirichlet(np.ones(n), size=n_fixed)
         opp = rng.dirichlet(np.ones(n), size=5)
+        scored.clear()
         with blas_threads(threads):
             out = _diversity_argmax(g, player, pi, F, opp, lr, lambda_1)
             C, _, total = _brute_diversity_scores(g, player, pi, F, opp, lr,
                                                   lambda_1)
+            picked = solvers.rows_keep_block_bits(g, player, 2 * n)
         assert np.array_equal(out, C[int(np.argmax(total))])
-    assert len(scored) == len(cases) and max(scored) < 2 * n
+        assert len(scored) == 1
+        rows, block = scored[0]
+        assert (rows < 2 * n and block == 2 * n) if picked else block is None
 
 # ---------------------------------------------------------------------------
 # Population update rule
