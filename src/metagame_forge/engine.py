@@ -310,15 +310,6 @@ def _candidates(pi_t: np.ndarray, step: float, rows=None) -> np.ndarray:
     return V
 
 
-def _bounds_pay(game: BimatrixGame, player: int) -> bool:
-    """Whether `_advantage_bounds` is tried for ``player``'s candidates: for
-    blocks of at least ONE_THREAD_MNK multiply-adds, the threading cutoff of
-    `_blas_threads_for`, reused as the point where the pass starts to pay;
-    it was timed only at dims 100 (slower) and 1000 (faster)."""
-    n = game.dims(player)
-    return 2 * n * n * game.dims(1 - player) >= ONE_THREAD_MNK
-
-
 def _advantage_bounds(game: BimatrixGame, player: int, pi_t: np.ndarray,
                       step: float):
     """Bounds ``(lo, hi)`` on the advantage that `advantage_many` gives each
@@ -401,6 +392,60 @@ def _ec_scores(fixed_rows: np.ndarray, cand_rows: np.ndarray,
     return scores
 
 
+def _best_candidate(game: BimatrixGame, player: int, pi_t: np.ndarray,
+                    step: float, weight: float, ec=None, C=None) -> np.ndarray:
+    """The candidate of ``_candidates(pi_t, step)`` (``C``, where the caller
+    has built it) with the highest score: ``weight`` times its advantage
+    plus, where ``ec = (approx, bound, exact)`` is given, its expected
+    cardinality, within ``bound`` of ``approx`` and ``exact(rows)`` for the
+    given rows.  Ties go to the lowest candidate index.
+
+    For blocks of at least ONE_THREAD_MNK multiply-adds (the threading
+    cutoff of `_blas_threads_for`; the bounds were timed only at dims 100,
+    where they cost more than they saved, and 1000) the advantage lies
+    within the bounds of `_advantage_bounds` where they are tight; else it
+    is the full block's dense advantage.  A candidate survives if its
+    highest possible score reaches the best lowest one, ``slack`` covering
+    the rounding of the weighted terms and sums; on a non-finite
+    approximation all of them do.  Survivors that are one row are that row;
+    else they are scored exactly, with the dense advantage of the survivors
+    alone where they keep the block's bits (`rows_keep_block_bits`), else of
+    the full block.
+    """
+    n = pi_t.shape[0]
+    approx, bound, exact = ec or (0.0, 0.0, lambda rows: 0.0)
+    bounds = dense = None
+    if weight > 0 and 2 * n * n * game.dims(1 - player) >= ONE_THREAD_MNK:
+        bounds = _advantage_bounds(game, player, pi_t, step)
+    if bounds is None:
+        C = _candidates(pi_t, step) if C is None else C
+        dense = (advantage_many(game, player, C) if weight > 0
+                 else np.zeros(2 * n))
+        if ec is None:   # every score is exact: no survivor rule is needed
+            return C[int(np.argmax(dense))]
+        bounds = dense, dense
+    lo, hi = bounds
+    # Rounding the weighted advantage, an exact total and the sums below
+    # moves a total by at most 6 unit roundoffs of its terms' magnitudes;
+    # the slack allows 16.
+    slack = 8.0 * np.finfo(float).eps * (
+        np.abs(approx) + bound + weight * np.maximum(np.abs(lo), np.abs(hi)))
+    low = approx - bound + weight * lo - slack
+    high = approx + bound + weight * hi + slack
+    # A weight so large that the sums overflow to NaN keeps them all.
+    keep = (np.flatnonzero(~(high < low.max())) if np.isfinite(approx).all()
+            else np.arange(2 * n))
+    rows = _candidates(pi_t, step, keep) if C is None else C[keep]
+    if (rows == rows[0]).all():
+        return rows[0]
+    if dense is None and not rows_keep_block_bits(game, player):
+        C = _candidates(pi_t, step) if C is None else C
+        dense = advantage_many(game, player, C)
+    adv = (dense[keep] if dense is not None
+           else advantage_many(game, player, rows, picked=True))
+    return rows[int(np.argmax(exact(keep) + weight * adv))]
+
+
 def _diversity_argmax(game: BimatrixGame, player: int, pi_t: np.ndarray,
                       fixed_members: np.ndarray, opp_members: np.ndarray,
                       lr: float, lambda_1: float) -> np.ndarray:
@@ -408,52 +453,19 @@ def _diversity_argmax(game: BimatrixGame, player: int, pi_t: np.ndarray,
     from ``pi_t``, the candidate maximizing the expected cardinality of the
     meta-matrix of ``fixed_members`` (k x n, k >= 0) plus the candidate
     against ``opp_members``, plus ``lambda_1`` times the candidate's
-    advantage.  Ties go to the lowest candidate index.
-
-    The result is the argmax of the exact per-candidate scores (`_ec_scores`
-    for every candidate, plus the weighted dense advantage), certified from
-    cheaper passes.  `ec_rank_one` scores all candidates from one
-    factorization, each within ``bound`` of its exact EC at every payoff
-    scale.  The advantage term lies within ``(lo, hi)``: the bounds of
-    `_advantage_bounds` where they are tight and the survivors keep the
-    block's bits (`rows_keep_block_bits`), otherwise the dense advantage of
-    every candidate.  A candidate survives if its highest possible total
-    reaches the best lowest one, ``slack`` covering the rounding of the
-    weighted terms and sums; on a non-finite approximation all of them do.
-    Only survivors are scored exactly, and where the bounds picked them only
-    they are given the dense advantage.
-    """
+    advantage (`_best_candidate`).  `ec_rank_one` scores all candidates from
+    one factorization, each within ``bound`` of its exact EC at every payoff
+    scale, and only the candidates it cannot rule out get `_ec_scores`."""
     m_self = own_matrix(game, player)
     C = _candidates(pi_t, lr)
     meta = m_self @ opp_members.T
     cand_rows = C @ meta
     fixed_rows = fixed_members @ meta
     approx, bound = ec_rank_one(fixed_rows, cand_rows)
-    finite = np.isfinite(approx).all()
-    dense = None
-    bounds = (_advantage_bounds(game, player, pi_t, lr)
-              if lambda_1 > 0 and finite and _bounds_pay(game, player)
-              and rows_keep_block_bits(game, player, C.shape[0]) else None)
-    if bounds is None:
-        dense = (advantage_many(game, player, C) if lambda_1 > 0
-                 else np.zeros(C.shape[0]))
-        bounds = dense, dense
-    lo, hi = bounds
-    # Rounding the weighted advantage, an exact total and the sums below
-    # moves a total by at most 6 unit roundoffs of its terms' magnitudes;
-    # the slack allows 16.
-    slack = 8.0 * np.finfo(float).eps * (
-        np.abs(approx) + bound + lambda_1 * np.maximum(np.abs(lo), np.abs(hi)))
-    low = approx - bound + lambda_1 * lo - slack
-    high = approx + bound + lambda_1 * hi + slack
-    # A weight so large that the sums overflow to NaN keeps them all.
-    keep = (np.flatnonzero(~(high < low.max())) if finite
-            else np.arange(C.shape[0]))
-    weighted = lambda_1 * (dense[keep] if dense is not None else
-                           advantage_many(game, player, C[keep],
-                                          block_rows=C.shape[0]))
-    scores = _ec_scores(fixed_rows, cand_rows, keep) + weighted
-    return C[keep[int(np.argmax(scores))]]
+    return _best_candidate(
+        game, player, pi_t, lr, lambda_1,
+        (approx, bound, lambda keep: _ec_scores(fixed_rows, cand_rows, keep)),
+        C)
 
 
 def lookahead_step(game: BimatrixGame, player: int, pi_t: np.ndarray,
@@ -461,28 +473,10 @@ def lookahead_step(game: BimatrixGame, player: int, pi_t: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:
     """Advantage hill-climb: sample a step size bounded by the max-norm of the
     player's own meta-weights, enumerate pure-direction candidates, and return
-    the one with the highest advantage (the lowest index among ties).
-
-    Where `_advantage_bounds` gives bounds, only the candidates whose upper
-    bound reaches the best lower bound can win.  They are built alone, and
-    when they are all one row that row is returned; otherwise, where they
-    keep the block's bits (`rows_keep_block_bits`), the dense scores of these
-    survivors decide.  Else the dense scores of every candidate do."""
+    the one with the highest advantage (`_best_candidate`; the lowest index
+    among ties)."""
     bound = min(lr_base, float(np.abs(theta_self).max()))
-    step = rng.uniform(0.0, bound)
-    n = pi_t.shape[0]
-    bounds = (_advantage_bounds(game, player, pi_t, step)
-              if _bounds_pay(game, player) else None)
-    if bounds is not None:
-        lo, hi = bounds
-        C = _candidates(pi_t, step, np.flatnonzero(hi >= lo.max()))
-        if (C == C[0]).all():
-            return C[0]
-        if rows_keep_block_bits(game, player, 2 * n):
-            scores = advantage_many(game, player, C, block_rows=2 * n)
-            return C[int(np.argmax(scores))]
-    C = _candidates(pi_t, step)
-    return C[int(np.argmax(advantage_many(game, player, C)))]
+    return _best_candidate(game, player, pi_t, rng.uniform(0.0, bound), 1.0)
 
 
 # ---------------------------------------------------------------------------

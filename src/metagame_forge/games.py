@@ -250,17 +250,17 @@ def save_game(game: BimatrixGame, path) -> None:
 
 
 def load_game(path) -> BimatrixGame:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:   # every error, from a missing file to a bad matrix, names the file
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GameError(f"malformed game file {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise GameError(f"game file {path} does not hold a JSON object")
-    for key in ("name", "n_rows", "n_cols", "U_row", "U_col"):
-        if key not in doc:
-            raise GameError(f"game file {path} missing field {key!r}")
-    game = new_game(doc["U_row"], doc["U_col"], str(doc["name"]))
-    if game.n_rows != doc["n_rows"] or game.n_cols != doc["n_cols"]:
-        raise GameError(f"game file {path}: declared shape does not match matrices")
+        if not isinstance(doc, dict):
+            raise GameError("does not hold a JSON object")
+        for key in ("name", "n_rows", "n_cols", "U_row", "U_col"):
+            if key not in doc:
+                raise GameError(f"missing field {key!r}")
+        game = new_game(doc["U_row"], doc["U_col"], str(doc["name"]))
+        if game.n_rows != doc["n_rows"] or game.n_cols != doc["n_cols"]:
+            raise GameError("declared shape does not match matrices")
+    except (OSError, ValueError) as exc:
+        raise GameError(f"game file {path}: {exc}") from exc
     return game

@@ -90,6 +90,9 @@ class ExperimentConfig:
             twice = [key for key, count in Counter(keys).items() if count > 1]
             if twice:
                 raise GameError(f"{what} {twice[0]!r} appears twice in the grid")
+        for game in self.games:   # last, as it reads the game files
+            if isinstance(game, str):
+                load_game(game)   # one that does not load fails every cell
 
 
 def parse_seeds(spec) -> list:

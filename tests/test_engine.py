@@ -605,6 +605,10 @@ def test_candidate_rows_built_alone_match_full_block(seed, n, step, pi_kind,
 # it, and here one thread gives other bits than two.
 @example(seed=2, n=400, m=400, player=0, zero_sum=False, count=3,
          repeat=False)
+# One opponent action: gemv, whose row 32 of the 34-row block differs from
+# the same row in a 16-row chunk by 4e-17.
+@example(seed=2127, n=17, m=1, player=0, zero_sum=True, count=3,
+         repeat=False)
 @given(seed=st.integers(0, 2**31 - 1),
        n=st.one_of(st.integers(1, 30), st.integers(150, 420)),
        m=st.one_of(st.integers(1, 30), st.integers(100, 420)),
@@ -612,10 +616,11 @@ def test_candidate_rows_built_alone_match_full_block(seed, n, step, pi_kind,
        count=st.integers(1, 40), repeat=st.booleans())
 def test_picked_rows_keep_full_block_bits(threads, seed, n, m, player,
                                           zero_sum, count, repeat):
-    # Both sides of the gate.  Where rows_keep_block_bits holds, rows scored
-    # apart from their 2n-row candidate block (one row, repeated rows, more
-    # than one chunk) carry the bits the full block gives them on the set
-    # thread count.  Where it does not, the engine scores the full block.
+    # Both sides of the gate.  Below it the answer is no.  Above it, where
+    # rows_keep_block_bits holds, rows scored apart from their 2n-row
+    # candidate block (one row, repeated rows, more than one chunk) carry
+    # the bits the full block gives them on the set thread count.  Where it
+    # does not, the engine scores the full block.
     rng = np.random.default_rng(seed)
     shape = (n, m) if player == 0 else (m, n)
     u_row = rng.normal(size=shape)
@@ -625,8 +630,11 @@ def test_picked_rows_keep_full_block_bits(threads, seed, n, m, player,
     if repeat:
         rows[-1] = rows[0]
     with blas_threads(threads):
-        if solvers.rows_keep_block_bits(g, player, 2 * n):
-            alone = advantage_many(g, player, C[rows], block_rows=2 * n)
+        keeps = solvers.rows_keep_block_bits(g, player)
+        if 2 * n * n * m < solvers.ONE_THREAD_MNK:
+            assert not keeps
+        elif keeps:
+            alone = advantage_many(g, player, C[rows], picked=True)
             assert np.array_equal(alone, advantage_many(g, player, C)[rows])
 
 def test_lookahead_below_gate_keeps_dense_path(monkeypatch):
@@ -641,9 +649,35 @@ def test_lookahead_below_gate_keeps_dense_path(monkeypatch):
     assert taken == {"lookahead", "diversity"}
     assert called == []
 
+def _trajectory(reports):
+    """Everything a report holds but its wall time, bit for bit."""
+    return [(r.iteration, r.theta.theta_row.tobytes(),
+             r.theta.theta_col.tobytes(), r.theta.residual,
+             r.theta.iterations_used, r.exploitability, r.reward_row,
+             r.reward_col, r.pop_sizes, r.clipped_sizes, r.oracle_branch_taken)
+            for r in reports]
+
+@pytest.mark.parametrize("lr", [0.3, 1e9])
+@pytest.mark.parametrize("shape", [(200, 200), (220, 140)])
+def test_bounds_keep_dense_trajectory_above_gate(shape, lr, monkeypatch):
+    # Whole runs above the gate: with the advantage bounds, and with the
+    # dense scores of every candidate (the bounds never given).  Square
+    # dim 200 keeps picked rows' bits; 220 x 140 does not, so there the
+    # survivors are scored in the full block.
+    if shape == (200, 200):
+        g = gen_general_sum(200, 7)
+    else:
+        rng = np.random.default_rng(5)
+        g = new_game(rng.normal(size=shape), rng.normal(size=shape))
+    cfg = dict(seed=0, max_iterations=10, lr=lr)
+    reports = run(g, make_config("sc_psro", **cfg))
+    monkeypatch.setattr(engine, "_advantage_bounds", lambda *args: None)
+    assert _trajectory(reports) == _trajectory(
+        run(g, make_config("sc_psro", **cfg)))
+
 def test_lookahead_above_gate_skips_dense_products(monkeypatch):
     # dim 200: 400 x 200 x 200 = 1.6e7 multiply-adds a block.  Each record
-    # holds one lookahead step's bounds and the (rows, block_rows) of each
+    # holds one lookahead step's bounds and the (rows, picked) of each
     # advantage_many call it makes.  The full 2n-row block is scored only
     # where the bounds are loose or picked rows would not keep its bits;
     # otherwise only the candidates that can win are, and none where they
@@ -658,9 +692,9 @@ def test_lookahead_above_gate_skips_dense_products(monkeypatch):
         records[-1]["C"] = _candidates(pi_t, step_size)
         return records[-1]["bounds"]
 
-    def counted_score(game, player, P, block_rows=None):
-        records[-1]["calls"].append((P.shape[0], block_rows))
-        return score(game, player, P, block_rows=block_rows)
+    def counted_score(game, player, P, picked=False):
+        records[-1]["calls"].append((P.shape[0], picked))
+        return score(game, player, P, picked=picked)
 
     def counted_step(game, player, *args):
         records.append({"bounds": None, "calls": [], "game": game,
@@ -682,11 +716,10 @@ def test_lookahead_above_gate_skips_dense_products(monkeypatch):
     for r in records:
         if r["bounds"] is None or (
                 r["calls"] and not solvers.rows_keep_block_bits(
-                    r["game"], r["player"], 2 * n)):
-            assert r["calls"] == [(2 * n, None)]
+                    r["game"], r["player"])):
+            assert r["calls"] == [(2 * n, False)]
         else:
-            assert all(rows < 2 * n and block == 2 * n
-                       for rows, block in r["calls"])
+            assert all(rows < 2 * n and picked for rows, picked in r["calls"])
 
 def test_diversity_single_direction_returns_pi_t():
     g = new_game([[1.0, 0.0]], [[0.0, 1.0]])  # one row action
@@ -799,16 +832,22 @@ def test_diversity_argmax_matches_brute_force_above_gate(n, threads,
                                                          monkeypatch):
     # Above the gate the advantage bounds pick the survivors, and only their
     # dense advantage is computed where picked rows keep the full block's
-    # bits; elsewhere the full block is scored.  lr = 1e9 makes the +/- twins
-    # of criterion 8, whose totals only the dense bits order.
-    scored = []
-    score = engine.advantage_many
+    # bits; elsewhere the full block is scored.  Survivors that are one row
+    # are returned unscored.  lr = 1e9 makes the +/- twins of criterion 8,
+    # whose totals only the dense bits order.
+    scored, survivors = [], []
+    score, ec_scores = engine.advantage_many, engine._ec_scores
 
-    def counted_score(game, player, P, block_rows=None):
-        scored.append((P.shape[0], block_rows))
-        return score(game, player, P, block_rows=block_rows)
+    def counted_score(game, player, P, picked=False):
+        scored.append((P.shape[0], picked))
+        return score(game, player, P, picked=picked)
+
+    def counted_ec(fixed_rows, cand_rows, index):
+        survivors.append(index)
+        return ec_scores(fixed_rows, cand_rows, index)
 
     monkeypatch.setattr(engine, "advantage_many", counted_score)
+    monkeypatch.setattr(engine, "_ec_scores", counted_ec)
     rng = np.random.default_rng(10 + threads)
     u_row = rng.normal(size=(n, n))
     games = (new_game(u_row, rng.normal(size=(n, n))), new_game(u_row, -u_row))
@@ -819,15 +858,42 @@ def test_diversity_argmax_matches_brute_force_above_gate(n, threads,
         F = rng.dirichlet(np.ones(n), size=n_fixed)
         opp = rng.dirichlet(np.ones(n), size=5)
         scored.clear()
+        survivors.clear()
         with blas_threads(threads):
             out = _diversity_argmax(g, player, pi, F, opp, lr, lambda_1)
             C, _, total = _brute_diversity_scores(g, player, pi, F, opp, lr,
                                                   lambda_1)
-            picked = solvers.rows_keep_block_bits(g, player, 2 * n)
+            picked = solvers.rows_keep_block_bits(g, player)
         assert np.array_equal(out, C[int(np.argmax(total))])
-        assert len(scored) == 1
-        rows, block = scored[0]
-        assert (rows < 2 * n and block == 2 * n) if picked else block is None
+        # One dense call exactly when the survivors hold two or more rows.
+        assert len(scored) == len(survivors) <= 1
+        if survivors:
+            keep = survivors[0]
+            assert len(np.unique(C[keep], axis=0)) >= 2
+            rows, was_picked = scored[0]
+            assert (rows == len(keep) and was_picked) if picked else (
+                rows == 2 * n and not was_picked)
+
+def test_diversity_one_row_survivors_are_not_scored(monkeypatch):
+    # Above the gate (400 x 200 x 200 multiply-adds).  pi_t is 0 at action
+    # 0, so its + and - candidates are one row, and they alone can win: the
+    # opponents play actions 0-4, pi_t half 1-4, so the candidate near e_0
+    # adds the most expected cardinality, and the weighted advantage is too
+    # small to change that.
+    calls = []
+    monkeypatch.setattr(engine, "advantage_many",
+                        lambda *args, **kw: calls.append("advantage_many"))
+    monkeypatch.setattr(engine, "ec_of_gram",
+                        lambda *args: calls.append("ec_of_gram"))
+    n = 200
+    rng = np.random.default_rng(3)
+    g = new_game(np.eye(n), rng.normal(size=(n, n)))
+    pi = np.zeros(n)
+    pi[1:5] = 0.125
+    pi[5:] = 0.5 / (n - 5)
+    out = _diversity_argmax(g, 0, pi, pi[None, :], np.eye(n)[:5], 1e9, 1e-3)
+    assert np.array_equal(out, _candidates(pi, 1e9)[0])
+    assert calls == []
 
 # ---------------------------------------------------------------------------
 # Population update rule

@@ -173,14 +173,25 @@ def test_jobs_do_not_affect_output(tmp_path):
     assert _strip_wall(tmp_path / "a" / "out" / "metrics.csv") == \
            _strip_wall(tmp_path / "b" / "out" / "metrics.csv")
 
-def test_failing_cell_is_logged_and_skipped(tmp_path):
+def test_failing_cell_is_logged_and_skipped(tmp_path, monkeypatch):
+    # A game file that loads at validation but fails in its cells.
+    path = tmp_path / "failing_game.json"
+    save_game(builtin("rps"), path)
     cfg = small_experiment(tmp_path, seeds=(0,))
-    cfg.games.append(str(tmp_path / "missing_game.json"))
+    cfg.games.append(str(path))
+    resolve = harness._resolve_game
+
+    def failing(spec):
+        if spec == str(path):
+            raise RuntimeError("cell failed")
+        return resolve(spec)
+
+    monkeypatch.setattr(harness, "_resolve_game", failing)
     logs = []
     rows, failed = execute_grid(cfg, log=logs.append)
     assert failed == 2                   # both algorithms on the bad game
     assert len(rows) == 2 * 10           # the good game still ran
-    assert logs and "missing_game" in logs[0]
+    assert logs and "failing_game" in logs[0]
 
 # An unknown CPU count (None) runs the cells serially, with no pool.
 @pytest.mark.parametrize("cpus, sizes", [(64, [3]), (2, [2]), (None, [])])
@@ -445,6 +456,17 @@ def test_cli_bad_game_spec_exits_2(tmp_path, capsys):
              ({"kind": "elo", "dim": 4, "noise": -0.5}, "noise"),
              ({"kind": "elo", "dim": 4, "seed": -1}, "seed"),
              ({"kind": "builtin", "builtin_name": "chess"}, "chess"))
+    # Game files: missing, unreadable (a directory, bytes that are not
+    # UTF-8) and malformed ones, named in the error.
+    files = {"bytes.json": b"\xff\xfe", "broken.json": b"{",
+             "list.json": b"[1, 2]", "short.json": b'{"name": "g"}',
+             "ragged.json": json.dumps({"name": "g", "n_rows": 1, "n_cols": 2,
+                                        "U_row": [[1, "a"]],
+                                        "U_col": [[0, 0]]}).encode()}
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    cases += tuple((str(tmp_path / name), str(tmp_path / name))
+                   for name in ("missing.json", "", *files))
     for i, (spec, word) in enumerate(cases):
         config = {"games": [spec], "algorithms": ["vanilla_psro"], "seeds": [0],
                   "output_dir": str(tmp_path / "out")}
