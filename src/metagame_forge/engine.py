@@ -30,8 +30,8 @@ import numpy as np
 
 from .games import BimatrixGame, GameError, check_fields, freeze, payoff
 from .solvers import (ONE_THREAD_MNK, TIE_ATOL, MetaSolution, advantage,
-                      advantage_many, best_response, ec_of_gram, ec_rank_one,
-                      exploitability, fictitious_play, own_matrix,
+                      advantage_many, best_response, blas_threads, ec_of_gram,
+                      ec_rank_one, exploitability, fictitious_play, own_matrix,
                       rows_keep_block_bits)
 
 VARIANTS = ("vanilla_psro", "diversity_psro", "sc_psro")
@@ -401,7 +401,7 @@ def _best_candidate(game: BimatrixGame, player: int, pi_t: np.ndarray,
     given rows.  Ties go to the lowest candidate index.
 
     For blocks of at least ONE_THREAD_MNK multiply-adds (the threading
-    cutoff of `_blas_threads_for`; the bounds were timed only at dims 100,
+    cutoff of `run_iteration`; the bounds were timed only at dims 100,
     where they cost more than they saved, and 1000) the advantage lies
     within the bounds of `_advantage_bounds` where they are tight; else it
     is the full block's dense advantage.  A candidate survives if its
@@ -542,45 +542,53 @@ def _append_member(game: BimatrixGame, player: int, state: EngineState,
 def run_iteration(state: EngineState) -> IterationReport:
     """One full engine iteration: build the (clipped) empirical game, solve
     the meta-Nash, apply each learner's new-strategy step, and measure
-    full-game metrics at the aggregates."""
+    full-game metrics at the aggregates.
+
+    The iteration runs on one BLAS thread where the larger candidate block
+    has fewer than ONE_THREAD_MNK multiply-adds, else on the process's
+    thread count."""
     t0 = time.perf_counter()
     game, cfg, mode = state.game, state.config, state.mode
-    emp = build_empirical(game, state.pop_row, state.pop_col, state.clips,
-                          cfg.clip_fraction)
-    theta = meta_nash(emp, len(state.pop_row), len(state.pop_col),
-                      cfg.fp_max_iters, cfg.fp_tol)
-    agg_row = aggregate(state.pop_row, theta.theta_row)
-    agg_col = aggregate(state.pop_col, theta.theta_col)
+    n, m = game.n_rows, game.n_cols
+    with blas_threads(1 if 2 * n * m * max(n, m) < ONE_THREAD_MNK else None):
+        emp = build_empirical(game, state.pop_row, state.pop_col, state.clips,
+                              cfg.clip_fraction)
+        theta = meta_nash(emp, len(state.pop_row), len(state.pop_col),
+                          cfg.fp_max_iters, cfg.fp_tol)
+        agg_row = aggregate(state.pop_row, theta.theta_row)
+        agg_col = aggregate(state.pop_col, theta.theta_col)
 
-    snapshot = (state.pop_row.members, state.pop_col.members)
-    learners = (0,) if mode == "stackelberg_player" else (0, 1)
-    branches = ["best_response", "best_response"]
-    for player in learners:
-        opp_members = snapshot[1 - player]
-        if cfg.variant == "vanilla_psro":
-            agg_opp = agg_col if player == 0 else agg_row
-            _append_member(game, player, state, br_oracle(game, player, agg_opp))
-        elif cfg.variant == "diversity_psro":
-            pop = state.pop(player)
-            cand = _diversity_argmax(game, player, pop.members[-1], pop.members,
-                                     opp_members, cfg.lr, cfg.lambda_1)
-            branches[player] = "diversity"
-            _append_member(game, player, state, cand)
+        snapshot = (state.pop_row.members, state.pop_col.members)
+        learners = (0,) if mode == "stackelberg_player" else (0, 1)
+        branches = ["best_response", "best_response"]
+        for player in learners:
+            opp_members = snapshot[1 - player]
+            if cfg.variant == "vanilla_psro":
+                agg_opp = agg_col if player == 0 else agg_row
+                _append_member(game, player, state,
+                               br_oracle(game, player, agg_opp))
+            elif cfg.variant == "diversity_psro":
+                pop = state.pop(player)
+                cand = _diversity_argmax(game, player, pop.members[-1],
+                                         pop.members, opp_members, cfg.lr,
+                                         cfg.lambda_1)
+                branches[player] = "diversity"
+                _append_member(game, player, state, cand)
+            else:
+                branches[player] = population_update(game, player, state,
+                                                     theta, opp_members)
+
+        if mode == "stackelberg_player":
+            # The follower is an exact best responder; remember each pure
+            # reply it has used so the meta-game can mix over them.
+            follower_play = br_oracle(game, 1, agg_row)
+            _append_member(game, 1, state, follower_play, dedupe=True)
+            expl = exploitability(game, agg_row, follower_play)
+            reward_row = advantage(game, 0, agg_row)
+            reward_col = payoff(game, agg_row, follower_play)[1]
         else:
-            branches[player] = population_update(game, player, state, theta,
-                                                 opp_members)
-
-    if mode == "stackelberg_player":
-        # The follower is an exact best responder; remember each pure reply
-        # it has used so the meta-game can mix over them.
-        follower_play = br_oracle(game, 1, agg_row)
-        _append_member(game, 1, state, follower_play, dedupe=True)
-        expl = exploitability(game, agg_row, follower_play)
-        reward_row = advantage(game, 0, agg_row)
-        reward_col = payoff(game, agg_row, follower_play)[1]
-    else:
-        expl = exploitability(game, agg_row, agg_col)
-        reward_row, reward_col = payoff(game, agg_row, agg_col)
+            expl = exploitability(game, agg_row, agg_col)
+            reward_row, reward_col = payoff(game, agg_row, agg_col)
 
     report = IterationReport(
         iteration=state.iteration,

@@ -218,7 +218,9 @@ def execute_grid(config: ExperimentConfig, log=print) -> tuple[list, int]:
              for g in config.games
              for (name, overrides) in config.algorithms
              for seed in config.seeds]
-    jobs = min(config.jobs, len(cells), os.cpu_count() or 1)  # all start at once
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)   # the CPUs this process may run on
+    jobs = min(config.jobs, len(cells), cpus)  # all start at once
     if jobs == 1:
         results = [_cell_worker(cell) for cell in cells]
     else:

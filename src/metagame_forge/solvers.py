@@ -23,13 +23,14 @@ TIE_ATOL = 1e-9
 
 ROW, COL = 0, 1
 
-# Matrix products with fewer multiply-adds than this run on one BLAS thread.
-# At dim 100 the candidate block of `advantage_many` (200 x 100 x 100) took
-# 0.15 ms a call on two OpenBLAS threads with both cores of a 2-core machine
-# free, but 0.75 ms with a second process busy on the other core, as the
-# worker thread waits for its turn; on one thread it took 0.15 ms either way.
-# A desk grid round was then 2.2x slower.  Products past a millisecond of
-# work still gain from threads (1.7x on the dim-1000 cell), so they keep them.
+# Engine iterations on games whose larger candidate block (2n x n x m, see
+# `engine.run_iteration`) has fewer multiply-adds than this run on one BLAS
+# thread.  At dim 100 that block took 0.15 ms a call on two OpenBLAS threads
+# with both cores of a 2-core machine free, but 0.75 ms with a second process
+# busy on the other core, as the worker thread waits for its turn; on one
+# thread it took 0.15 ms either way, and a desk grid round was 2.2x slower on
+# two.  Larger games keep the process's threads: the dim-1000 cell took
+# about 1.7 s a round on two threads and 2.0 s on one.
 ONE_THREAD_MNK = 1e7
 
 # Rows that `advantage_many` scores apart from their candidate block go
@@ -58,23 +59,19 @@ _OPENBLAS_THREADS = _openblas_threads()
 
 
 @contextlib.contextmanager
-def _blas_threads_for(mnk: float):
-    """Run the products in the block on one BLAS thread if they are smaller
-    than ONE_THREAD_MNK multiply-adds, and yield the thread count they run
-    on (None where numpy has no bundled OpenBLAS).  At these sizes one
-    thread gave the same bits as two (every benchmark reference digest is
-    unchanged), but that is not so for large products, so the bound must
-    stay small."""
-    get, set_ = _OPENBLAS_THREADS or (lambda: None, None)
-    threads = get()
-    if threads is None or mnk >= ONE_THREAD_MNK:
-        yield threads
+def blas_threads(threads):
+    """Run the block on ``threads`` threads of numpy's bundled OpenBLAS (None,
+    or where numpy has none: on the count already set)."""
+    if threads is None or _OPENBLAS_THREADS is None:
+        yield
         return
-    set_(1)
+    get, set_ = _OPENBLAS_THREADS
+    before = get()
+    set_(threads)
     try:
-        yield 1
+        yield
     finally:
-        set_(threads)
+        set_(before)
 
 
 def own_matrix(game: BimatrixGame, player: int) -> np.ndarray:
@@ -122,14 +119,6 @@ def exploitability(game: BimatrixGame, pi_row, pi_col) -> float:
     return float(row_gap + col_gap)
 
 
-def _rows_product(P: np.ndarray, M: np.ndarray, picked: bool) -> np.ndarray:
-    """``P @ M``, in chunks of PICKED_ROWS rows where ``picked``."""
-    if not picked:
-        return P @ M
-    return np.concatenate([P[i:i + PICKED_ROWS] @ M
-                           for i in range(0, P.shape[0], PICKED_ROWS)])
-
-
 def advantage_many(game: BimatrixGame, player: int, strategies: np.ndarray,
                    picked: bool = False) -> np.ndarray:
     """Advantage of each row of `strategies` (k x own-dim) for `player`.
@@ -142,23 +131,21 @@ def advantage_many(game: BimatrixGame, player: int, strategies: np.ndarray,
     negated bit for bit (rounding is symmetric), so its tie set holds the
     player's row minimum and larger values only: one product suffices.
 
-    ``picked`` scores the strategies as rows picked from a candidate block
-    of 2 x own-dim rows: the products run on the BLAS thread count of the
-    whole block, in chunks of PICKED_ROWS rows, the last one filled up with
-    repeated rows (a one-row product would take another BLAS routine,
-    gemv).  Where `rows_keep_block_bits` holds, the rows then carry the bits
-    the whole block gives them.
+    ``picked`` runs the products in chunks of PICKED_ROWS rows, the last one
+    filled up with repeated rows (a one-row product would take another BLAS
+    routine, gemv).  Where `rows_keep_block_bits` holds, rows picked from a
+    candidate block then carry the bits the whole block gives them.
     """
     m_self = own_matrix(game, player)
     P = np.atleast_2d(np.asarray(strategies, dtype=float))
     k, n = P.shape
-    if picked:
-        P = np.resize(P, (-(-k // PICKED_ROWS) * PICKED_ROWS, n))
-    with _blas_threads_for((2 * n if picked else k) * n * m_self.shape[1]):
-        self_vals = _rows_product(P, m_self, picked)  # player payoff per reply
-        if game.exact_zero_sum:
-            return self_vals.min(axis=1)[:k]
-        opp_vals = _rows_product(P, own_matrix(game, 1 - player).T, picked)
+    if picked:   # numpy runs one product per chunk of the stack
+        P = np.resize(P, (-(-k // PICKED_ROWS), PICKED_ROWS, n))
+    m = m_self.shape[1]
+    self_vals = (P @ m_self).reshape(-1, m)   # player payoff per reply
+    if game.exact_zero_sum:
+        return self_vals.min(axis=1)[:k]
+    opp_vals = (P @ own_matrix(game, 1 - player).T).reshape(-1, m)
     best = opp_vals.max(axis=1, keepdims=True)
     np.putmask(self_vals, ~(opp_vals >= best - TIE_ATOL), np.inf)
     return self_vals.min(axis=1)[:k]
@@ -180,10 +167,10 @@ def rows_keep_block_bits(game: BimatrixGame, player: int) -> bool:
     changed bits with their position in the block.  So random rows are
     checked: chunks of PICKED_ROWS rows from both ends of a random block and
     at random must match the full block entry for entry.  The answer is kept
-    per shape, layout and thread count.  Below ONE_THREAD_MNK, where no
-    caller asks, the answer is no: with one opponent action the products go
-    through gemv, whose last rows agree with the block's or not depending
-    on the values.
+    per shape, layout and the thread count set when it is asked.  Below
+    ONE_THREAD_MNK, where no caller asks, the answer is no: with one
+    opponent action the products go through gemv, whose last rows agree
+    with the block's or not depending on the values.
     """
     mats = [own_matrix(game, player)]
     if not game.exact_zero_sum:
@@ -191,18 +178,17 @@ def rows_keep_block_bits(game: BimatrixGame, player: int) -> bool:
     n, m = mats[0].shape
     if 2 * n * n * m < ONE_THREAD_MNK:
         return False
-    with _blas_threads_for(2 * n * n * m) as threads:
-        key = (threads, tuple((M.shape, M.strides) for M in mats))
-        if key not in _BLOCK_BITS:
-            rng = np.random.default_rng(0)
-            P = rng.random((2 * n, n))
-            picks = [np.arange(PICKED_ROWS) % (2 * n),
-                     -1 - np.arange(PICKED_ROWS) % (2 * n)]
-            picks += [rng.integers(0, 2 * n, size=PICKED_ROWS)
-                      for _ in range(3)]
-            _BLOCK_BITS[key] = all(
-                np.array_equal([P[rows] @ M for rows in picks],
-                               (P @ M)[np.stack(picks)]) for M in mats)
+    threads = _OPENBLAS_THREADS and _OPENBLAS_THREADS[0]()
+    key = (threads, tuple((M.shape, M.strides) for M in mats))
+    if key not in _BLOCK_BITS:
+        rng = np.random.default_rng(0)
+        P = rng.random((2 * n, n))
+        picks = [np.arange(PICKED_ROWS) % (2 * n),
+                 -1 - np.arange(PICKED_ROWS) % (2 * n)]
+        picks += [rng.integers(0, 2 * n, size=PICKED_ROWS) for _ in range(3)]
+        picks = np.stack(picks)
+        _BLOCK_BITS[key] = all(np.array_equal(P[picks] @ M, (P @ M)[picks])
+                               for M in mats)
     return _BLOCK_BITS[key]
 
 
@@ -317,7 +303,6 @@ def ec_rank_one(fixed_rows: np.ndarray,
     # milliseconds a call instead of microseconds, for some game seeds.
     P = cho_solve(cho_factor(fixed_rows.T @ fixed_rows + np.eye(m), lower=True),
                   np.eye(m))
-    with _blas_threads_for(m * m * cand_rows.shape[0]):
-        PX = cand_rows @ P
+    PX = cand_rows @ P
     return ((m - np.trace(P)) + np.einsum("ij,ij->i", PX, PX)
             / (1.0 + np.einsum("ij,ij->i", cand_rows, PX))), bound

@@ -1,6 +1,5 @@
 """Engine: populations, confirming caches, clipping, update rules and the run
 loop."""
-import contextlib
 import gc
 import math
 import tracemalloc
@@ -22,8 +21,8 @@ from metagame_forge.games import (GameError, builtin, gen_general_sum,
                                   gen_symmetric_zero_sum, gen_transitive,
                                   new_game)
 from metagame_forge.harness import make_config
-from metagame_forge.solvers import (advantage, advantage_many, ec_of_gram,
-                                    ec_rank_one, exploitability,
+from metagame_forge.solvers import (advantage, advantage_many, blas_threads,
+                                    ec_of_gram, ec_rank_one, exploitability,
                                     fictitious_play, own_matrix)
 from oracles import pure, uniform
 
@@ -371,9 +370,8 @@ def _reference_candidates(pi_t, step):
 def _reference_advantage_many(game, player, P):
     m_self = own_matrix(game, player)
     m_opp = own_matrix(game, 1 - player)
-    with solvers._blas_threads_for(P.shape[0] * P.shape[1] * m_self.shape[1]):
-        opp_vals = P @ m_opp.T
-        self_vals = P @ m_self
+    opp_vals = P @ m_opp.T
+    self_vals = P @ m_self
     tied = opp_vals >= opp_vals.max(axis=1, keepdims=True) - solvers.TIE_ATOL
     return np.where(tied, self_vals, np.inf).min(axis=1)
 
@@ -467,20 +465,6 @@ def _draw_certify_case(seed, n, m, player, zero_sum, payoffs, scale,
         step = float(pi[int(rng.integers(n))])
     return g, pi, step
 
-@contextlib.contextmanager
-def blas_threads(threads):
-    """Run the block on ``threads`` OpenBLAS threads (None: as set)."""
-    if threads is None:
-        yield
-        return
-    get, set_ = solvers._OPENBLAS_THREADS
-    before = get()
-    set_(threads)
-    try:
-        yield
-    finally:
-        set_(before)
-
 class _FixedStep:
     """Stands in for the generator `lookahead_step` draws its step from."""
 
@@ -527,9 +511,9 @@ def test_certified_advantage_argmax_matches_dense(threads, seed, n, m, player,
                                                   zero_sum, payoffs, scale,
                                                   pi_kind, step):
     # Both sides of the lookahead gate: with n >= 200 and m >= 125 the block
-    # has 2 n n m >= 1e7 multiply-adds, so the dense products run on the
-    # set thread count, which changes their last bits; smaller blocks run on
-    # one thread whatever is set.  The bounds hold every dense score, a
+    # has 2 n n m >= 1e7 multiply-adds, so the bounds are tried.  The dense
+    # products run on the set thread count, which changes their last bits
+    # at the larger sizes.  The bounds hold every dense score, a
     # settled candidate is the dense argmax's row, and so is every lookahead
     # pick, settled or scored from the survivors alone.
     g, pi, step = _draw_certify_case(seed, n, m, player, zero_sum, payoffs,
@@ -554,8 +538,8 @@ def test_certified_advantage_argmax_matches_dense(threads, seed, n, m, player,
 def test_certified_advantage_argmax_settles_most_draws(n, m):
     # Well-conditioned draws: unit-scale continuous payoffs, a Dirichlet
     # pi_t.  Bounds that never settle would leave every pick to dense
-    # products.  At n = 220, m = 130 (1.26e7 multiply-adds a block, above
-    # the gate) the dense products run on the set thread count.
+    # products, which run on the set thread count.  n = 220, m = 130 is
+    # 1.26e7 multiply-adds a block, above the gate.
     threads = (None,) if solvers._OPENBLAS_THREADS is None else (1, 2)
     settled = 0
     for seed in range(20):
@@ -601,8 +585,8 @@ def test_candidate_rows_built_alone_match_full_block(seed, n, step, pi_kind,
          repeat=False)
 @example(seed=1, n=1000, m=1000, player=1, zero_sum=True, count=1,
          repeat=False)
-# Chunks of 16 rows of dim 400 run below ONE_THREAD_MNK, the full block above
-# it, and here one thread gives other bits than two.
+# Dim 400, where one thread gives other bits than two: the chunks must run on
+# the thread count of the full block.
 @example(seed=2, n=400, m=400, player=0, zero_sum=False, count=3,
          repeat=False)
 # One opponent action: gemv, whose row 32 of the 34-row block differs from
@@ -656,6 +640,60 @@ def _trajectory(reports):
              r.theta.iterations_used, r.exploitability, r.reward_row,
              r.reward_col, r.pop_sizes, r.clipped_sizes, r.oracle_branch_taken)
             for r in reports]
+
+@pytest.mark.skipif(solvers._OPENBLAS_THREADS is None,
+                    reason="numpy has no bundled OpenBLAS")
+def test_iteration_sets_blas_threads_from_game_size(monkeypatch):
+    # The larger candidate block decides for the whole iteration: at dim 100
+    # (2e6 multiply-adds, below the gate) it runs on one thread, at dim 200
+    # (1.6e7) on the count the process has set, here two.  Payoffs of 1e3
+    # make the advantage bounds loose at dim 200, so both sizes score dense
+    # candidate blocks.
+    get = solvers._OPENBLAS_THREADS[0]
+    seen = {"fictitious_play": [], "build_empirical": [], "advantage_many": []}
+
+    def spy(name):
+        inner = getattr(engine, name)
+
+        def call(*args, **kwargs):
+            seen[name].append(get())
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(engine, name, call)
+
+    for name in seen:
+        spy(name)
+    big = gen_general_sum(200, 7)
+    cfg = make_config("sc_psro", seed=0, max_iterations=4)
+    with blas_threads(2):
+        for g, threads in ((gen_symmetric_zero_sum(100, 7), 1),
+                           (new_game(1e3 * big.u_row, 1e3 * big.u_col), 2)):
+            for calls in seen.values():
+                calls.clear()
+            run(g, cfg)
+            assert all(seen.values())
+            assert {t for calls in seen.values() for t in calls} == {threads}
+        assert get() == 2
+        monkeypatch.setattr(engine, "fictitious_play",
+                            lambda *args: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            run(gen_symmetric_zero_sum(100, 7), cfg)
+        assert get() == 2
+
+@pytest.mark.skipif(solvers._OPENBLAS_THREADS is None,
+                    reason="numpy has no bundled OpenBLAS")
+def test_trajectory_below_gate_does_not_depend_on_blas_threads():
+    # A dim-100 sc_psro run that clips and takes both branches: the
+    # iteration runs on one thread whatever the process has set.
+    g = gen_general_sum(100, 7)
+    cfg = make_config("sc_psro", seed=0, max_iterations=10)
+    assert cfg.clipping_enabled
+    trajectories = []
+    for threads in (1, 2):
+        with blas_threads(threads):
+            trajectories.append(_trajectory(run(g, cfg)))
+    taken = {b for step in trajectories[0] for b in step[-1]}
+    assert taken == {"lookahead", "diversity"}
+    assert trajectories[0] == trajectories[1]
 
 @pytest.mark.parametrize("lr", [0.3, 1e9])
 @pytest.mark.parametrize("shape", [(200, 200), (220, 140)])

@@ -193,10 +193,9 @@ def test_failing_cell_is_logged_and_skipped(tmp_path, monkeypatch):
     assert len(rows) == 2 * 10           # the good game still ran
     assert logs and "failing_game" in logs[0]
 
-# An unknown CPU count (None) runs the cells serially, with no pool.
-@pytest.mark.parametrize("cpus, sizes", [(64, [3]), (2, [2]), (None, [])])
-def test_grid_pool_is_capped_by_cells_and_cpus(tmp_path, monkeypatch, cpus,
-                                               sizes):
+def _pool_sizes(tmp_path, monkeypatch):
+    """The worker counts `execute_grid` asks of a pool for a three-cell grid
+    at an unbounded ``jobs``."""
     asked = []
 
     def pool(max_workers):      # threads, so no worker process starts
@@ -204,13 +203,35 @@ def test_grid_pool_is_capped_by_cells_and_cpus(tmp_path, monkeypatch, cpus,
         return concurrent.futures.ThreadPoolExecutor(max_workers)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(harness, "run_cell", lambda *args: [])
     cfg = parse_experiment({"games": [{"kind": "builtin", "builtin_name": "rps"}],
                             "algorithms": ["vanilla_psro"], "seeds": [0, 1, 2],
                             "jobs": 10**9, "output_dir": str(tmp_path / "out")})
     assert execute_grid(cfg) == ([], 0)
-    assert asked == sizes
+    return asked
+
+# The CPUs are the affinity set where the platform has one.  Without it, an
+# unknown CPU count (None) runs the cells serially, with no pool.
+@pytest.mark.parametrize("cpus, sizes", [(64, [3]), (2, [2]), (None, [])])
+def test_grid_pool_is_capped_by_cells_and_cpus(tmp_path, monkeypatch, cpus,
+                                               sizes):
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+    assert _pool_sizes(tmp_path, monkeypatch) == sizes
+
+@pytest.mark.parametrize("allowed, sizes", [({0}, []), ({2, 5}, [2])])
+def test_grid_pool_is_capped_by_cpu_affinity(tmp_path, monkeypatch, allowed,
+                                             sizes):
+    # Under a cpuset or `taskset`, the process may run on fewer CPUs than the
+    # machine has.
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: allowed,
+                        raising=False)
+    assert _pool_sizes(tmp_path, monkeypatch) == sizes
 
 def test_plot_data_files(tmp_path):
     cfg = small_experiment(tmp_path, seeds=(0, 1))
@@ -429,7 +450,8 @@ def _die(*args, **kwargs):
 
 def test_cli_dead_pool_worker_exits_1(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(harness, "run_cell", _die)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)   # a pool even on one CPU
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)   # a pool even on one CPU
     monkeypatch.setattr(
         concurrent.futures, "ProcessPoolExecutor",
         functools.partial(concurrent.futures.ProcessPoolExecutor,

@@ -105,9 +105,8 @@ def _advantage_many_two_products(game, player, P):
     the opponent's tie set from its own product and masking the rest."""
     m_self = own_matrix(game, player)
     m_opp = own_matrix(game, 1 - player)
-    with solvers._blas_threads_for(P.shape[0] * P.shape[1] * m_self.shape[1]):
-        opp_vals = P @ m_opp.T
-        self_vals = P @ m_self
+    opp_vals = P @ m_opp.T
+    self_vals = P @ m_self
     best = opp_vals.max(axis=1, keepdims=True)
     np.putmask(self_vals, ~(opp_vals >= best - TIE_ATOL), np.inf)
     return self_vals.min(axis=1)
@@ -137,8 +136,7 @@ def test_exact_zero_sum_property(monkeypatch):
        player=st.sampled_from([ROW, COL]), offset=st.booleans())
 def test_zero_sum_advantage_matches_two_products_bit_for_bit(seed, n, player,
                                                              offset):
-    # Integer payoffs and pure or two-action rows tie often.  At n >= 171 the
-    # 2n x n x n product passes ONE_THREAD_MNK and runs on BLAS threads.
+    # Integer payoffs and pure or two-action rows tie often.
     rng = np.random.default_rng(seed)
     a = rng.integers(-2, 3, size=(n, n)).astype(float)
     u = a - a.T
@@ -153,22 +151,6 @@ def test_zero_sum_advantage_matches_two_products_bit_for_bit(seed, n, player,
     want = _advantage_many_two_products(game, player, P)
     assert np.array_equal(got, want)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))  # signed zeros
-
-
-@pytest.mark.skipif(solvers._OPENBLAS_THREADS is None,
-                    reason="numpy has no bundled OpenBLAS")
-def test_small_products_run_on_one_blas_thread():
-    get, set_ = solvers._OPENBLAS_THREADS
-    before = get()
-    with solvers._blas_threads_for(solvers.ONE_THREAD_MNK - 1):
-        assert get() == 1
-    assert get() == before
-    with solvers._blas_threads_for(solvers.ONE_THREAD_MNK):
-        assert get() == before
-    with pytest.raises(ValueError):
-        with solvers._blas_threads_for(1):
-            raise ValueError
-    assert get() == before
 
 
 # ---------------------------------------------------------------------------
