@@ -9,9 +9,9 @@ Subcommands::
 
 Exit codes: 0 success, 1 at least one grid cell failed or a grid worker
 process died (for example, killed for running out of memory; no metrics are
-then written), 2 invalid input (including ``--jobs 0``, an unknown or
-mistyped algorithm override, and a path that cannot be read or written,
-such as a directory).
+then written), 2 invalid input (including ``--jobs 0``, an unknown config
+key, an unknown or mistyped algorithm override, and a path that cannot be
+read or written, such as a directory).
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ def _cmd_run(args) -> int:
     config = harness.load_experiment(args.config)
     if args.seeds:
         lo, hi = args.seeds.split("..")
-        config.seeds = harness.parse_seeds({"start": int(lo), "stop": int(hi)})
+        config.seeds = harness.seed_range(int(lo), int(hi))
     if args.jobs is not None:
         config.jobs = args.jobs
     if args.out:

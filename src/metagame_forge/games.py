@@ -22,8 +22,8 @@ class StrategyError(ValueError):
     """A vector that is not a valid mixed strategy for the given game."""
 
 
-# Field annotations `check_value` knows.  A float field takes an integer too,
-# as JSON writes 1.0 as 1, but only a bool field takes a bool.
+# Field annotations `check_value` knows.  A float field takes an integer that
+# a float holds, as JSON writes 1.0 as 1, but only a bool field takes a bool.
 FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str,
                "bool": bool}
 
@@ -33,7 +33,11 @@ def check_value(name: str, value, type_name: str) -> None:
     kind = FIELD_TYPES[type_name]
     if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
         raise GameError(f"{name} must be a {type_name}, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
+    try:   # an integer too large for a float field overflows here
+        finite = kind is not numbers.Real or math.isfinite(float(value))
+    except OverflowError:
+        finite = False
+    if not finite:
         raise GameError(f"{name} must be finite")
 
 

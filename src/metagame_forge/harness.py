@@ -12,7 +12,7 @@ import json
 import os
 import traceback
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,8 +49,9 @@ def make_config(preset: str, **overrides) -> AlgorithmConfig:
     values = dict(PRESETS[preset])
     values.update(overrides)
     cfg = AlgorithmConfig(**values)
-    cfg.validate()
-    return cfg
+    cfg.validate()   # float fields as floats: numpy takes no int past int64
+    return replace(cfg, **{f.name: float(getattr(cfg, f.name))
+                           for f in fields(cfg) if f.type == "float"})
 
 
 @dataclass
@@ -95,11 +96,8 @@ class ExperimentConfig:
                 load_game(game)   # one that does not load fails every cell
 
 
-def parse_seeds(spec) -> list:
-    """Seeds from a list, or from a half-open range {"start": a, "stop": b}."""
-    if not isinstance(spec, dict):
-        return list(spec)
-    start, stop = spec["start"], spec["stop"]
+def seed_range(start: int, stop: int) -> list:
+    """The seeds of the half-open range [start, stop)."""
     check_value("seeds start", start, "int")
     check_value("seeds stop", stop, "int")
     if stop - start > 100_000:   # a typo, too long to build
@@ -107,28 +105,25 @@ def parse_seeds(spec) -> list:
     return list(range(start, stop))
 
 
-def _parse_algorithms(spec) -> list:
-    out = []
-    for item in spec:
-        if isinstance(item, str):
-            out.append((item, {}))
-        else:
-            out.append((item["name"], dict(item.get("overrides", {}))))
-    return out
+def algorithm_entry(name, overrides=()) -> tuple:
+    """An algorithm of the grid: (preset name, overrides dict)."""
+    return name, dict(overrides)
 
 
 def parse_experiment(doc: dict) -> ExperimentConfig:
+    """The grid ``doc`` describes.  Each object in it holds only keyword
+    arguments of what it builds: `ExperimentConfig` (whose defaults fill the
+    rest), `GameGenSpec`, `algorithm_entry` or `seed_range`."""
     try:
-        cfg = ExperimentConfig(
-            games=[g if isinstance(g, str) else GameGenSpec(**g)
-                   for g in doc["games"]],
-            algorithms=_parse_algorithms(doc["algorithms"]),
-            mode=doc.get("mode", "self_play"),
-            seeds=parse_seeds(doc["seeds"]),
-            max_iterations=doc.get("max_iterations", 50),
-            output_dir=doc.get("output_dir", "out"),
-            jobs=doc.get("jobs", 1),
-        )
+        seeds = doc["seeds"]
+        cfg = ExperimentConfig(**{
+            **doc,
+            "games": [g if isinstance(g, str) else GameGenSpec(**g)
+                      for g in doc["games"]],
+            "algorithms": [algorithm_entry(a) if isinstance(a, str)
+                           else algorithm_entry(**a) for a in doc["algorithms"]],
+            "seeds": (seed_range(**seeds) if isinstance(seeds, dict)
+                      else list(seeds))})
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GameError(f"invalid experiment config: {exc}") from exc
     cfg.validate()
@@ -159,12 +154,6 @@ def _game_key(game_spec) -> str:
     return "_".join(parts)
 
 
-def _resolve_game(game_spec) -> BimatrixGame:
-    if isinstance(game_spec, str):
-        return load_game(game_spec)
-    return game_spec.build()
-
-
 def run_id_for(game_spec, algo_name: str, overrides: dict, seed: int) -> str:
     """Stable identity for one grid cell, for cross-run joins."""
     doc = json.dumps(
@@ -174,10 +163,9 @@ def run_id_for(game_spec, algo_name: str, overrides: dict, seed: int) -> str:
     return hashlib.sha256(doc.encode()).hexdigest()[:12]
 
 
-def run_cell(game_spec, algo_name: str, overrides: dict, seed: int,
-             mode: str, max_iterations: int) -> list:
-    """Execute one engine run and return its metric rows (list of dicts)."""
-    game = _resolve_game(game_spec)
+def run_cell(game_spec, game: BimatrixGame, algo_name: str, overrides: dict,
+             seed: int, mode: str, max_iterations: int) -> list:
+    """Execute one engine run on ``game`` and return its metric rows."""
     cfg = make_config(algo_name, seed=seed, max_iterations=max_iterations,
                       **overrides)
     rid = run_id_for(game_spec, algo_name, overrides, seed)
@@ -203,19 +191,27 @@ def run_cell(game_spec, algo_name: str, overrides: dict, seed: int,
     return rows
 
 
-def _cell_worker(args):
+def _cell_worker(cell):
+    """``run_cell`` on ``cell``, returned with the cell's identity (game spec,
+    algorithm, overrides, seed) but not its game, which a pool would send back."""
+    game_spec, _, name, overrides, seed = cell[:5]
+    identity = (game_spec, name, overrides, seed)
     try:
-        return ("ok", args, run_cell(*args))
+        return ("ok", identity, run_cell(*cell))
     except Exception:
-        return ("error", args, traceback.format_exc())
+        return ("error", identity, traceback.format_exc())
 
 
 def execute_grid(config: ExperimentConfig, log=print) -> tuple[list, int]:
-    """Run the full grid; returns (rows, n_failed).  A failing cell is logged
-    and skipped, the rest of the grid still runs."""
+    """Run the full grid; returns (rows, n_failed).  Each game is built or
+    loaded once, before any cell runs.  A failing cell is logged and skipped,
+    the rest of the grid still runs."""
     config.validate()
-    cells = [(g, name, overrides, seed, config.mode, config.max_iterations)
-             for g in config.games
+    games = [(g, load_game(g) if isinstance(g, str) else g.build())
+             for g in config.games]
+    cells = [(spec, game, name, overrides, seed, config.mode,
+              config.max_iterations)
+             for spec, game in games
              for (name, overrides) in config.algorithms
              for seed in config.seeds]
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -232,7 +228,7 @@ def execute_grid(config: ExperimentConfig, log=print) -> tuple[list, int]:
             rows.extend(outcome)
         else:
             failed += 1
-            log(f"run failed for cell {cell[:4]}:\n{outcome}")
+            log(f"run failed for cell {cell}:\n{outcome}")
     rows.sort(key=lambda r: (r["run_id"], r["iteration"]))
     return rows, failed
 
@@ -280,18 +276,17 @@ def aggregate_rows(rows: list) -> list:
     groups: dict = {}
     for row in rows:
         key = (row["algorithm"], row["game"], row["iteration"])
-        groups.setdefault(key, {m: [] for m in PLOT_METRICS})
-        for metric in PLOT_METRICS:
-            groups[key][metric].append(row[metric])
+        groups.setdefault(key, []).append([row[m] for m in PLOT_METRICS])
     out = []
     for (algo, gkey, it) in sorted(groups):
-        vals = groups[(algo, gkey, it)]
+        # One contiguous row per metric, summed pairwise as a 1-D array is, so
+        # the bits are a per-metric reduction's (axis 0 sums sequentially).
+        values = np.array(groups[(algo, gkey, it)], dtype=float).T.copy()
         rec = {"algorithm": algo, "game": gkey, "iteration": it,
-               "count": len(vals[PLOT_METRICS[0]])}
-        for metric in PLOT_METRICS:
-            arr = np.asarray(vals[metric])
-            rec[f"{metric}_mean"] = float(arr.mean())
-            rec[f"{metric}_std"] = float(arr.std())
+               "count": values.shape[1]}
+        stats = zip(values.mean(axis=1).tolist(), values.std(axis=1).tolist())
+        for metric, (mean, std) in zip(PLOT_METRICS, stats):
+            rec[f"{metric}_mean"], rec[f"{metric}_std"] = mean, std
         out.append(rec)
     return out
 

@@ -7,6 +7,7 @@ import math
 import multiprocessing
 import os
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,13 +19,15 @@ from metagame_forge.cli import main
 from metagame_forge.engine import MODES, AlgorithmConfig
 from metagame_forge.games import (BUILTINS, GAME_KINDS, GameError, GameGenSpec,
                                   builtin, save_game)
-from metagame_forge.harness import (METRICS_COLUMNS, PRESETS, ExperimentConfig,
-                                    aggregate_rows, execute_grid,
-                                    load_experiment, make_config,
+from metagame_forge.harness import (METRICS_COLUMNS, PLOT_METRICS, PRESETS,
+                                    ExperimentConfig, aggregate_rows,
+                                    execute_grid, load_experiment, make_config,
                                     parse_experiment, read_metrics,
                                     run_experiment, write_metrics,
                                     write_summary)
 from test_games import JSON, JSON_SCALARS
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +86,27 @@ def test_parse_experiment_formats():
     assert cfg.algorithms[1] == ("sc_psro", {"lr": 0.1})
     with pytest.raises(GameError):
         parse_experiment({"games": [], "algorithms": [], "seeds": []})
+
+RPS_GRID = {"games": [{"kind": "builtin", "builtin_name": "rps"}],
+            "algorithms": ["vanilla_psro"], "seeds": [0]}
+
+@pytest.mark.parametrize("changes, key", [
+    ({"max_iteration": 7}, "max_iteration"),
+    ({"ouput_dir": "elsewhere"}, "ouput_dir"),
+    ({"algorithms": [{"name": "sc_psro", "overide": {"lr": 0.1}}]}, "overide"),
+    ({"seeds": {"start": 0, "stop": 3, "step": 2}}, "step"),
+    ({"games": [{"kind": "builtin", "builtin_name": "rps", "dimm": 3}]}, "dimm"),
+])
+def test_parse_experiment_rejects_unknown_keys(changes, key):
+    # All but the last once parsed with the key dropped: the default lr, 50
+    # iterations, output to "out" and seeds 0, 1, 2 ran instead.
+    with pytest.raises(GameError, match=key):
+        parse_experiment(dict(RPS_GRID, **changes))
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),
+                         ids=lambda p: p.name)
+def test_shipped_configs_parse_and_validate(path):
+    load_experiment(path)   # parses, then validates
 
 SMALL_INTS = st.integers(-2, 12)
 OVERRIDES = st.dictionaries(
@@ -174,24 +198,86 @@ def test_jobs_do_not_affect_output(tmp_path):
            _strip_wall(tmp_path / "b" / "out" / "metrics.csv")
 
 def test_failing_cell_is_logged_and_skipped(tmp_path, monkeypatch):
-    # A game file that loads at validation but fails in its cells.
+    # A game file that loads, and whose cells fail when they run.
     path = tmp_path / "failing_game.json"
     save_game(builtin("rps"), path)
     cfg = small_experiment(tmp_path, seeds=(0,))
     cfg.games.append(str(path))
-    resolve = harness._resolve_game
+    run_cell = harness.run_cell
 
-    def failing(spec):
-        if spec == str(path):
+    def failing(game_spec, *args):
+        if game_spec == str(path):
             raise RuntimeError("cell failed")
-        return resolve(spec)
+        return run_cell(game_spec, *args)
 
-    monkeypatch.setattr(harness, "_resolve_game", failing)
+    monkeypatch.setattr(harness, "run_cell", failing)
     logs = []
     rows, failed = execute_grid(cfg, log=logs.append)
     assert failed == 2                   # both algorithms on the bad game
     assert len(rows) == 2 * 10           # the good game still ran
     assert logs and "failing_game" in logs[0]
+    # The log names the cell by its spec, never by its game's payoffs.
+    assert not any("BimatrixGame" in line or "array(" in line for line in logs)
+
+def _game_loads(tmp_path, monkeypatch):
+    """Record, in a file a forked worker appends to as well, the pid of every
+    game file load and game build."""
+    record = tmp_path / "loads.txt"
+
+    def spy(fn):
+        def wrapped(*args):
+            with open(record, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(harness, "load_game", spy(harness.load_game))
+    monkeypatch.setattr(GameGenSpec, "build", spy(GameGenSpec.build))
+    return lambda: [int(pid) for pid in record.read_text().split()] \
+        if record.exists() else []
+
+def test_cli_grid_loads_a_game_file_independently_of_its_cell_count(
+        tmp_path, monkeypatch):
+    # Validation loads the file (the CLI validates three times), and the
+    # grid loads it once more; no cell loads it again.
+    path = tmp_path / "rps_file.json"
+    save_game(builtin("rps"), path)
+    loads = _game_loads(tmp_path, monkeypatch)
+    counts = []
+    for n_seeds in (2, 8):
+        before = len(loads())
+        config = {"games": [str(path)], "algorithms": ["vanilla_psro"],
+                  "seeds": list(range(n_seeds)), "max_iterations": 2,
+                  "output_dir": str(tmp_path / f"out{n_seeds}")}
+        cpath = tmp_path / f"exp{n_seeds}.json"
+        cpath.write_text(json.dumps(config))
+        assert main(["run", "--config", str(cpath)]) == 0
+        counts.append(len(loads()) - before)
+    assert counts[0] == counts[1]
+
+def test_fork_pool_workers_receive_their_games(tmp_path, monkeypatch):
+    # Workers of a real fork-started pool run the cells on the games the
+    # parent built and loaded; none builds or loads one itself.
+    path = tmp_path / "pennies.json"
+    save_game(builtin("matching_pennies"), path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)   # a pool even on one CPU
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor",
+        functools.partial(concurrent.futures.ProcessPoolExecutor,
+                          mp_context=multiprocessing.get_context("fork")))
+    loads = _game_loads(tmp_path, monkeypatch)
+    config = {"games": [{"kind": "builtin", "builtin_name": "rps"}, str(path)],
+              "algorithms": ["vanilla_psro", "sc_psro"], "seeds": [0, 1],
+              "max_iterations": 4}
+    for jobs in (1, 2):
+        cpath = tmp_path / f"exp{jobs}.json"
+        cpath.write_text(json.dumps(dict(config, jobs=jobs,
+                                         output_dir=str(tmp_path / f"out{jobs}"))))
+        assert main(["run", "--config", str(cpath)]) == 0
+    assert set(loads()) == {os.getpid()}
+    assert _strip_wall(tmp_path / "out1" / "metrics.csv") == \
+           _strip_wall(tmp_path / "out2" / "metrics.csv")
 
 def _pool_sizes(tmp_path, monkeypatch):
     """The worker counts `execute_grid` asks of a pool for a three-cell grid
@@ -294,6 +380,24 @@ def test_aggregate_missing_iteration_support():
     out = aggregate_rows(rows)
     counts = {rec["iteration"]: rec["count"] for rec in out}
     assert counts == {0: 2, 1: 1}
+
+@pytest.mark.parametrize("size", [1, 7, 8, 9, 127, 128, 129, 300])
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_aggregate_bits_match_one_metric_reduction(size, seed):
+    # The summary of each metric has the bits of a 1-D mean and std over
+    # that metric alone, at group sizes around numpy's pairwise blocks.
+    rng = np.random.default_rng(seed)
+    values = (rng.choice([-1.0, 1.0], (size, len(PLOT_METRICS)))
+              * 10.0 ** rng.uniform(-9, 9, (size, len(PLOT_METRICS))))
+    rows = [_row(seed=s, **dict(zip(PLOT_METRICS, v)))
+            for s, v in enumerate(values.tolist())]
+    (rec,) = aggregate_rows(rows)
+    assert rec["count"] == size
+    for j, metric in enumerate(PLOT_METRICS):
+        ref = np.asarray([row[metric] for row in rows])
+        assert rec[f"{metric}_mean"].hex() == float(ref.mean()).hex()
+        assert rec[f"{metric}_std"].hex() == float(ref.std()).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +535,9 @@ def test_cli_run_jobs_zero_exits_2(tmp_path, capsys):
 def test_cli_bad_override_exits_2(tmp_path, capsys):
     cases = (({"bogus": 1}, "bogus"), ({"lr": "x"}, "lr"),
              ({"clipping_enabled": 1}, "clipping_enabled"),
-             ({"fp_max_iters": 50.0}, "fp_max_iters"), ({"seed": 3}, "seed"))
+             ({"fp_max_iters": 50.0}, "fp_max_iters"), ({"seed": 3}, "seed"),
+             # Integers no float holds, which once failed every cell.
+             *(({name: 10**400}, name) for name in ("lr", "lambda_1", "im")))
     for i, (overrides, field_name) in enumerate(cases):
         config = {
             "games": [{"kind": "builtin", "builtin_name": "rps"}],
@@ -444,6 +550,15 @@ def test_cli_bad_override_exits_2(tmp_path, capsys):
         assert main(["run", "--config", str(cpath)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field_name in err
+
+def test_integer_float_override_runs_as_a_float():
+    # An integer beyond int64 in `lr` failed every diversity step.
+    cfg = make_config("sc_psro", lr=10**19, im=0)
+    assert type(cfg.lr) is float and type(cfg.im) is float
+    spec = GameGenSpec("general_sum_random", dim=6, seed=1)
+    rows = harness.run_cell(spec, spec.build(), "sc_psro_no_lookahead",
+                            {"lr": 10**19}, 0, "self_play", 3)
+    assert len(rows) == 3
 
 def _die(*args, **kwargs):
     os._exit(3)
@@ -540,13 +655,17 @@ def _forbidden(*args, **kwargs):
      "algorithm 'sc_psro'"),
     ({"games": [{"kind": "builtin", "builtin_name": "rps"}, "rps.json"]}, [],
      "game 'rps'"),
+    ({"max_iteration": 7}, [], "max_iteration"),
+    ({"algorithms": [{"name": "sc_psro", "overide": {"lr": 0.1}}]}, [],
+     "overide"),
+    ({"seeds": {"start": 0, "stop": 3, "step": 2}}, [], "step"),
 ])
 def test_cli_run_rejects_bad_grid_settings(tmp_path, monkeypatch, capsys,
                                            changes, argv, word):
     # Each of these once ran: truncated by int(), a bool read as 1, a negative
     # seed failing every cell, a 10^8-seed range built past the cap, 10^12
-    # iterations a cell, or repeated seeds, algorithms or games whose rows
-    # merged in metrics.csv and summary.csv.
+    # iterations a cell, repeated seeds, algorithms or games whose rows
+    # merged in metrics.csv and summary.csv, or an unknown key dropped.
     monkeypatch.setattr(harness, "run_experiment", _forbidden)
     config = dict({"games": [{"kind": "builtin", "builtin_name": "rps"}],
                    "algorithms": ["vanilla_psro"], "seeds": [0],
