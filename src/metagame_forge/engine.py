@@ -315,7 +315,8 @@ def _advantage_bounds(game: BimatrixGame, player: int, pi_t: np.ndarray,
     """Bounds ``(lo, hi)`` on the advantage that `advantage_many` gives each
     row of ``_candidates(pi_t, step)`` (pi_t on the simplex), found without
     the dense products, whatever rows share their block and on any thread
-    count; or None where the bounds would be loose.
+    count; ``(-inf, inf)`` on rows where the bounds would be loose, and None
+    where every row is.
 
     Candidate i moves coordinate a of pi_t by ``delta[i]`` and divides by
     ``sums[i]``, so its payoffs against the pure replies are
@@ -326,12 +327,21 @@ def _advantage_bounds(game: BimatrixGame, player: int, pi_t: np.ndarray,
     factor 16 covers them, and the few other roundings, more than twice
     over.  A reply whose tie-set membership these errors could flip counts
     for the lower bound of the advantage and not for the upper one.  A
-    bound past TIE_ATOL / 4, as from payoffs past about 70 at dim 1000,
-    could settle no tie set and gives None; within it, the sums also stay
-    clear of the clamp in `_candidates`.  An exactly zero-sum game, where
-    ``advantage_many`` takes the minimum over all replies, needs no other
-    path: the reply at the player's minimum is, up to rounding, the
-    opponent's best, so the bounds hold it as they hold a tie set.
+    bound past TIE_ATOL / 4, as from payoffs past about 70 at dim 1000, or
+    a row whose sum is near 0, could settle no tie set and makes the row
+    loose; within it, the sums also stay clear of the clamp in
+    `_candidates`.  An exactly zero-sum game, where ``advantage_many``
+    takes the minimum over all replies, needs no other path: the reply at
+    the player's minimum is, up to rounding, the opponent's best, so the
+    bounds hold it as they hold a tie set.
+
+    Two shortcuts form fewer opponent payoffs, each as the full pass forms
+    it, so the bits are the same.  A "-" row n + a differs from its "+"
+    twin a by a multiple of M[a], so its payoffs are formed only within
+    ``reach`` below the twin's best.  And a row whose step times the margin
+    of the opponent's best reply (`BimatrixGame.reply_margins`) outweighs
+    the rest has that reply as its whole tie set; a chunk of such rows
+    skips the pass.
     """
     n = pi_t.shape[0]
     p = np.abs(pi_t)
@@ -341,33 +351,67 @@ def _advantage_bounds(game: BimatrixGame, player: int, pi_t: np.ndarray,
     eps = np.finfo(float).eps / 2
     scale = 16.0 * n * eps / (1.0 - n * eps) * (sums + total + np.abs(delta))
     mats = [own_matrix(game, player), own_matrix(game, 1 - player).T]
+    scales, replies = game.reply_margins
     bases = [p @ M for M in mats]
-    rhos = [scale * max(M.max(), -M.min(), TIE_ATOL) for M in mats]
-    if not all((rho <= sums * (TIE_ATOL / 4)).all() for rho in rhos):
+    rhos = [scale * max(scales[q], TIE_ATOL) for q in (player, 1 - player)]
+    tight = np.logical_and(*(rho <= sums * (TIE_ATOL / 4) for rho in rhos))
+    if not tight.any():
         return None
-    lo = np.empty(2 * n)
-    hi = np.empty(2 * n)
+    # Both the reply and the best one may be off by rho; the rest of the
+    # band covers the rounding of the threshold itself.
+    band = 3.0 * rhos[1]
+    # Dominant steps: with delta > 0, every other reply's payoff trails that
+    # of the best reply j by delta times j's margin, less how far the
+    # largest base exceeds j's, each off by at most rho.  Where that lead is
+    # twice the tie width, the band and both errors, j alone ties.  Every
+    # row gets j's values; the pass overwrites the rows of its chunks.
+    own = np.tile(np.arange(n), 2)
+    best, margin = replies[player]
+    j = best[own]
+    gain = np.zeros(2 * n)
+    np.multiply(delta, margin[own], out=gain, where=delta > 0)
+    settled = gain > 2.0 * (bases[1].max() - bases[1][j] + sums * TIE_ATOL
+                            + 5.0 * rhos[1])
+    x = mats[1][own, j] * delta + bases[1][j]
+    lo = bases[0][j] + delta * mats[0][own, j]
+    hi = np.where(x >= x - sums * TIE_ATOL + band, lo, np.inf)
+    open_rows = (tight & ~settled).reshape(2, n).any(axis=0)
+    # Row n + a's payoffs lie within |delta[n + a] - delta[a]| times the
+    # scale of row a's, so its tie set lies within twice that, its tie
+    # width, band and both errors below row a's best, doubled for rounding.
+    reach = 2.0 * (2.0 * np.abs(delta[n:] - delta[:n]) * scales[1 - player]
+                   + sums[n:] * TIE_ATOL + band[n:]
+                   + 2.0 * (rhos[1][:n] + rhos[1][n:]))
     m = mats[0].shape[1]
     X = np.empty((max(1, 65536 // m), m))
     for start in range(0, n, X.shape[0]):
         a = slice(start, min(start + X.shape[0], n))
+        if not open_rows[a].any():
+            continue
         rows = mats[1][a]     # the values that pick the replies
-        for i in (slice(a.start, a.stop), slice(n + a.start, n + a.stop)):
-            x = np.multiply(rows, delta[i, None], out=X[:rows.shape[0]])
-            x += bases[1]
-            thr = x.max(axis=1) - sums[i] * TIE_ATOL
-            # Both the reply and the best one may be off by rho; the rest of
-            # the band covers the rounding of the threshold itself.
-            band = 3.0 * rhos[1][i]
-            # Each row's own maximum is a possible reply, so every row starts
-            # a run in r; the player's payoffs are formed only at these.
-            r, c = np.divmod(np.flatnonzero(x >= (thr - band)[:, None]), m)
-            y = bases[0][c] + delta[i][r] * mats[0][start + r, c]
-            runs = np.flatnonzero(np.diff(r, prepend=-1))
-            lo[i] = np.minimum.reduceat(y, runs)
+        x = np.multiply(rows, delta[a, None], out=X[:rows.shape[0]])
+        x += bases[1]
+        top = x.max(axis=1)
+        # Each row's own maximum passes, so every row starts a run in r.
+        r, c = np.divmod(np.flatnonzero(x >= np.minimum(
+            top - sums[a] * TIE_ATOL - band[a], top - reach[a])[:, None]), m)
+        runs = np.flatnonzero(np.diff(r, prepend=-1))
+        twins = slice(n + a.start, n + a.stop)
+        for i, xs in ((a, x[r, c]),
+                      (twins, rows[r, c] * delta[twins][r] + bases[1][c])):
+            thr = np.maximum.reduceat(xs, runs) - sums[i] * TIE_ATOL
+            near = xs >= (thr - band[i])[r]
+            rn, cn = r[near], c[near]
+            y = bases[0][cn] + delta[i][rn] * mats[0][start + rn, cn]
+            starts = np.flatnonzero(np.diff(rn, prepend=-1))
+            lo[i] = np.minimum.reduceat(y, starts)
             hi[i] = np.minimum.reduceat(
-                np.where(x[r, c] >= (thr + band)[r], y, np.inf), runs)
-    return (lo - rhos[0]) / sums, (hi + rhos[0]) / sums
+                np.where(xs[near] >= (thr + band[i])[rn], y, np.inf), starts)
+    # Loose rows are left out of the division: their sums may be 0.
+    return (np.divide(lo - rhos[0], sums, out=np.full(2 * n, -np.inf),
+                      where=tight),
+            np.divide(hi + rhos[0], sums, out=np.full(2 * n, np.inf),
+                      where=tight))
 
 
 def _ec_scores(fixed_rows: np.ndarray, cand_rows: np.ndarray,
@@ -403,14 +447,14 @@ def _best_candidate(game: BimatrixGame, player: int, pi_t: np.ndarray,
     For blocks of at least ONE_THREAD_MNK multiply-adds (the threading
     cutoff of `run_iteration`; the bounds were timed only at dims 100,
     where they cost more than they saved, and 1000) the advantage lies
-    within the bounds of `_advantage_bounds` where they are tight; else it
-    is the full block's dense advantage.  A candidate survives if its
-    highest possible score reaches the best lowest one, ``slack`` covering
-    the rounding of the weighted terms and sums; on a non-finite
-    approximation all of them do.  Survivors that are one row are that row;
-    else they are scored exactly, with the dense advantage of the survivors
-    alone where they keep the block's bits (`rows_keep_block_bits`), else of
-    the full block.
+    within the bounds of `_advantage_bounds`, infinite on loose rows; where
+    every row is loose it is the full block's dense advantage.  A candidate
+    survives if its highest possible score reaches the best lowest one,
+    ``slack`` covering the rounding of the weighted terms and sums; on a
+    non-finite approximation all of them do.  Survivors that are one row are
+    that row; else they are scored exactly, with the dense advantage of the
+    survivors alone where they keep the block's bits
+    (`rows_keep_block_bits`), else of the full block.
     """
     n = pi_t.shape[0]
     approx, bound, exact = ec or (0.0, 0.0, lambda rows: 0.0)

@@ -83,6 +83,35 @@ class BimatrixGame:
         """u_col == -u_row entry for entry."""
         return bool(np.array_equal(self.u_col, -self.u_row))
 
+    @cached_property
+    def reply_margins(self) -> tuple:
+        """``(scales, replies)``: ``scales[p]`` is player p's payoff scale
+        ``max |u|`` (u_row for p = 0, u_col for 1), and ``replies[p]`` is a
+        pair of arrays over player p's pure actions: the opponent's best pure
+        reply to each (the lowest index among ties), and its payoff's margin
+        over the opponent's second best (0 at a tie, inf with one reply).
+        Computed in chunks of rows, with no temporary the size of a matrix."""
+        scales = tuple(max(u.max(), -u.min()) for u in (self.u_row, self.u_col))
+        return scales, (_best_replies(self.u_col), _best_replies(self.u_row.T))
+
+
+def _best_replies(B: np.ndarray) -> tuple:
+    """Each row's argmax (lowest index among ties) and its margin over the
+    row's second largest entry (inf for one column)."""
+    n, m = B.shape
+    rows = max(1, 65536 // m)
+    best = np.empty(n, dtype=int)
+    margin = np.full(n, np.inf)
+    for start in range(0, n, rows):
+        X = B[start:start + rows].copy()
+        i, j = np.arange(X.shape[0]), X.argmax(axis=1)
+        best[start:start + rows] = j
+        if m > 1:   # the best entry, then the largest of the others
+            top = X[i, j]
+            X[i, j] = -np.inf
+            margin[start:start + rows] = top - X.max(axis=1)
+    return best, margin
+
 
 def new_game(u_row, u_col, name: str = "game") -> BimatrixGame:
     """Validate payoff matrices and build a game."""

@@ -191,36 +191,50 @@ def run_cell(game_spec, game: BimatrixGame, algo_name: str, overrides: dict,
     return rows
 
 
-def _cell_worker(cell):
-    """``run_cell`` on ``cell``, returned with the cell's identity (game spec,
-    algorithm, overrides, seed) but not its game, which a pool would send back."""
-    game_spec, _, name, overrides, seed = cell[:5]
+# A pool worker's games, set once by the pool's initializer.
+_GAMES: tuple = ()
+
+
+def _install_games(games: tuple) -> None:
+    global _GAMES
+    _GAMES = games
+
+
+def _cell_worker(cell, games: tuple = None):
+    """``run_cell`` on ``cell``, whose game is an index into ``games`` (by
+    default the worker's), returned with the cell's identity (game spec,
+    algorithm, overrides, seed)."""
+    game_spec, index, name, overrides, seed = cell[:5]
     identity = (game_spec, name, overrides, seed)
+    game = (_GAMES if games is None else games)[index]
     try:
-        return ("ok", identity, run_cell(*cell))
+        return ("ok", identity, run_cell(game_spec, game, *cell[2:]))
     except Exception:
         return ("error", identity, traceback.format_exc())
 
 
 def execute_grid(config: ExperimentConfig, log=print) -> tuple[list, int]:
     """Run the full grid; returns (rows, n_failed).  Each game is built or
-    loaded once, before any cell runs.  A failing cell is logged and skipped,
-    the rest of the grid still runs."""
+    loaded once, before any cell runs, and installed once in each pool
+    worker (inherited by a fork, pickled once by a spawn).  A failing cell
+    is logged and skipped, the rest of the grid still runs."""
     config.validate()
-    games = [(g, load_game(g) if isinstance(g, str) else g.build())
-             for g in config.games]
-    cells = [(spec, game, name, overrides, seed, config.mode,
+    games = tuple(load_game(g) if isinstance(g, str) else g.build()
+                  for g in config.games)
+    cells = [(spec, index, name, overrides, seed, config.mode,
               config.max_iterations)
-             for spec, game in games
+             for index, spec in enumerate(config.games)
              for (name, overrides) in config.algorithms
              for seed in config.seeds]
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)   # the CPUs this process may run on
     jobs = min(config.jobs, len(cells), cpus)  # all start at once
     if jobs == 1:
-        results = [_cell_worker(cell) for cell in cells]
+        results = [_cell_worker(cell, games) for cell in cells]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=jobs, initializer=_install_games,
+                initargs=(games,)) as pool:
             results = list(pool.map(_cell_worker, cells))
     rows, failed = [], 0
     for status, cell, outcome in results:

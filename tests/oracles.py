@@ -1,12 +1,14 @@
 """Oracles that only the tests use: pure and uniform strategies, a simplex
-grid search for Stackelberg strategies and support enumeration for Nash
-equilibria, all at desk scale."""
+grid search for Stackelberg strategies, support enumeration for Nash
+equilibria, all at desk scale, and the plain full pass of the certified
+advantage bounds."""
 import itertools
 
 import numpy as np
 
 from metagame_forge.games import BimatrixGame, GameError
-from metagame_forge.solvers import TIE_ATOL, advantage_many, exploitability
+from metagame_forge.solvers import (TIE_ATOL, advantage_many, exploitability,
+                                    own_matrix)
 
 
 def pure(n: int, index: int) -> np.ndarray:
@@ -103,3 +105,51 @@ def nash_support_enumeration(game: BimatrixGame,
                 seen.add(key)
                 found.append((x, y))
     return found
+
+
+def reference_advantage_bounds(game: BimatrixGame, player: int,
+                               pi_t: np.ndarray, step: float,
+                               rowwise: bool = False):
+    """`engine._advantage_bounds` as one plain pass over every candidate row,
+    both opponent payoff rows of each own action formed in full: None where
+    any row's bounds would be loose, or with ``rowwise``, ``(-inf, inf)`` on
+    the loose rows (None where every row is)."""
+    n = pi_t.shape[0]
+    p = np.abs(pi_t)
+    delta = np.abs(np.concatenate([pi_t + step, pi_t - step])) - np.tile(p, 2)
+    total = p.sum()
+    sums = total + delta
+    eps = np.finfo(float).eps / 2
+    scale = 16.0 * n * eps / (1.0 - n * eps) * (sums + total + np.abs(delta))
+    mats = [own_matrix(game, player), own_matrix(game, 1 - player).T]
+    bases = [p @ M for M in mats]
+    rhos = [scale * max(M.max(), -M.min(), TIE_ATOL) for M in mats]
+    tight = np.logical_and(*(rho <= sums * (TIE_ATOL / 4) for rho in rhos))
+    if not (tight.all() or rowwise and tight.any()):
+        return None
+    lo = np.empty(2 * n)
+    hi = np.empty(2 * n)
+    m = mats[0].shape[1]
+    X = np.empty((max(1, 65536 // m), m))
+    for start in range(0, n, X.shape[0]):
+        a = slice(start, min(start + X.shape[0], n))
+        rows = mats[1][a]     # the values that pick the replies
+        for i in (slice(a.start, a.stop), slice(n + a.start, n + a.stop)):
+            x = np.multiply(rows, delta[i, None], out=X[:rows.shape[0]])
+            x += bases[1]
+            thr = x.max(axis=1) - sums[i] * TIE_ATOL
+            # Both the reply and the best one may be off by rho; the rest of
+            # the band covers the rounding of the threshold itself.
+            band = 3.0 * rhos[1][i]
+            # Each row's own maximum is a possible reply, so every row starts
+            # a run in r; the player's payoffs are formed only at these.
+            r, c = np.divmod(np.flatnonzero(x >= (thr - band)[:, None]), m)
+            y = bases[0][c] + delta[i][r] * mats[0][start + r, c]
+            runs = np.flatnonzero(np.diff(r, prepend=-1))
+            lo[i] = np.minimum.reduceat(y, runs)
+            hi[i] = np.minimum.reduceat(
+                np.where(x[r, c] >= (thr + band)[r], y, np.inf), runs)
+    out = np.full(2 * n, -np.inf), np.full(2 * n, np.inf)
+    out[0][tight] = (lo[tight] - rhos[0][tight]) / sums[tight]
+    out[1][tight] = (hi[tight] + rhos[0][tight]) / sums[tight]
+    return out

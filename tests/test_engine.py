@@ -24,7 +24,7 @@ from metagame_forge.harness import make_config
 from metagame_forge.solvers import (advantage, advantage_many, blas_threads,
                                     ec_of_gram, ec_rank_one, exploitability,
                                     fictitious_play, own_matrix)
-from oracles import pure, uniform
+from oracles import pure, reference_advantage_bounds, uniform
 
 RPS = builtin("rps")
 T1 = builtin("stackelberg_table1")
@@ -553,6 +553,102 @@ def test_certified_advantage_argmax_settles_most_draws(n, m):
                 assert np.array_equal(C[i],
                                       _dense_argmax_row(g, seed % 2, C, t))
     assert settled >= 16
+
+@settings(max_examples=300, deadline=None)
+# Step 1e9: every row's best reply dominates, so no chunk runs the pass.
+@example(seed=3, n=230, m=200, player=1, zero_sum=False, payoffs="normal",
+         scale=1.0, pi_kind="dirichlet", step=1e9)
+# One opponent action: every row with a positive step is settled.
+@example(seed=4, n=30, m=1, player=0, zero_sum=False, payoffs="integer",
+         scale=1.0, pi_kind="near_pure", step=0.3)
+@given(seed=st.integers(0, 2**31 - 1),
+       n=st.one_of(st.integers(1, 60), st.sampled_from([200, 257])),
+       m=st.one_of(st.integers(1, 60), st.sampled_from([200, 231])),
+       player=st.sampled_from([0, 1]),
+       zero_sum=st.booleans(),
+       payoffs=st.sampled_from(["normal", "integer", "tie_atol"]),
+       scale=st.sampled_from([1.0, 1e3, 1e6]),
+       pi_kind=st.sampled_from(["dirichlet", "near_pure", "with_zeros",
+                                "step_coordinate"]),
+       step=st.sampled_from([1e-6, 0.3, 0.9, 1.0, 1e9]))
+def test_advantage_bounds_keep_the_full_pass_bits(seed, n, m, player,
+                                                  zero_sum, payoffs, scale,
+                                                  pi_kind, step):
+    # The twin window and the dominant steps form fewer payoffs than the
+    # full pass and give its bits wherever it gives bounds.  Where it gives
+    # none, only the loose rows are (-inf, inf), and the others still hold
+    # the dense scores.
+    g, pi, step = _draw_certify_case(seed, n, m, player, zero_sum, payoffs,
+                                     scale, pi_kind, step)
+    bounds = engine._advantage_bounds(g, player, pi, step)
+    reference = (reference_advantage_bounds(g, player, pi, step)
+                 or reference_advantage_bounds(g, player, pi, step,
+                                               rowwise=True))
+    if reference is None:
+        assert bounds is None
+        return
+    assert np.array_equal(bounds[0], reference[0])
+    assert np.array_equal(bounds[1], reference[1])
+    dense = advantage_many(g, player, _candidates(pi, step))
+    assert (bounds[0] <= dense).all() and (dense <= bounds[1]).all()
+
+def test_advantage_bounds_settle_dominant_steps_without_the_pass(monkeypatch):
+    # At step 1e9 each candidate's replies are ordered by one row of the
+    # opponent's payoffs, whose best entry leads by far more than the
+    # spread of pi_t's payoffs: no chunk runs the pass, which picks its
+    # replies with np.flatnonzero.
+    picks = []
+    flatnonzero = np.flatnonzero
+    monkeypatch.setattr(np, "flatnonzero",
+                        lambda a: picks.append(1) or flatnonzero(a))
+    g = gen_general_sum(300, 7)
+    pi = np.random.default_rng(0).dirichlet(np.ones(300))
+    for player in (0, 1):
+        for step in (1e9, 0.3):
+            picks.clear()
+            bounds = engine._advantage_bounds(g, player, pi, step)
+            assert (picks == []) == (step == 1e9)
+            reference = reference_advantage_bounds(g, player, pi, step)
+            assert np.array_equal(bounds, reference)
+
+def test_one_loose_row_costs_no_dense_block(monkeypatch):
+    # A pure pi_t and step 0.95: the "-" row of its action sums to 0.05,
+    # too little for payoffs up to 100 at dim 200, so that row alone is
+    # loose.  It survives with bounds (-inf, inf) and is scored with the
+    # other survivors; the full block never is.
+    n = 200
+    base = gen_general_sum(n, 7)
+    g = new_game(10.0 * base.u_row, 10.0 * base.u_col)
+    pi, step = pure(n, 17), 0.95
+    assert reference_advantage_bounds(g, 0, pi, step) is None
+    lo, hi = engine._advantage_bounds(g, 0, pi, step)
+    assert np.flatnonzero(np.isinf(lo) | np.isinf(hi)).tolist() == [n + 17]
+    # Step 1 takes that row to 0; it is loose, and never divided by its sum.
+    lo, hi = engine._advantage_bounds(g, 0, pi, 1.0)
+    assert np.flatnonzero(np.isinf(lo) | np.isinf(hi)).tolist() == [n + 17]
+    calls = []
+    score = engine.advantage_many
+
+    def counted_score(game, player, P, picked=False):
+        calls.append((P.shape[0], picked))
+        return score(game, player, P, picked=picked)
+
+    monkeypatch.setattr(engine, "advantage_many", counted_score)
+    out = engine.lookahead_step(g, 0, pi, np.ones(1), 1.0, _FixedStep(step))
+    C = _candidates(pi, step)
+    assert np.array_equal(out, _dense_argmax_row(g, 0, C, None))
+    if solvers.rows_keep_block_bits(g, 0):
+        assert calls and all(rows < 2 * n and picked for rows, picked in calls)
+    else:
+        assert calls == [(2 * n, False)]
+
+def test_games_below_the_gate_never_compute_reply_margins():
+    # Only the advantage bounds read them, and only above ONE_THREAD_MNK.
+    g = gen_general_sum(100, 7)
+    reports = run(g, make_config("sc_psro", seed=0, max_iterations=4))
+    assert {b for r in reports for b in r.oracle_branch_taken} == {
+        "lookahead", "diversity"}
+    assert "reply_margins" not in vars(g)
 
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 1200),

@@ -37,6 +37,26 @@ def test_new_game_rejects_bad_input():
     with pytest.raises(GameError):
         new_game(np.zeros((0, 2)), np.zeros((0, 2)))
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 70),
+       m=st.one_of(st.integers(1, 70), st.integers(1000, 1100)),
+       integer=st.booleans())
+def test_reply_margins_match_a_full_sort(seed, n, m, integer):
+    # Chunked per row (m >= 1000 leaves one row a chunk); integer payoffs
+    # tie at the top, where the margin is 0 and the lowest index is best.
+    rng = np.random.default_rng(seed)
+    draw = ((lambda: rng.integers(-2, 3, size=(n, m)).astype(float))
+            if integer else (lambda: rng.normal(size=(n, m))))
+    g = new_game(draw(), draw())
+    scales, replies = g.reply_margins
+    assert scales == (np.abs(g.u_row).max(), np.abs(g.u_col).max())
+    for (best, margin), B in zip(replies, (g.u_col, g.u_row.T)):
+        assert np.array_equal(best, B.argmax(axis=1))
+        top_two = -np.sort(-B, axis=1)[:, :2]
+        expected = (top_two[:, 0] - top_two[:, 1] if B.shape[1] > 1
+                    else np.full(B.shape[0], np.inf))
+        assert np.array_equal(margin, expected)
+
 def test_matrices_are_immutable():
     g = builtin("rps")
     with pytest.raises(ValueError):

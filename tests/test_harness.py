@@ -6,6 +6,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 from dataclasses import fields
 from pathlib import Path
 
@@ -284,17 +285,44 @@ def _pool_sizes(tmp_path, monkeypatch):
     at an unbounded ``jobs``."""
     asked = []
 
-    def pool(max_workers):      # threads, so no worker process starts
-        asked.append(max_workers)
-        return concurrent.futures.ThreadPoolExecutor(max_workers)
+    def pool(max_workers, initializer=None, initargs=()):
+        asked.append(max_workers)   # threads, so no worker process starts
+        return concurrent.futures.ThreadPoolExecutor(
+            max_workers, initializer=initializer, initargs=initargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(harness, "_GAMES", ())   # the threads install them
     monkeypatch.setattr(harness, "run_cell", lambda *args: [])
     cfg = parse_experiment({"games": [{"kind": "builtin", "builtin_name": "rps"}],
                             "algorithms": ["vanilla_psro"], "seeds": [0, 1, 2],
                             "jobs": 10**9, "output_dir": str(tmp_path / "out")})
     assert execute_grid(cfg) == ([], 0)
     return asked
+
+def test_pool_cells_carry_no_game(tmp_path, monkeypatch):
+    # Each cell sent to a pool names its game by index; the workers get the
+    # games once, from the pool's initializer.  A dim-200 game's payoffs
+    # pickle to 640 KB.
+    sizes = []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def map(self, fn, cells):
+            cells = list(cells)
+            sizes.extend(len(pickle.dumps(cell)) for cell in cells)
+            return super().map(fn, cells)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(harness, "_GAMES", ())   # the threads install them
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    cfg = parse_experiment({
+        "games": [{"kind": "general_sum_random", "dim": 200},
+                  {"kind": "builtin", "builtin_name": "rps"}],
+        "algorithms": ["vanilla_psro"], "seeds": [0, 1], "max_iterations": 2,
+        "jobs": 2, "output_dir": str(tmp_path / "out")})
+    rows, failed = execute_grid(cfg)
+    assert failed == 0 and len(rows) == 2 * 2 * 2
+    assert len(sizes) == 4 and max(sizes) < 4096
 
 # The CPUs are the affinity set where the platform has one.  Without it, an
 # unknown CPU count (None) runs the cells serially, with no pool.
