@@ -7,11 +7,13 @@ Subcommands::
     eval       print a metric for a (game, row strategy, col strategy) triple
     aggregate  recompute summary.csv from an existing metrics.csv
 
-Exit codes: 0 success, 1 at least one grid cell failed or a grid worker
-process died (for example, killed for running out of memory; no metrics are
-then written), 2 invalid input (including ``--jobs 0``, an unknown config
-key, an unknown or mistyped algorithm override, and a path that cannot be
-read or written, such as a directory).
+``run --seeds a..b``, ``--jobs`` and ``--out`` replace the config's
+``seeds``, ``jobs`` and ``output_dir`` keys before its one parse. Exit
+codes: 0 success, 1 at least one grid cell failed or a grid worker process
+died (for example, killed for running out of memory; no metrics are then
+written), 2 invalid input (including ``--jobs 0``, an unknown config key, an
+unknown or mistyped algorithm override, and a path that cannot be read or
+written, such as a directory).
 """
 from __future__ import annotations
 
@@ -38,17 +40,17 @@ def _load_strategy(path, n: int) -> np.ndarray:
 
 
 def _cmd_run(args) -> int:
-    config = harness.load_experiment(args.config)
+    overrides = {"jobs": args.jobs, "output_dir": args.out or None}
     if args.seeds:
-        lo, hi = args.seeds.split("..")
-        config.seeds = harness.seed_range(int(lo), int(hi))
-    if args.jobs is not None:
-        config.jobs = args.jobs
-    if args.out:
-        config.output_dir = args.out
-    config.validate()
-    failed = harness.run_experiment(config)
-    return 1 if failed else 0
+        try:
+            start, stop = map(int, args.seeds.split(".."))
+        except ValueError:
+            raise GameError("--seeds takes a half-open range a..b of two "
+                            f"integers, got {args.seeds!r}") from None
+        overrides["seeds"] = {"start": start, "stop": stop}
+    config = harness.load_experiment(args.config, **{
+        key: value for key, value in overrides.items() if value is not None})
+    return 1 if harness.run_experiment(config) else 0
 
 
 def _cmd_gen_game(args) -> int:
@@ -125,8 +127,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GameError, StrategyError, OSError, json.JSONDecodeError,
-            ValueError) as exc:
+    except (OSError, ValueError) as exc:   # GameError, StrategyError, bad JSON
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenExecutor:   # BrokenProcessPool: a pool worker died

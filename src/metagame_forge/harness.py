@@ -91,9 +91,6 @@ class ExperimentConfig:
             twice = [key for key, count in Counter(keys).items() if count > 1]
             if twice:
                 raise GameError(f"{what} {twice[0]!r} appears twice in the grid")
-        for game in self.games:   # last, as it reads the game files
-            if isinstance(game, str):
-                load_game(game)   # one that does not load fails every cell
 
 
 def seed_range(start: int, stop: int) -> list:
@@ -110,11 +107,13 @@ def algorithm_entry(name, overrides=()) -> tuple:
     return name, dict(overrides)
 
 
-def parse_experiment(doc: dict) -> ExperimentConfig:
-    """The grid ``doc`` describes.  Each object in it holds only keyword
-    arguments of what it builds: `ExperimentConfig` (whose defaults fill the
-    rest), `GameGenSpec`, `algorithm_entry` or `seed_range`."""
+def parse_experiment(doc: dict, **overrides) -> ExperimentConfig:
+    """The grid ``doc`` describes, updated by ``overrides``; no game file is
+    read.  Each object in it holds only keyword arguments of what it builds:
+    `ExperimentConfig` (whose defaults fill the rest), `GameGenSpec`,
+    `algorithm_entry` or `seed_range`."""
     try:
+        doc = {**doc, **overrides}
         seeds = doc["seeds"]
         cfg = ExperimentConfig(**{
             **doc,
@@ -130,13 +129,13 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
     return cfg
 
 
-def load_experiment(path) -> ExperimentConfig:
+def load_experiment(path, **overrides) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise GameError(f"malformed experiment config: {exc}") from exc
-    return parse_experiment(doc)
+    return parse_experiment(doc, **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +214,13 @@ def _cell_worker(cell, games: tuple = None):
 
 def execute_grid(config: ExperimentConfig, log=print) -> tuple[list, int]:
     """Run the full grid; returns (rows, n_failed).  Each game is built or
-    loaded once, before any cell runs, and installed once in each pool
-    worker (inherited by a fork, pickled once by a spawn).  A failing cell
-    is logged and skipped, the rest of the grid still runs."""
+    loaded once, then the output directory made, before any cell runs; each
+    pool worker gets the games once (inherited by a fork, pickled by a spawn).
+    A failing cell is logged and skipped, the rest of the grid still runs."""
     config.validate()
     games = tuple(load_game(g) if isinstance(g, str) else g.build()
                   for g in config.games)
+    Path(config.output_dir).mkdir(parents=True, exist_ok=True)
     cells = [(spec, index, name, overrides, seed, config.mode,
               config.max_iterations)
              for index, spec in enumerate(config.games)
@@ -337,7 +337,6 @@ def run_experiment(config: ExperimentConfig, log=print) -> int:
     """Execute the grid and write metrics.csv, summary.csv and plot TSVs to
     the output directory.  Returns the number of failed cells."""
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows, failed = execute_grid(config, log=log)
     write_metrics(rows, out_dir / "metrics.csv")
     summary = aggregate_rows(rows)

@@ -7,7 +7,7 @@ import math
 import multiprocessing
 import os
 import pickle
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -239,22 +239,36 @@ def _game_loads(tmp_path, monkeypatch):
 
 def test_cli_grid_loads_a_game_file_independently_of_its_cell_count(
         tmp_path, monkeypatch):
-    # Validation loads the file (the CLI validates three times), and the
-    # grid loads it once more; no cell loads it again.
+    # The grid loads the file once, whatever its cells and jobs; parsing and
+    # validation read no game file, and no cell or pool worker loads it.
     path = tmp_path / "rps_file.json"
     save_game(builtin("rps"), path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)   # a pool even on one CPU
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor",
+        functools.partial(concurrent.futures.ProcessPoolExecutor,
+                          mp_context=multiprocessing.get_context("fork")))
     loads = _game_loads(tmp_path, monkeypatch)
-    counts = []
+    checks = []
+    validate = ExperimentConfig.validate
+    monkeypatch.setattr(ExperimentConfig, "validate",
+                        lambda self: checks.append(1) or validate(self))
+    config = {"games": [str(path)], "algorithms": ["vanilla_psro"],
+              "seeds": [0], "max_iterations": 2}
+    parse_experiment(config).validate()
+    assert loads() == []
+    cpath = tmp_path / "exp.json"
+    cpath.write_text(json.dumps(config))
     for n_seeds in (2, 8):
-        before = len(loads())
-        config = {"games": [str(path)], "algorithms": ["vanilla_psro"],
-                  "seeds": list(range(n_seeds)), "max_iterations": 2,
-                  "output_dir": str(tmp_path / f"out{n_seeds}")}
-        cpath = tmp_path / f"exp{n_seeds}.json"
-        cpath.write_text(json.dumps(config))
-        assert main(["run", "--config", str(cpath)]) == 0
-        counts.append(len(loads()) - before)
-    assert counts[0] == counts[1]
+        for jobs in (1, 2):
+            before = len(loads())
+            checks.clear()
+            assert main(["run", "--config", str(cpath), "--seeds",
+                         f"0..{n_seeds}", "--jobs", str(jobs), "--out",
+                         str(tmp_path / f"out{n_seeds}_{jobs}")]) == 0
+            assert len(loads()) - before == 1
+            assert len(checks) == 2   # at the parse and in execute_grid
 
 def test_fork_pool_workers_receive_their_games(tmp_path, monkeypatch):
     # Workers of a real fork-started pool run the cells on the games the
@@ -703,6 +717,48 @@ def test_cli_run_rejects_bad_grid_settings(tmp_path, monkeypatch, capsys,
     assert main(["run", "--config", str(cpath), *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and word in err
+
+@pytest.mark.parametrize("seeds", ["abc", "0..x", "1..2..3"])
+def test_cli_malformed_seeds_flag_exits_2(tmp_path, capsys, seeds):
+    # These once printed only Python's unpacking or int() message.
+    cpath = tmp_path / "exp.json"
+    cpath.write_text(json.dumps(RPS_GRID))
+    assert main(["run", "--config", str(cpath), "--seeds", seeds]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--seeds" in err and "a..b" in err
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),
+                         ids=lambda p: p.name)
+def test_cli_flags_replace_config_keys(tmp_path, monkeypatch, path):
+    # The flags replace the file's keys before the one parse; every other
+    # field is as the file gives it.
+    seen = []
+    monkeypatch.setattr(harness, "run_experiment",
+                        lambda config: seen.append(config) or 0)
+    assert set(json.loads(path.read_text())["seeds"]) == {"start", "stop"}
+    assert main(["run", "--config", str(path), "--seeds", "0..2", "--jobs",
+                 "2", "--out", str(tmp_path)]) == 0
+    assert seen == [replace(load_experiment(path), seeds=[0, 1], jobs=2,
+                            output_dir=str(tmp_path))]
+
+def test_cli_flags_on_a_config_that_is_not_an_object_exit_2(tmp_path, capsys):
+    cpath = tmp_path / "exp.json"
+    cpath.write_text("[1, 2]")
+    assert main(["run", "--config", str(cpath), "--jobs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+def test_cli_unusable_output_dir_exits_2_before_any_cell(tmp_path, monkeypatch):
+    # The output directory is made once the games are in hand, before the
+    # first cell runs.
+    cells = []
+    monkeypatch.setattr(harness, "run_cell", lambda *args: cells.append(args))
+    cpath = tmp_path / "exp.json"
+    cpath.write_text(json.dumps(RPS_GRID))
+    out = tmp_path / "taken"
+    out.write_text("a regular file")
+    assert main(["run", "--config", str(cpath), "--out", str(out)]) == 2
+    assert cells == []
 
 def test_cli_invalid_config_exits_2(tmp_path):
     cpath = tmp_path / "broken.json"
