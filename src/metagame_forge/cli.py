@@ -40,8 +40,8 @@ def _load_strategy(path, n: int) -> np.ndarray:
 
 
 def _cmd_run(args) -> int:
-    overrides = {"jobs": args.jobs, "output_dir": args.out or None}
-    if args.seeds:
+    overrides = {"jobs": args.jobs, "output_dir": args.out}
+    if args.seeds is not None:
         try:
             start, stop = map(int, args.seeds.split(".."))
         except ValueError:

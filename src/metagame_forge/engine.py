@@ -417,8 +417,8 @@ def _advantage_bounds(game: BimatrixGame, player: int, pi_t: np.ndarray,
 def _ec_scores(fixed_rows: np.ndarray, cand_rows: np.ndarray,
                index: np.ndarray) -> np.ndarray:
     """Expected cardinality of the meta-matrix made of the k fixed rows plus
-    candidate row i, for each i in ``index``: one Cholesky of the candidate's
-    own bordered Gram matrix each.
+    candidate row i, for each i in ``index``: one inverse of the candidate's
+    own bordered Gram matrix each (`ec_of_gram`).
 
     Each score depends only on its candidate's bordered matrix, so it carries
     the same bits whichever other candidates are scored alongside it.

@@ -74,8 +74,8 @@ class ExperimentConfig:
             raise GameError("max_iterations must be in [1, 100000], jobs >= 1, seeds >= 0")
         if self.mode not in MODES:
             raise GameError(f"unknown mode {self.mode!r}")
-        if not isinstance(self.output_dir, (str, os.PathLike)):
-            raise GameError(f"output_dir must be a path, got {self.output_dir!r}")
+        if not isinstance(self.output_dir, (str, os.PathLike)) or self.output_dir == "":
+            raise GameError(f"output_dir must be a nonempty path, got {self.output_dir!r}")
         for game in self.games:
             if not isinstance(game, str):
                 game.validate()
@@ -114,15 +114,18 @@ def parse_experiment(doc: dict, **overrides) -> ExperimentConfig:
     `algorithm_entry` or `seed_range`."""
     try:
         doc = {**doc, **overrides}
-        seeds = doc["seeds"]
+        for key, kinds, what in (("games", list, "a list"), ("algorithms", list, "a list"),
+                                 ("seeds", (list, dict), "a list or {start, stop}")):
+            if not isinstance(doc[key], kinds):   # a string iterates by character
+                raise GameError(f"{key} must be {what}, got {doc[key]!r}")
         cfg = ExperimentConfig(**{
             **doc,
             "games": [g if isinstance(g, str) else GameGenSpec(**g)
                       for g in doc["games"]],
             "algorithms": [algorithm_entry(a) if isinstance(a, str)
                            else algorithm_entry(**a) for a in doc["algorithms"]],
-            "seeds": (seed_range(**seeds) if isinstance(seeds, dict)
-                      else list(seeds))})
+            "seeds": (seed_range(**doc["seeds"]) if isinstance(doc["seeds"], dict)
+                      else list(doc["seeds"]))})
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GameError(f"invalid experiment config: {exc}") from exc
     cfg.validate()

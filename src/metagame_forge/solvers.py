@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .games import BimatrixGame, GameError, validate_strategy
 
@@ -268,17 +267,18 @@ def fictitious_play(m_row, m_col, max_iters: int = 2000,
 
 def ec_of_gram(L: np.ndarray) -> float:
     """Expected cardinality EC = Tr(I - (L+I)^-1) of the meta-matrix M with
-    Gram matrix L = M M^T, via one Cholesky factorization."""
+    Gram matrix L = M M^T, via one inverse; a non-finite L is a GameError."""
+    if not np.isfinite(L).all():
+        raise GameError("Gram matrix has a non-finite entry")
     t = L.shape[0]
-    c = cho_factor(L + np.eye(t), lower=True)
-    return float(t - np.trace(cho_solve(c, np.eye(t))))
+    return float(t - np.trace(np.linalg.inv(L + np.eye(t))))
 
 
 # Relative rounding bound of `ec_rank_one` against `ec_of_gram`, per unit of
 # (k+1)(1 + largest Gram entry), which bounds the condition number of what
-# both factor.  Neither cancels large candidate-dependent values, so each errs
+# both invert.  Neither cancels large candidate-dependent values, so each errs
 # by a few eps times that condition number, first order in the Gram scale: at
-# entries 1e2 to 1e12 the error stayed below 4e-8 of the bound.
+# entries 1e2 to 1e12 the error stayed below 5e-8 of the bound.
 EC_RTOL = 1e-8
 
 
@@ -288,7 +288,7 @@ def ec_rank_one(fixed_rows: np.ndarray,
     ``cand_rows``, F being ``fixed_rows`` (k x m, k >= 0), and a bound on
     its difference from ``ec_of_gram`` of each bordered Gram matrix.
 
-    With ``P = (I + F^T F)^-1`` (one Cholesky factorization), EC(F) is
+    With ``P = (I + F^T F)^-1`` (one inverse), EC(F) is
     m - tr(P), and the row x is a rank-one update of ``I + F^T F`` that by
     Sherman-Morrison adds ``|P x|^2 / (1 + x.P x)``, a sum of squares over
     one plus a positive definite form: no two large values cancel.
@@ -298,11 +298,8 @@ def ec_rank_one(fixed_rows: np.ndarray,
     big = max(np.einsum("ij,ij->i", cand_rows, cand_rows).max(),
               np.einsum("ij,ij->i", fixed_rows, fixed_rows).max(initial=0.0))
     bound = EC_RTOL * (k + 1) * (1.0 + big)
-    # P x through the explicit inverse: OpenBLAS threads a triangular solve
-    # with all candidates as right-hand sides, which on 2 cores then took
-    # milliseconds a call instead of microseconds, for some game seeds.
-    P = cho_solve(cho_factor(fixed_rows.T @ fixed_rows + np.eye(m), lower=True),
-                  np.eye(m))
+    # One inverse serves every candidate: each P x is one row of a product.
+    P = np.linalg.inv(fixed_rows.T @ fixed_rows + np.eye(m))
     PX = cand_rows @ P
     return ((m - np.trace(P)) + np.einsum("ij,ij->i", PX, PX)
             / (1.0 + np.einsum("ij,ij->i", cand_rows, PX))), bound

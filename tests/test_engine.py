@@ -880,8 +880,8 @@ def test_diversity_against_single_rock_opponent():
 
 def _brute_diversity_scores(game, player, pi_t, fixed_members, opp_members,
                             lr, lambda_1):
-    """Reference: one Cholesky per candidate over its bordered Gram matrix,
-    then the dense advantage term.  Returns (candidates, EC, total)."""
+    """Reference: one `ec_of_gram` per candidate over its bordered Gram
+    matrix, then the dense advantage term.  Returns (candidates, EC, total)."""
     m_self = own_matrix(game, player)
     C = _candidates(pi_t, lr)
     cand_rows = C @ (m_self @ opp_members.T)

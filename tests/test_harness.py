@@ -718,14 +718,38 @@ def test_cli_run_rejects_bad_grid_settings(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and word in err
 
-@pytest.mark.parametrize("seeds", ["abc", "0..x", "1..2..3"])
+@pytest.mark.parametrize("seeds", ["abc", "0..x", "1..2..3", ""])
 def test_cli_malformed_seeds_flag_exits_2(tmp_path, capsys, seeds):
-    # These once printed only Python's unpacking or int() message.
+    # These once printed only Python's unpacking or int() message, and an
+    # empty one was dropped for the config's seeds.
     cpath = tmp_path / "exp.json"
     cpath.write_text(json.dumps(RPS_GRID))
     assert main(["run", "--config", str(cpath), "--seeds", seeds]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "--seeds" in err and "a..b" in err
+
+@pytest.mark.parametrize("key, value", [
+    ("games", "elo.json"), ("algorithms", "sc_psro"), ("seeds", "01")])
+def test_cli_string_for_a_list_exits_2(tmp_path, capsys, key, value):
+    # Each was once read one character at a time, and the error named game
+    # 'o', preset 's' or seed '0'.
+    cpath = tmp_path / "exp.json"
+    cpath.write_text(json.dumps(dict(RPS_GRID, **{key: value})))
+    assert main(["run", "--config", str(cpath)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and repr(value) in err
+
+@pytest.mark.parametrize("output_dir, argv", [("", []), ("out", ["--out", ""])])
+def test_cli_empty_output_dir_exits_2_and_writes_nothing(
+        tmp_path, monkeypatch, capsys, output_dir, argv):
+    # An empty output_dir once wrote every output into the working directory,
+    # and an empty --out was dropped for the config's output_dir.
+    monkeypatch.chdir(tmp_path)
+    cpath = tmp_path / "exp.json"
+    cpath.write_text(json.dumps(dict(RPS_GRID, output_dir=output_dir)))
+    assert main(["run", "--config", str(cpath), *argv]) == 2
+    assert list(tmp_path.iterdir()) == [cpath]
+    assert "output_dir" in capsys.readouterr().err
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),
                          ids=lambda p: p.name)

@@ -323,8 +323,9 @@ def test_ec_range_and_errors():
     rng = np.random.default_rng(6)
     m = rng.normal(size=(5, 5))
     assert 0.0 <= ec_of_gram(m @ m.T) < 5.0
-    with pytest.raises(ValueError):   # from the Cholesky's finiteness check
-        ec_of_gram(np.array([[np.nan]]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            ec_of_gram(np.array([[bad]]))
 
 def test_ec_rank_one_within_bound_at_every_gram_scale():
     # Near-duplicate fixed rows and candidates near them make every bordered
