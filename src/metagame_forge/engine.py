@@ -28,9 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import BimatrixGame, GameError, check_fields, freeze, payoff
+from .games import (BimatrixGame, GameError, check_fields, freeze, payoff,
+                    validate_strategy)
 from .solvers import (ONE_THREAD_MNK, TIE_ATOL, MetaSolution, advantage,
-                      advantage_many, best_response, blas_threads, ec_of_gram,
+                      advantage_many, blas_threads, ec_of_gram,
                       ec_rank_one, exploitability, fictitious_play, own_matrix,
                       rows_keep_block_bits)
 
@@ -250,8 +251,8 @@ def build_empirical(game: BimatrixGame, pop_row: Population, pop_col: Population
         refresh_confirming(pop_col, pop_row, game, 1)
     ri = _retained_indices(pop_row, clip, s)
     ci = _retained_indices(pop_col, clip, s)
-    R = pop_row.members[ri]
-    C = pop_col.members[ci]
+    R = pop_row.members[ri] if clip else pop_row.members
+    C = pop_col.members[ci] if clip else pop_col.members
     m_row = R @ game.u_row @ C.T
     # Negation is exact and rounding symmetric, so in an exactly zero-sum
     # game this equals the column product entry for entry; only an exact
@@ -281,10 +282,12 @@ def aggregate(pop: Population, theta: np.ndarray) -> np.ndarray:
 
 
 def br_oracle(game: BimatrixGame, player: int, opponent_aggregate) -> np.ndarray:
-    """Exact pure best response to the opponent's aggregate, as a one-hot."""
-    res = best_response(game, player, opponent_aggregate)
+    """Exact pure best response to the opponent's aggregate, as a one-hot
+    (the lowest index within TIE_ATOL of the best, as in `best_response`)."""
+    q = validate_strategy(opponent_aggregate, game.dims(1 - player))
+    values = own_matrix(game, player) @ q
     out = np.zeros(game.dims(player))
-    out[res.index] = 1.0
+    out[np.argmax(values >= values.max() - TIE_ATOL)] = 1.0
     return out
 
 

@@ -29,7 +29,7 @@ ROW, COL = 0, 1
 # busy on the other core, as the worker thread waits for its turn; on one
 # thread it took 0.15 ms either way, and a desk grid round was 2.2x slower on
 # two.  Larger games keep the process's threads: the dim-1000 cell took
-# about 1.7 s a round on two threads and 2.0 s on one.
+# 0.9-1.1 s a round on two threads and 1.3-1.4 s on one.
 ONE_THREAD_MNK = 1e7
 
 # Rows that `advantage_many` scores apart from their candidate block go
@@ -113,9 +113,9 @@ def exploitability(game: BimatrixGame, pi_row, pi_col) -> float:
     """NashConv: total gain available from unilateral pure deviations."""
     p = validate_strategy(pi_row, game.n_rows)
     q = validate_strategy(pi_col, game.n_cols)
-    row_gap = (game.u_row @ q).max() - p @ game.u_row @ q
-    col_gap = (p @ game.u_col).max() - p @ game.u_col @ q
-    return float(row_gap + col_gap)
+    pu_col = p @ game.u_col   # p @ u_col @ q is (p @ u_col) @ q
+    return float(((game.u_row @ q).max() - p @ game.u_row @ q)
+                 + (pu_col.max() - pu_col @ q))
 
 
 def advantage_many(game: BimatrixGame, player: int, strategies: np.ndarray,
@@ -209,11 +209,15 @@ def fictitious_play(m_row, m_col, max_iters: int = 2000,
     starting from the uniform averages.  Runs of constant best responses are
     batched: payoffs are linear along the segment the averages traverse, so
     if the argmax agrees at both endpoints of a k-step jump it agrees
-    throughout and the jump is exact.
+    throughout and the jump is exact.  The jump doubles after an accepted
+    batch and halves after a rejected one; that schedule sets the weights of
+    every average, so it fixes their bits.
 
-    The reply payoffs at the averages give both the residual and the next
-    best responses, so each accepted step computes them once.  A batch that
-    fails on the row side never forms the row candidate.
+    Both averages share one buffer, so a candidate is scaled with one
+    multiply and one divide, the row half also when the batch fails on the
+    row side.  Each accepted step forms the reply payoffs at the averages
+    once, with `dot` (the BLAS call of `@` at less overhead), for both the
+    residual and the next best responses.
     """
     m_row = np.asarray(m_row, dtype=float)
     m_col = np.asarray(m_col, dtype=float)
@@ -222,44 +226,44 @@ def fictitious_play(m_row, m_col, max_iters: int = 2000,
     if max_iters < 1 or tol < 0:
         raise GameError("max_iters must be >= 1 and tol >= 0")
     n, m = m_row.shape
-    avg_r = np.full(n, 1.0 / n)
-    avg_c = np.full(m, 1.0 / m)
+    avg = np.concatenate((np.full(n, 1.0 / n), np.full(m, 1.0 / m)))
+    cand = np.empty_like(avg)
+    avg_r, avg_c, cand_r, cand_c = avg[:n], avg[n:], cand[:n], cand[n:]
     ry = m_row @ avg_c
     xc = avg_r @ m_col
-    cand_r, cand_c, cand_ry, cand_xc = (np.empty_like(a) for a in (avg_r, avg_c, ry, xc))
+    cand_ry, cand_xc = np.empty_like(ry), np.empty_like(xc)
 
-    steps = 0
-    weight = 1.0
+    steps, weight, jump = 0, 1.0, 1
     br_r, br_c = int(ry.argmax()), int(xc.argmax())   # ry[br_r] == ry.max()
-    residual = float((ry[br_r] - avg_r @ ry) + (xc[br_c] - xc @ avg_c))
-    jump = 1
+    residual = ((ry.item(br_r) - float(avg_r.dot(ry)))
+                + (xc.item(br_c) - float(xc.dot(avg_c))))
     while steps < max_iters and residual > tol:
         k = min(jump, max_iters - steps)
         w2 = weight + k
-        np.divide(np.multiply(weight, avg_c, out=cand_c), w2, out=cand_c)
+        np.divide(np.multiply(weight, avg, out=cand), w2, out=cand)
         cand_c[br_c] += k / w2
-        np.matmul(m_row, cand_c, out=cand_ry)
+        m_row.dot(cand_c, out=cand_ry)
         next_r = int(cand_ry.argmax())
         # Accept a batch only if both best responses are unchanged at the
         # endpoint (linearity makes them constant on the interior).
         if k > 1 and next_r != br_r:
             jump = max(1, jump // 2)
             continue
-        np.divide(np.multiply(weight, avg_r, out=cand_r), w2, out=cand_r)
         cand_r[br_r] += k / w2
-        np.matmul(cand_r, m_col, out=cand_xc)
+        cand_r.dot(m_col, out=cand_xc)
         next_c = int(cand_xc.argmax())
         if k > 1 and next_c != br_c:
             jump = max(1, jump // 2)
             continue
         jump = jump * 2 if k > 1 else max(2, jump)
-        avg_r, cand_r, avg_c, cand_c = cand_r, avg_r, cand_c, avg_c
+        avg, avg_r, avg_c, cand, cand_r, cand_c = cand, cand_r, cand_c, avg, avg_r, avg_c
         ry, cand_ry, xc, cand_xc = cand_ry, ry, cand_xc, xc
         br_r, br_c = next_r, next_c
         weight = w2
         steps += k
-        residual = float((ry[br_r] - avg_r @ ry) + (xc[br_c] - xc @ avg_c))
-    return MetaSolution(avg_r, avg_c, max(residual, 0.0), steps)
+        residual = ((ry.item(br_r) - float(avg_r.dot(ry)))
+                    + (xc.item(br_c) - float(xc.dot(avg_c))))
+    return MetaSolution(avg_r.copy(), avg_c.copy(), max(residual, 0.0), steps)
 
 
 # ---------------------------------------------------------------------------

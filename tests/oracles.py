@@ -1,12 +1,12 @@
-"""Oracles that only the tests use: pure and uniform strategies, a simplex
-grid search for Stackelberg strategies, support enumeration for Nash
-equilibria, all at desk scale, and the plain full pass of the certified
-advantage bounds."""
+"""Oracles that only the tests use: pure and uniform strategies, small-integer
+games, a simplex grid search for Stackelberg strategies, support enumeration
+for Nash equilibria, all at desk scale, and the plain full pass of the
+certified advantage bounds."""
 import itertools
 
 import numpy as np
 
-from metagame_forge.games import BimatrixGame, GameError
+from metagame_forge.games import BimatrixGame, GameError, new_game
 from metagame_forge.solvers import (TIE_ATOL, advantage_many, exploitability,
                                     own_matrix)
 
@@ -19,6 +19,22 @@ def pure(n: int, index: int) -> np.ndarray:
 
 def uniform(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
+
+
+def small_integer_case(seed: int, n: int, m: int, zero_sum: bool):
+    """An n x m game with payoffs in -2..2 and a row and a column strategy
+    whose weights are small integers over their sum: replies to them tie
+    exactly, or within rounding of TIE_ATOL, often."""
+    rng = np.random.default_rng(seed)
+    u_row = rng.integers(-2, 3, size=(n, m)).astype(float)
+    u_col = -u_row if zero_sum else rng.integers(-2, 3, size=(n, m)).astype(float)
+
+    def mixed(k):
+        w = rng.integers(0, 3, size=k).astype(float)
+        w[rng.integers(k)] += 1.0   # a nonzero sum
+        return w / w.sum()
+
+    return new_game(u_row, u_col), mixed(n), mixed(m)
 
 
 def _simplex_grid(n: int, resolution: int) -> np.ndarray:

@@ -33,7 +33,8 @@ def test_traced_rounds_reach_every_hooked_span(tmp_path, monkeypatch):
         overrides={"lr": 1e9, "clip_fraction": 0.4}, mode="prosocial",
         iterations=3, seeds_per_round=1)
     config = {"games": [{"kind": "builtin", "builtin_name": "rps"}],
-              "algorithms": ["sc_psro"], "seeds": [0], "max_iterations": 3}
+              "algorithms": ["sc_psro", "vanilla_psro"], "seeds": [0],
+              "max_iterations": 3}
     config_path = tmp_path / "grid.json"
     config_path.write_text(json.dumps(config))
     spill_dir = tmp_path / "spill"
@@ -49,7 +50,12 @@ def test_traced_rounds_reach_every_hooked_span(tmp_path, monkeypatch):
     assert result.errors == [] and result.cells_failed == 0
     assert result.iterations == 3
     assert rc == 0
+    # Every span with per-layer metrics must be reached, so that inlining a
+    # wrapped function cannot zero its metrics unnoticed; vanilla_psro is
+    # the grid's only caller of br_oracle.
     for name in ("engine.refresh_confirming", "engine.invalidate",
-                 "engine.population_update", "harness.run_cell"):
+                 "engine.population_update", "harness.run_cell",
+                 "solvers.fictitious_play", "solvers.exploitability",
+                 "engine.br_oracle"):
         assert tracer.calls(name) > 0, name
     assert tracer.counts["refresh_confirming.entries"] > 0

@@ -21,10 +21,12 @@ from metagame_forge.games import (GameError, builtin, gen_general_sum,
                                   gen_symmetric_zero_sum, gen_transitive,
                                   new_game)
 from metagame_forge.harness import make_config
-from metagame_forge.solvers import (advantage, advantage_many, blas_threads,
-                                    ec_of_gram, ec_rank_one, exploitability,
+from metagame_forge.solvers import (advantage, advantage_many,
+                                    best_response, blas_threads, ec_of_gram,
+                                    ec_rank_one, exploitability,
                                     fictitious_play, own_matrix)
-from oracles import pure, reference_advantage_bounds, uniform
+from oracles import (pure, reference_advantage_bounds, small_integer_case,
+                     uniform)
 
 RPS = builtin("rps")
 T1 = builtin("stackelberg_table1")
@@ -340,6 +342,41 @@ def test_aggregate_and_br_oracle():
         aggregate(pop, np.array([1.0]))
     reply = br_oracle(RPS, 1, pure(3, 0))
     assert np.array_equal(reply, [0.0, 1.0, 0.0])
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 12),
+       m=st.integers(1, 12), zero_sum=st.booleans())
+def test_br_oracle_is_one_hot_of_best_response_index(seed, n, m, zero_sum):
+    g, p, q = small_integer_case(seed, n, m, zero_sum)
+    for player, opponent in ((0, q), (1, p)):
+        want = pure(g.dims(player), best_response(g, player, opponent).index)
+        assert br_oracle(g, player, opponent).tobytes() == want.tobytes()
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 40),
+       m=st.integers(1, 40), k_row=st.integers(1, 8), k_col=st.integers(1, 8),
+       zero_sum=st.booleans())
+def test_unclipped_empirical_game_equals_indexed_products(seed, n, m, k_row,
+                                                          k_col, zero_sum):
+    """Without clipping the products run on the members themselves; they
+    give the bits of the products on fancy-indexed copies."""
+    g, _, _ = small_integer_case(seed, n, m, zero_sum)
+    rng = np.random.default_rng(seed)
+
+    def members(k, dim):   # small-integer weights, none all zero
+        w = rng.integers(0, 3, size=(k, dim)) + pure(dim, 0)
+        return w / w.sum(axis=1, keepdims=True)
+
+    pop_row, pop_col = Population(members(k_row, n)), Population(members(k_col, m))
+    emp = build_empirical(g, pop_row, pop_col)
+    R = pop_row.members[np.arange(k_row)]
+    C = pop_col.members[np.arange(k_col)]
+    m_row = R @ g.u_row @ C.T
+    m_col = -m_row if g.exact_zero_sum else R @ g.u_col @ C.T
+    assert emp.m_row.tobytes() == m_row.tobytes()
+    assert emp.m_col.tobytes() == m_col.tobytes()
+    assert np.array_equal(emp.row_index_map, np.arange(k_row))
+    assert np.array_equal(emp.col_index_map, np.arange(k_col))
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from metagame_forge.solvers import (COL, ROW, TIE_ATOL, advantage,
                                     advantage_many, best_response, ec_of_gram,
                                     ec_rank_one, exploitability,
                                     fictitious_play, own_matrix)
-from oracles import (nash_support_enumeration, pure, stackelberg_grid_value,
-                     uniform)
+from oracles import (nash_support_enumeration, pure, small_integer_case,
+                     stackelberg_grid_value, uniform)
 
 RPS = builtin("rps")
 T1 = builtin("stackelberg_table1")
@@ -73,6 +73,17 @@ def test_exploitability_nonnegative_random():
         p = rng.dirichlet(np.ones(4))
         q = rng.dirichlet(np.ones(4))
         assert exploitability(g, p, q) >= -1e-12
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 12),
+       m=st.integers(1, 12), zero_sum=st.booleans())
+def test_exploitability_matches_two_product_formula(seed, n, m, zero_sum):
+    """`exploitability` forms p @ u_col once; the formula that forms it for
+    the best reply and again for the value gives the same bits."""
+    g, p, q = small_integer_case(seed, n, m, zero_sum)
+    want = float(((g.u_row @ q).max() - p @ g.u_row @ q)
+                 + ((p @ g.u_col).max() - p @ g.u_col @ q))
+    assert exploitability(g, p, q).hex() == want.hex()
 
 
 # ---------------------------------------------------------------------------
@@ -249,22 +260,50 @@ def _fp_case(seed, n, m, zero_sum, integer, elo):
 FP_BOTH_SIDES = dict(seed=7, n=60, m=100, zero_sum=True, integer=False,
                      elo=True, max_iters=50, tol=1e-3)
 
+def _fp_layout(M, layout):
+    """M as a caller may pass it: C order, Fortran order, a transposed view
+    of a C-order array, or nested Python lists (ints where integral)."""
+    if layout == "fortran":
+        return np.asfortranarray(M)
+    if layout == "transposed":
+        return np.ascontiguousarray(M.T).T
+    if layout == "lists":
+        return [[int(v) if v.is_integer() else v for v in row]
+                for row in M.tolist()]
+    return M
+
 @settings(max_examples=150, deadline=None)
-@example(**FP_BOTH_SIDES)
+@example(**FP_BOTH_SIDES, layout="C")
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 160),
        m=st.integers(1, 160), zero_sum=st.booleans(),
        integer=st.booleans(), elo=st.booleans(),
        max_iters=st.sampled_from([1, 5, 50, 500]),
-       tol=st.sampled_from([0.0, 1e-8, 1e-3]))
+       tol=st.sampled_from([0.0, 1e-8, 1e-3]),
+       layout=st.sampled_from(["C", "fortran", "transposed", "lists"]))
 def test_fp_matches_reference_bit_for_bit(seed, n, m, zero_sum, integer, elo,
-                                          max_iters, tol):
-    m_row, m_col = _fp_case(seed, n, m, zero_sum, integer, elo)
+                                          max_iters, tol, layout):
+    """Bit for bit, zero signs included, against the `@` reference on the
+    same matrices in the same layout."""
+    m_row, m_col = (_fp_layout(M, layout)
+                    for M in _fp_case(seed, n, m, zero_sum, integer, elo))
     sol = fictitious_play(m_row, m_col, max_iters, tol)
-    ref_r, ref_c, residual, steps = _fp_reference(m_row, m_col, max_iters, tol)
-    assert np.array_equal(sol.theta_row, ref_r)
-    assert np.array_equal(sol.theta_col, ref_c)
-    assert sol.residual == residual
+    ref_r, ref_c, residual, steps = _fp_reference(
+        np.asarray(m_row, dtype=float), np.asarray(m_col, dtype=float),
+        max_iters, tol)
+    assert sol.theta_row.tobytes() == ref_r.tobytes()
+    assert sol.theta_col.tobytes() == ref_c.tobytes()
+    assert type(sol.residual) is float and sol.residual.hex() == residual.hex()
     assert sol.iterations_used == steps
+
+def test_fp_weights_share_no_memory():
+    """Both running averages are halves of one buffer; the weights returned
+    are copies that own their memory."""
+    sol = fictitious_play(RPS.u_row, RPS.u_col, max_iters=7, tol=0.0)
+    assert sol.theta_row.flags.owndata and sol.theta_col.flags.owndata
+    assert not np.shares_memory(sol.theta_row, sol.theta_col)
+    theta_col = sol.theta_col.copy()
+    sol.theta_row[:] = -1.0
+    assert np.array_equal(sol.theta_col, theta_col)
 
 def test_fp_reference_rejects_on_both_sides(monkeypatch):
     """The FP_BOTH_SIDES example makes `_fp_reference` reject batch probes on
