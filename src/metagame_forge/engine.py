@@ -30,7 +30,7 @@ import numpy as np
 
 from .games import (BimatrixGame, GameError, check_fields, freeze, payoff,
                     validate_strategy)
-from .solvers import (ONE_THREAD_MNK, TIE_ATOL, MetaSolution, advantage,
+from .solvers import (TIE_ATOL, MetaSolution, above_gate, advantage,
                       advantage_many, blas_threads, ec_of_gram,
                       ec_rank_one, exploitability, fictitious_play, own_matrix,
                       rows_keep_block_bits)
@@ -354,7 +354,7 @@ def _advantage_bounds(game: BimatrixGame, player: int, pi_t: np.ndarray,
     eps = np.finfo(float).eps / 2
     scale = 16.0 * n * eps / (1.0 - n * eps) * (sums + total + np.abs(delta))
     mats = [own_matrix(game, player), own_matrix(game, 1 - player).T]
-    scales, replies = game.reply_margins
+    scales, replies = game.payoff_scales, game.reply_margins
     bases = [p @ M for M in mats]
     rhos = [scale * max(scales[q], TIE_ATOL) for q in (player, 1 - player)]
     tight = np.logical_and(*(rho <= sums * (TIE_ATOL / 4) for rho in rhos))
@@ -440,16 +440,16 @@ def _ec_scores(fixed_rows: np.ndarray, cand_rows: np.ndarray,
 
 
 def _best_candidate(game: BimatrixGame, player: int, pi_t: np.ndarray,
-                    step: float, weight: float, ec=None, C=None) -> np.ndarray:
-    """The candidate of ``_candidates(pi_t, step)`` (``C``, where the caller
-    has built it) with the highest score: ``weight`` times its advantage
-    plus, where ``ec = (approx, bound, exact)`` is given, its expected
-    cardinality, within ``bound`` of ``approx`` and ``exact(rows)`` for the
-    given rows.  Ties go to the lowest candidate index.
+                    step: float, weight: float, ec=None) -> np.ndarray:
+    """The candidate of ``_candidates(pi_t, step)`` with the highest score:
+    ``weight`` times its advantage plus, where ``ec`` is given, its expected
+    cardinality: ``ec(C)`` reads the full block C once and returns
+    ``(approx, bound, exact)``, scores within ``bound`` of ``approx`` and
+    ``exact(rows)`` for the given rows.  Ties go to the lowest index.
 
-    For blocks of at least ONE_THREAD_MNK multiply-adds (the threading
-    cutoff of `run_iteration`; the bounds were timed only at dims 100,
-    where they cost more than they saved, and 1000) the advantage lies
+    For blocks of at least ONE_THREAD_MNK multiply-adds (`above_gate`, the
+    threading cutoff of `run_iteration`; the bounds were timed only at dims
+    100, where they cost more than they saved, and 1000) the advantage lies
     within the bounds of `_advantage_bounds`, infinite on loose rows; where
     every row is loose it is the full block's dense advantage.  A candidate
     survives if its highest possible score reaches the best lowest one,
@@ -457,21 +457,25 @@ def _best_candidate(game: BimatrixGame, player: int, pi_t: np.ndarray,
     non-finite approximation all of them do.  Survivors that are one row are
     that row; else they are scored exactly, with the dense advantage of the
     survivors alone where they keep the block's bits
-    (`rows_keep_block_bits`), else of the full block.
+    (`rows_keep_block_bits`), else of the full block.  Built after the
+    bounds, the block is held only where its dense advantage is scored;
+    elsewhere it goes once ``ec`` has read it, and survivors are built alone.
     """
     n = pi_t.shape[0]
-    approx, bound, exact = ec or (0.0, 0.0, lambda rows: 0.0)
-    bounds = dense = None
-    if weight > 0 and 2 * n * n * game.dims(1 - player) >= ONE_THREAD_MNK:
+    bounds = None
+    if weight > 0 and above_gate(n, game.dims(1 - player)):
         bounds = _advantage_bounds(game, player, pi_t, step)
-    if bounds is None:
-        C = _candidates(pi_t, step) if C is None else C
-        dense = (advantage_many(game, player, C) if weight > 0
-                 else np.zeros(2 * n))
+    whole = weight > 0 and bounds is None   # the block's advantage is scored
+    C = _candidates(pi_t, step) if whole or ec else None
+    approx, bound, exact = ec(C) if ec else (0.0, 0.0, lambda rows: 0.0)
+    if whole:
+        dense = advantage_many(game, player, C)
         if ec is None:   # every score is exact: no survivor rule is needed
             return C[int(np.argmax(dense))]
-        bounds = dense, dense
-    lo, hi = bounds
+    else:
+        C = None   # released: ec has read it
+        dense = np.zeros(2 * n) if bounds is None else None
+    lo, hi = (dense, dense) if bounds is None else bounds
     # Rounding the weighted advantage, an exact total and the sums below
     # moves a total by at most 6 unit roundoffs of its terms' magnitudes;
     # the slack allows 16.
@@ -486,8 +490,7 @@ def _best_candidate(game: BimatrixGame, player: int, pi_t: np.ndarray,
     if (rows == rows[0]).all():
         return rows[0]
     if dense is None and not rows_keep_block_bits(game, player):
-        C = _candidates(pi_t, step) if C is None else C
-        dense = advantage_many(game, player, C)
+        dense = advantage_many(game, player, _candidates(pi_t, step))
     adv = (dense[keep] if dense is not None
            else advantage_many(game, player, rows, picked=True))
     return rows[int(np.argmax(exact(keep) + weight * adv))]
@@ -500,19 +503,17 @@ def _diversity_argmax(game: BimatrixGame, player: int, pi_t: np.ndarray,
     from ``pi_t``, the candidate maximizing the expected cardinality of the
     meta-matrix of ``fixed_members`` (k x n, k >= 0) plus the candidate
     against ``opp_members``, plus ``lambda_1`` times the candidate's
-    advantage (`_best_candidate`).  `ec_rank_one` scores all candidates from
-    one factorization, each within ``bound`` of its exact EC at every payoff
-    scale, and only the candidates it cannot rule out get `_ec_scores`."""
-    m_self = own_matrix(game, player)
-    C = _candidates(pi_t, lr)
-    meta = m_self @ opp_members.T
-    cand_rows = C @ meta
+    advantage (`_best_candidate`, which holds the candidate block).
+    `ec_rank_one` scores all candidates from one factorization, each within
+    ``bound`` of its exact EC at every payoff scale, and only the candidates
+    it cannot rule out get `_ec_scores`."""
+    meta = own_matrix(game, player) @ opp_members.T
     fixed_rows = fixed_members @ meta
-    approx, bound = ec_rank_one(fixed_rows, cand_rows)
-    return _best_candidate(
-        game, player, pi_t, lr, lambda_1,
-        (approx, bound, lambda keep: _ec_scores(fixed_rows, cand_rows, keep)),
-        C)
+    def ec(C):
+        cand_rows = C @ meta
+        return (*ec_rank_one(fixed_rows, cand_rows),
+                lambda keep: _ec_scores(fixed_rows, cand_rows, keep))
+    return _best_candidate(game, player, pi_t, lr, lambda_1, ec)
 
 
 def lookahead_step(game: BimatrixGame, player: int, pi_t: np.ndarray,
@@ -560,8 +561,7 @@ def population_update(game: BimatrixGame, player: int, state: EngineState,
     if den < DEN_ATOL:
         # Ratio test is ill-posed at zero or negative baselines; fall back to
         # an additive test scaled by the payoff range.
-        scale = float(np.abs(m_self).max()) or 1.0
-        improved = (num - den) >= cfg.im * scale
+        improved = (num - den) >= cfg.im * (game.payoff_scales[player] or 1.0)
     else:
         improved = (num / den - 1.0) >= cfg.im
 
@@ -597,7 +597,7 @@ def run_iteration(state: EngineState) -> IterationReport:
     t0 = time.perf_counter()
     game, cfg, mode = state.game, state.config, state.mode
     n, m = game.n_rows, game.n_cols
-    with blas_threads(1 if 2 * n * m * max(n, m) < ONE_THREAD_MNK else None):
+    with blas_threads(None if above_gate(n, m) or above_gate(m, n) else 1):
         emp = build_empirical(game, state.pop_row, state.pop_col, state.clips,
                               cfg.clip_fraction)
         theta = meta_nash(emp, len(state.pop_row), len(state.pop_col),

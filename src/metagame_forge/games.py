@@ -84,15 +84,18 @@ class BimatrixGame:
         return bool(np.array_equal(self.u_col, -self.u_row))
 
     @cached_property
+    def payoff_scales(self) -> tuple:
+        """Each player's payoff scale ``max |u|`` (u_row, then u_col)."""
+        return tuple(max(u.max(), -u.min()) for u in (self.u_row, self.u_col))
+
+    @cached_property
     def reply_margins(self) -> tuple:
-        """``(scales, replies)``: ``scales[p]`` is player p's payoff scale
-        ``max |u|`` (u_row for p = 0, u_col for 1), and ``replies[p]`` is a
-        pair of arrays over player p's pure actions: the opponent's best pure
-        reply to each (the lowest index among ties), and its payoff's margin
-        over the opponent's second best (0 at a tie, inf with one reply).
-        Computed in chunks of rows, with no temporary the size of a matrix."""
-        scales = tuple(max(u.max(), -u.min()) for u in (self.u_row, self.u_col))
-        return scales, (_best_replies(self.u_col), _best_replies(self.u_row.T))
+        """For each player p, a pair of arrays over p's pure actions: the
+        opponent's best pure reply to each (the lowest index among ties), and
+        its payoff's margin over the opponent's second best (0 at a tie, inf
+        with one reply).  Computed in chunks of rows, with no temporary the
+        size of a matrix."""
+        return _best_replies(self.u_col), _best_replies(self.u_row.T)
 
 
 def _best_replies(B: np.ndarray) -> tuple:
@@ -151,8 +154,8 @@ def payoff(game: BimatrixGame, pi_row, pi_col) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Generators
 
-# At dim 5,000 the payoffs and one 2n x n candidate block with its two
-# products take 1.6 GB; far larger noise overflows `gen_elo`'s payoffs.
+# At dim 5,000 the payoffs and one 2n x n candidate block with one product
+# and its masks take 1.3 GB; far larger noise overflows `gen_elo`'s payoffs.
 MAX_DIM, MAX_NOISE = 5_000, 1e6
 
 

@@ -37,6 +37,11 @@ ONE_THREAD_MNK = 1e7
 PICKED_ROWS = 16
 
 
+def above_gate(n: int, m: int) -> bool:
+    """Whether 2n x n x m multiply-adds reach ONE_THREAD_MNK (the gate)."""
+    return 2 * n * n * m >= ONE_THREAD_MNK
+
+
 def _openblas_threads():
     """(get, set) of the number of threads of numpy's bundled OpenBLAS, or
     None where numpy has none (another BLAS, or a system build)."""
@@ -129,6 +134,7 @@ def advantage_many(game: BimatrixGame, player: int, strategies: np.ndarray,
     In an exactly zero-sum game the opponent's payoffs are the player's,
     negated bit for bit (rounding is symmetric), so its tie set holds the
     player's row minimum and larger values only: one product suffices.
+    Otherwise the opponent's tie mask comes first: one product at a time.
 
     ``picked`` runs the products in chunks of PICKED_ROWS rows, the last one
     filled up with repeated rows (a one-row product would take another BLAS
@@ -141,12 +147,13 @@ def advantage_many(game: BimatrixGame, player: int, strategies: np.ndarray,
     if picked:   # numpy runs one product per chunk of the stack
         P = np.resize(P, (-(-k // PICKED_ROWS), PICKED_ROWS, n))
     m = m_self.shape[1]
-    self_vals = (P @ m_self).reshape(-1, m)   # player payoff per reply
     if game.exact_zero_sum:
-        return self_vals.min(axis=1)[:k]
+        return (P @ m_self).reshape(-1, m).min(axis=1)[:k]
     opp_vals = (P @ own_matrix(game, 1 - player).T).reshape(-1, m)
-    best = opp_vals.max(axis=1, keepdims=True)
-    np.putmask(self_vals, ~(opp_vals >= best - TIE_ATOL), np.inf)
+    untied = ~(opp_vals >= opp_vals.max(axis=1, keepdims=True) - TIE_ATOL)
+    del opp_vals
+    self_vals = (P @ m_self).reshape(-1, m)   # player payoff per reply
+    np.putmask(self_vals, untied, np.inf)
     return self_vals.min(axis=1)[:k]
 
 
@@ -175,7 +182,7 @@ def rows_keep_block_bits(game: BimatrixGame, player: int) -> bool:
     if not game.exact_zero_sum:
         mats.append(own_matrix(game, 1 - player).T)
     n, m = mats[0].shape
-    if 2 * n * n * m < ONE_THREAD_MNK:
+    if not above_gate(n, m):
         return False
     threads = _OPENBLAS_THREADS and _OPENBLAS_THREADS[0]()
     key = (threads, tuple((M.shape, M.strides) for M in mats))

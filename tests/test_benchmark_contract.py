@@ -56,6 +56,9 @@ def test_traced_rounds_reach_every_hooked_span(tmp_path, monkeypatch):
     for name in ("engine.refresh_confirming", "engine.invalidate",
                  "engine.population_update", "harness.run_cell",
                  "solvers.fictitious_play", "solvers.exploitability",
-                 "engine.br_oracle"):
+                 "engine.br_oracle", "engine.diversity_argmax",
+                 "engine.lookahead_step", "engine.build_empirical",
+                 "engine.meta_nash", "solvers.advantage_many",
+                 "solvers.ec_of_gram"):
         assert tracer.calls(name) > 0, name
     assert tracer.counts["refresh_confirming.entries"] > 0

@@ -137,6 +137,39 @@ def test_kept_members_hold_no_candidate_block():
     assert len(state.pop_row) == 11
     assert held[9] - held[1] < 1e6
 
+def test_candidate_scoring_holds_one_block_at_a_time(monkeypatch):
+    # Above the gate (600 x 300 x 300 multiply-adds) in a general-sum game,
+    # where a 2n-row block of doubles takes 1.44 MB.  The diversity call
+    # releases the candidate block once its EC rows are formed, so at most
+    # two blocks are alive at once: the block-bits probe's random block and
+    # product, asked afresh, or, where picked rows do not keep the block's
+    # bits, a rebuilt block and one product of its dense advantage.
+    # advantage_many reduces the opponent's payoffs to a mask before it
+    # forms the player's.
+    n = 300
+    block = 2 * n * n * 8
+    g = gen_general_sum(n, 0)
+    monkeypatch.setattr(solvers, "_BLOCK_BITS", {})
+    rng = np.random.default_rng(0)
+    pi = rng.dirichlet(np.ones(n))
+    F = rng.dirichlet(np.ones(n), size=2)
+    opp = rng.dirichlet(np.ones(n), size=5)
+    C = _candidates(pi, 0.3)
+
+    def peak_blocks(score):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            score()
+            return tracemalloc.get_traced_memory()[1] / block
+        finally:
+            tracemalloc.stop()
+
+    assert peak_blocks(lambda: _diversity_argmax(g, 0, pi, F, opp, 1e9,
+                                                 1.0)) < 2.5
+    assert len(solvers._BLOCK_BITS) == 1   # the probe ran inside the call
+    assert peak_blocks(lambda: advantage_many(g, 0, C)) < 1.5
+
 
 # ---------------------------------------------------------------------------
 # Confirming caches
@@ -1045,6 +1078,38 @@ def test_diversity_argmax_matches_brute_force_above_gate(n, threads,
             assert (rows == len(keep) and was_picked) if picked else (
                 rows == 2 * n and not was_picked)
 
+@pytest.mark.parametrize("lr", [0.3, 1e9])
+@pytest.mark.parametrize("lambda_1, scale", [(1.0, 1e6), (0.0, 1.0)])
+def test_diversity_above_gate_builds_the_block_once(lambda_1, scale, lr,
+                                                    monkeypatch):
+    # Above the gate (400 x 200 x 200 multiply-adds).  Payoffs of scale 1e6
+    # leave every row loose, so the block's dense advantage is scored and
+    # the block is held for it; with lambda_1 = 0 no advantage is scored,
+    # and only the survivors are built again.  Either way the full 2n-row
+    # block is built once.
+    n = 200
+    built = []
+    candidates = engine._candidates
+
+    def counted_candidates(pi_t, step, rows=None):
+        V = candidates(pi_t, step, rows)
+        built.append(V.shape[0])
+        return V
+
+    monkeypatch.setattr(engine, "_candidates", counted_candidates)
+    rng = np.random.default_rng(4)
+    g = new_game(scale * rng.normal(size=(n, n)),
+                 scale * rng.normal(size=(n, n)))
+    pi = rng.dirichlet(np.ones(n))
+    F = rng.dirichlet(np.ones(n), size=3)
+    opp = rng.dirichlet(np.ones(n), size=5)
+    if lambda_1 > 0:
+        assert engine._advantage_bounds(g, 0, pi, lr) is None
+    out = _diversity_argmax(g, 0, pi, F, opp, lr, lambda_1)
+    assert built.count(2 * n) == 1
+    C, _, total = _brute_diversity_scores(g, 0, pi, F, opp, lr, lambda_1)
+    assert np.array_equal(out, C[int(np.argmax(total))])
+
 def test_diversity_one_row_survivors_are_not_scored(monkeypatch):
     # Above the gate (400 x 200 x 200 multiply-adds).  pi_t is 0 at action
     # 0, so its + and - candidates are one row, and they alone can win: the
@@ -1082,6 +1147,15 @@ def test_update_always_reject_grows_every_iteration():
     cfg = make_cfg(im=1e9, clipping_enabled=False, seed=0, max_iterations=6)
     reports = run(g, cfg, "self_play")
     assert [r.pop_sizes for r in reports] == [(k, k) for k in range(2, 8)]
+
+def test_update_on_all_zero_game_uses_unit_scale():
+    # Every payoff is 0, so the ratio test's denominator is too, and the
+    # additive test runs at the fallback scale 1: no update improves by
+    # im = 0.03, and the population grows every iteration.
+    g = new_game(np.zeros((3, 4)), np.zeros((3, 4)))
+    assert g.payoff_scales == (0.0, 0.0)
+    cfg = make_cfg(clipping_enabled=False, seed=0, max_iterations=4)
+    assert [r.pop_sizes for r in run(g, cfg)] == [(k, k) for k in range(2, 6)]
 
 def test_update_branch_forced_by_lambda_d():
     g = gen_general_sum(3, 6)

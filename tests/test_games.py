@@ -40,17 +40,20 @@ def test_new_game_rejects_bad_input():
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 70),
        m=st.one_of(st.integers(1, 70), st.integers(1000, 1100)),
-       integer=st.booleans())
-def test_reply_margins_match_a_full_sort(seed, n, m, integer):
+       kind=st.sampled_from(["normal", "integer", "zero"]))
+def test_reply_margins_match_a_full_sort(seed, n, m, kind):
     # Chunked per row (m >= 1000 leaves one row a chunk); integer payoffs
     # tie at the top, where the margin is 0 and the lowest index is best.
+    # The payoff scales come without the margins; all-zero payoffs give
+    # scale 0, where the population update falls back to scale 1.
     rng = np.random.default_rng(seed)
-    draw = ((lambda: rng.integers(-2, 3, size=(n, m)).astype(float))
-            if integer else (lambda: rng.normal(size=(n, m))))
+    draw = {"normal": lambda: rng.normal(size=(n, m)),
+            "integer": lambda: rng.integers(-2, 3, size=(n, m)).astype(float),
+            "zero": lambda: np.zeros((n, m))}[kind]
     g = new_game(draw(), draw())
-    scales, replies = g.reply_margins
-    assert scales == (np.abs(g.u_row).max(), np.abs(g.u_col).max())
-    for (best, margin), B in zip(replies, (g.u_col, g.u_row.T)):
+    assert g.payoff_scales == (np.abs(g.u_row).max(), np.abs(g.u_col).max())
+    assert "reply_margins" not in vars(g)
+    for (best, margin), B in zip(g.reply_margins, (g.u_col, g.u_row.T)):
         assert np.array_equal(best, B.argmax(axis=1))
         top_two = -np.sort(-B, axis=1)[:, :2]
         expected = (top_two[:, 0] - top_two[:, 1] if B.shape[1] > 1
