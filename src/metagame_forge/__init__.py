@@ -8,8 +8,8 @@ solvers and experiment harness backing them.
 from .games import (BimatrixGame, GameError, GameGenSpec, StrategyError,
                     builtin, gen_elo, gen_general_sum, gen_symmetric_zero_sum,
                     gen_transitive, load_game, new_game, payoff, save_game)
-from .solvers import (BestResponseResult, MetaSolution, advantage,
-                      best_response, exploitability, fictitious_play)
+from .solvers import (MetaSolution, advantage, exploitability,
+                      fictitious_play)
 from .engine import (AlgorithmConfig, EmpiricalGame, EngineState,
                      IterationReport, Population, aggregate, br_oracle,
                      build_empirical, init_state, lookahead_step, meta_nash,

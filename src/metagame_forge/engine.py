@@ -16,9 +16,9 @@ via fictitious play, and the population-update rules for the three variants:
                        member is appended only when the improvement ratio
                        against the opponent's aggregate falls short of ``im``.
 
-In runs that clip, each member carries a confirming cache: the opponent
-member best-responding to it (its expected response) and the payoff against
-that member (the self-confirming advantage), which drives the clipping.
+In runs that clip, each member carries a confirming cache: its payoff
+against the opponent members best-responding to it (the self-confirming
+advantage), which drives the clipping, and a flag marking it stale.
 """
 from __future__ import annotations
 
@@ -42,6 +42,10 @@ MODES = ("self_play", "stackelberg_player", "prosocial")
 # negative, which inverts the inequality) and an additive test is used.
 DEN_ATOL = 1e-9
 
+# Fictitious play on the empirical game stops once its residual is at most
+# this, or after `AlgorithmConfig.fp_max_iters` steps.
+FP_TOL = 1e-3
+
 
 class EngineError(RuntimeError):
     pass
@@ -57,7 +61,6 @@ class AlgorithmConfig:
     clip_fraction: float = 0.8     # fraction of the population retained (s)
     clipping_enabled: bool = True
     fp_max_iters: int = 2000
-    fp_tol: float = 1e-3
     max_iterations: int = 100
     seed: int = 0
 
@@ -77,53 +80,45 @@ class AlgorithmConfig:
             raise GameError("im must be >= -1")
         if self.max_iterations < 0:
             raise GameError("max_iterations must be >= 0")
-        if self.fp_max_iters < 1 or self.fp_tol < 0:
-            raise GameError("fp_max_iters >= 1 and fp_tol >= 0 required")
-
-
-# Confirming-cache arrays of a Population: a new member's value, and dtype.
-CACHES = {"mu_index": (-1, int), "sc_advantage": (math.nan, float),
-          "stale": (True, bool)}
+        if self.fp_max_iters < 1:
+            raise GameError("fp_max_iters must be >= 1")
 
 
 @dataclass
 class Population:
     """Strategies as the rows of one owned, read-only array (k x dim), plus
-    per-member confirming caches as arrays of length k.
+    a per-member confirming cache in arrays of length k.
 
     ``append`` and ``replace`` build a new ``members`` array and never write
     the old one, so a caller may keep it, or a row of it, as a snapshot.
 
-    ``mu_index[i]`` is the opponent population member best-responding to
-    member i; ties are resolved pessimistically (the tied response minimizing
-    member i's own payoff, lowest index among those).  ``stale[i]`` marks an
-    entry to recompute: a replaced or appended member's own, and every entry
-    once the opponent population changes.  ``replies[i]`` memoises the two
-    rows of member i that depend on its strategy alone, so one population is
+    ``sc_advantage[i]`` is member i's self-confirming advantage: its payoff
+    against the opponent population members best-responding to it, the
+    least one where several tie (pessimistic).  ``stale[i]`` marks an entry
+    to recompute: a replaced or appended member's own, and every entry once
+    the opponent population changes.  ``replies[i]`` memoises the two rows
+    of member i that depend on its strategy alone, so one population is
     confirmed against one (game, player).  Only runs that clip fill the
-    caches (lazily, in `build_empirical`).
+    cache (lazily, in `build_empirical`).
     """
 
     members: np.ndarray
-    mu_index: np.ndarray = None
-    sc_advantage: np.ndarray = None
-    stale: np.ndarray = None
-    replies: dict = field(default_factory=dict)
+    sc_advantage: np.ndarray = field(init=False)
+    stale: np.ndarray = field(init=False)
+    replies: dict = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         self.members = freeze(np.array(self.members, dtype=float))  # a copy
-        for name, (fill, dtype) in CACHES.items():
-            value = getattr(self, name)
-            setattr(self, name, np.array([fill] * len(self) if value is None
-                                         else value, dtype))
+        self.sc_advantage = np.full(len(self), math.nan)
+        self.stale = np.ones(len(self), dtype=bool)
 
     def __len__(self) -> int:
         return self.members.shape[0]
 
     def append(self, strategy: np.ndarray) -> None:
         self.members = freeze(np.vstack([self.members, strategy]))
-        for name, (fill, _) in CACHES.items():
-            setattr(self, name, np.append(getattr(self, name), fill))
+        self.sc_advantage = np.append(self.sc_advantage, math.nan)
+        self.stale = np.append(self.stale, True)
 
     def replace(self, index: int, strategy: np.ndarray) -> None:
         members = self.members.copy()
@@ -199,8 +194,8 @@ def init_state(game: BimatrixGame, config: AlgorithmConfig,
 
 def refresh_confirming(pop: Population, opponent_pop: Population,
                        game: BimatrixGame, player: int) -> None:
-    """Recompute the expected response and self-confirming advantage of every
-    stale member.  Idempotent once all flags are clear."""
+    """Recompute the self-confirming advantage of every stale member.
+    Idempotent once all flags are clear."""
     if len(opponent_pop) == 0:
         raise EngineError("cannot confirm against an empty opponent population")
     m_self = own_matrix(game, player)
@@ -212,10 +207,8 @@ def refresh_confirming(pop: Population, opponent_pop: Population,
         r_opp, r_self = pop.replies[i]
         opp_vals = O @ r_opp     # opponent payoff per opponent member
         self_vals = O @ r_self   # own payoff per opponent member
-        tied = np.flatnonzero(opp_vals >= opp_vals.max() - TIE_ATOL)
-        j = int(tied[int(np.argmin(self_vals[tied]))])
-        pop.mu_index[i] = j
-        pop.sc_advantage[i] = float(self_vals[j])
+        tied = opp_vals >= opp_vals.max() - TIE_ATOL
+        pop.sc_advantage[i] = float(self_vals[tied].min())
         pop.stale[i] = False
 
 
@@ -262,10 +255,11 @@ def build_empirical(game: BimatrixGame, pop_row: Population, pop_col: Population
 
 
 def meta_nash(empirical: EmpiricalGame, pop_row_size: int, pop_col_size: int,
-              fp_max_iters: int, fp_tol: float) -> MetaSolution:
-    """Meta-Nash of the empirical game by fictitious play, with the weights
-    lifted back from clipped empirical indices to population indices."""
-    sol = fictitious_play(empirical.m_row, empirical.m_col, fp_max_iters, fp_tol)
+              fp_max_iters: int) -> MetaSolution:
+    """Meta-Nash of the empirical game by fictitious play to FP_TOL, with the
+    weights lifted back from clipped empirical indices to population
+    indices."""
+    sol = fictitious_play(empirical.m_row, empirical.m_col, fp_max_iters, FP_TOL)
     theta_row = np.zeros(pop_row_size)
     theta_row[empirical.row_index_map] = sol.theta_row
     theta_col = np.zeros(pop_col_size)
@@ -283,7 +277,7 @@ def aggregate(pop: Population, theta: np.ndarray) -> np.ndarray:
 
 def br_oracle(game: BimatrixGame, player: int, opponent_aggregate) -> np.ndarray:
     """Exact pure best response to the opponent's aggregate, as a one-hot
-    (the lowest index within TIE_ATOL of the best, as in `best_response`)."""
+    (the lowest index within TIE_ATOL of the best)."""
     q = validate_strategy(opponent_aggregate, game.dims(1 - player))
     values = own_matrix(game, player) @ q
     out = np.zeros(game.dims(player))
@@ -440,12 +434,15 @@ def _ec_scores(fixed_rows: np.ndarray, cand_rows: np.ndarray,
 
 
 def _best_candidate(game: BimatrixGame, player: int, pi_t: np.ndarray,
-                    step: float, weight: float, ec=None) -> np.ndarray:
+                    step: float, weight: float, fixed_rows=None,
+                    meta=None) -> np.ndarray:
     """The candidate of ``_candidates(pi_t, step)`` with the highest score:
-    ``weight`` times its advantage plus, where ``ec`` is given, its expected
-    cardinality: ``ec(C)`` reads the full block C once and returns
-    ``(approx, bound, exact)``, scores within ``bound`` of ``approx`` and
-    ``exact(rows)`` for the given rows.  Ties go to the lowest index.
+    ``weight`` times its advantage plus, where ``meta`` is given, the
+    expected cardinality of the meta-matrix of ``fixed_rows`` plus the
+    candidate's row of ``C @ meta``, C being the full block.  `ec_rank_one`
+    scores every candidate from one factorization, each within ``bound`` of
+    its exact value, and only the survivors get `_ec_scores`.  Ties go to
+    the lowest index.
 
     For blocks of at least ONE_THREAD_MNK multiply-adds (`above_gate`, the
     threading cutoff of `run_iteration`; the bounds were timed only at dims
@@ -459,21 +456,25 @@ def _best_candidate(game: BimatrixGame, player: int, pi_t: np.ndarray,
     survivors alone where they keep the block's bits
     (`rows_keep_block_bits`), else of the full block.  Built after the
     bounds, the block is held only where its dense advantage is scored;
-    elsewhere it goes once ``ec`` has read it, and survivors are built alone.
+    elsewhere it goes once ``C @ meta`` is formed, and survivors are built
+    alone.
     """
     n = pi_t.shape[0]
     bounds = None
     if weight > 0 and above_gate(n, game.dims(1 - player)):
         bounds = _advantage_bounds(game, player, pi_t, step)
     whole = weight > 0 and bounds is None   # the block's advantage is scored
-    C = _candidates(pi_t, step) if whole or ec else None
-    approx, bound, exact = ec(C) if ec else (0.0, 0.0, lambda rows: 0.0)
+    C = _candidates(pi_t, step) if whole or meta is not None else None
+    approx = bound = 0.0
+    if meta is not None:
+        cand_rows = C @ meta
+        approx, bound = ec_rank_one(fixed_rows, cand_rows)
     if whole:
         dense = advantage_many(game, player, C)
-        if ec is None:   # every score is exact: no survivor rule is needed
+        if meta is None:   # every score is exact: no survivor rule is needed
             return C[int(np.argmax(dense))]
     else:
-        C = None   # released: ec has read it
+        C = None   # released: its EC rows are formed
         dense = np.zeros(2 * n) if bounds is None else None
     lo, hi = (dense, dense) if bounds is None else bounds
     # Rounding the weighted advantage, an exact total and the sums below
@@ -493,7 +494,8 @@ def _best_candidate(game: BimatrixGame, player: int, pi_t: np.ndarray,
         dense = advantage_many(game, player, _candidates(pi_t, step))
     adv = (dense[keep] if dense is not None
            else advantage_many(game, player, rows, picked=True))
-    return rows[int(np.argmax(exact(keep) + weight * adv))]
+    exact = 0.0 if meta is None else _ec_scores(fixed_rows, cand_rows, keep)
+    return rows[int(np.argmax(exact + weight * adv))]
 
 
 def _diversity_argmax(game: BimatrixGame, player: int, pi_t: np.ndarray,
@@ -503,17 +505,10 @@ def _diversity_argmax(game: BimatrixGame, player: int, pi_t: np.ndarray,
     from ``pi_t``, the candidate maximizing the expected cardinality of the
     meta-matrix of ``fixed_members`` (k x n, k >= 0) plus the candidate
     against ``opp_members``, plus ``lambda_1`` times the candidate's
-    advantage (`_best_candidate`, which holds the candidate block).
-    `ec_rank_one` scores all candidates from one factorization, each within
-    ``bound`` of its exact EC at every payoff scale, and only the candidates
-    it cannot rule out get `_ec_scores`."""
+    advantage (`_best_candidate`, which holds the candidate block)."""
     meta = own_matrix(game, player) @ opp_members.T
-    fixed_rows = fixed_members @ meta
-    def ec(C):
-        cand_rows = C @ meta
-        return (*ec_rank_one(fixed_rows, cand_rows),
-                lambda keep: _ec_scores(fixed_rows, cand_rows, keep))
-    return _best_candidate(game, player, pi_t, lr, lambda_1, ec)
+    return _best_candidate(game, player, pi_t, lr, lambda_1,
+                           fixed_members @ meta, meta)
 
 
 def lookahead_step(game: BimatrixGame, player: int, pi_t: np.ndarray,
@@ -601,7 +596,7 @@ def run_iteration(state: EngineState) -> IterationReport:
         emp = build_empirical(game, state.pop_row, state.pop_col, state.clips,
                               cfg.clip_fraction)
         theta = meta_nash(emp, len(state.pop_row), len(state.pop_col),
-                          cfg.fp_max_iters, cfg.fp_tol)
+                          cfg.fp_max_iters)
         agg_row = aggregate(state.pop_row, theta.theta_row)
         agg_col = aggregate(state.pop_col, theta.theta_col)
 

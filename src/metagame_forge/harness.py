@@ -46,6 +46,8 @@ def make_config(preset: str, **overrides) -> AlgorithmConfig:
     unknown = sorted(set(overrides) - {f.name for f in fields(AlgorithmConfig)})
     if unknown:
         raise GameError(f"unknown algorithm field {unknown[0]!r}")
+    if "variant" in overrides:
+        raise GameError(f"{preset}: 'variant' is set by the preset name")
     values = dict(PRESETS[preset])
     values.update(overrides)
     cfg = AlgorithmConfig(**values)

@@ -1,8 +1,7 @@
 """Exact game-theoretic primitives.
 
-Best response, exploitability, the advantage (Stackelberg-value) function,
-fictitious play over empirical matrices and the expected-cardinality
-diversity score.  Everything here is a pure function of its inputs.
+Exploitability, the advantage (Stackelberg-value) function, fictitious play
+over empirical matrices and the expected-cardinality diversity score.  Everything here is a pure function of its inputs.
 """
 from __future__ import annotations
 
@@ -83,13 +82,6 @@ def own_matrix(game: BimatrixGame, player: int) -> np.ndarray:
     return game.u_row if player == ROW else game.u_col.T
 
 
-@dataclass(frozen=True)
-class BestResponseResult:
-    index: int
-    value: float
-    tied_indices: tuple[int, ...]
-
-
 @dataclass
 class MetaSolution:
     """Fictitious-play output: averaged weights over the two strategy sets."""
@@ -98,20 +90,6 @@ class MetaSolution:
     theta_col: np.ndarray
     residual: float
     iterations_used: int
-
-
-def best_response(game: BimatrixGame, responder: int,
-                  opponent_mixed) -> BestResponseResult:
-    """Pure best response of `responder` to an opponent mixed strategy.
-
-    Ties within TIE_ATOL are reported; the winning index is the lowest tied
-    one.
-    """
-    q = validate_strategy(opponent_mixed, game.dims(1 - responder))
-    values = own_matrix(game, responder) @ q
-    best = values.max()
-    tied = tuple(int(i) for i in np.flatnonzero(values >= best - TIE_ATOL))
-    return BestResponseResult(tied[0], float(best), tied)
 
 
 def exploitability(game: BimatrixGame, pi_row, pi_col) -> float:

@@ -1,7 +1,7 @@
 """Oracles that only the tests use: pure and uniform strategies, small-integer
-games, a simplex grid search for Stackelberg strategies, support enumeration
-for Nash equilibria, all at desk scale, and the plain full pass of the
-certified advantage bounds."""
+games, the index of a pure best response, a simplex grid search for
+Stackelberg strategies, support enumeration for Nash equilibria, all at desk
+scale, and the plain full pass of the certified advantage bounds."""
 import itertools
 
 import numpy as np
@@ -35,6 +35,15 @@ def small_integer_case(seed: int, n: int, m: int, zero_sum: bool):
         return w / w.sum()
 
     return new_game(u_row, u_col), mixed(n), mixed(m)
+
+
+def best_response_index(game: BimatrixGame, responder: int,
+                        opponent_mixed) -> int:
+    """Lowest-index pure best response of `responder` to an opponent mixed
+    strategy, ties formed within TIE_ATOL of the best value."""
+    values = own_matrix(game, responder) @ np.asarray(opponent_mixed, float)
+    tied = [i for i, v in enumerate(values) if v >= values.max() - TIE_ATOL]
+    return tied[0]
 
 
 def _simplex_grid(n: int, resolution: int) -> np.ndarray:

@@ -26,7 +26,20 @@ def test_traced_rounds_reach_every_hooked_span(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))   # workloads imports checks, speed
     tracing = _load_tracing()
     workloads = importlib.import_module("workloads")
-    from metagame_forge import cli
+    import metagame_forge
+    from metagame_forge import cli, engine, solvers
+
+    # The tracer reads fictitious play's `tol` from its 4th positional
+    # argument to count capped calls, so every call must pass it there.
+    tols = []
+    fictitious_play = solvers.fictitious_play
+
+    def recording(*args, **kwargs):
+        tols.append(args[3:4])
+        return fictitious_play(*args, **kwargs)
+
+    for module in (metagame_forge, engine, solvers):
+        monkeypatch.setattr(module, "fictitious_play", recording)
 
     spec = workloads.DirectSpec(
         game={"kind": "general_sum_random", "dim": 6}, preset="sc_psro",
@@ -62,3 +75,4 @@ def test_traced_rounds_reach_every_hooked_span(tmp_path, monkeypatch):
                  "solvers.ec_of_gram"):
         assert tracer.calls(name) > 0, name
     assert tracer.counts["refresh_confirming.entries"] > 0
+    assert tols and set(tols) == {(engine.FP_TOL,)}

@@ -21,12 +21,11 @@ from metagame_forge.games import (GameError, builtin, gen_general_sum,
                                   gen_symmetric_zero_sum, gen_transitive,
                                   new_game)
 from metagame_forge.harness import make_config
-from metagame_forge.solvers import (advantage, advantage_many,
-                                    best_response, blas_threads, ec_of_gram,
-                                    ec_rank_one, exploitability,
+from metagame_forge.solvers import (advantage, advantage_many, blas_threads,
+                                    ec_of_gram, ec_rank_one, exploitability,
                                     fictitious_play, own_matrix)
-from oracles import (pure, reference_advantage_bounds, small_integer_case,
-                     uniform)
+from oracles import (best_response_index, pure, reference_advantage_bounds,
+                     small_integer_case, uniform)
 
 RPS = builtin("rps")
 T1 = builtin("stackelberg_table1")
@@ -44,8 +43,7 @@ def make_cfg(**kw):
 def test_config_validation_errors():
     for bad in ({"variant": "alpha_rank"}, {"lambda_d": 1.5}, {"lambda_d": -0.1},
                 {"clip_fraction": 2.0}, {"lr": 0.0}, {"im": -1.5},
-                {"lambda_1": -1.0}, {"max_iterations": -1}, {"fp_max_iters": 0},
-                {"fp_tol": -1.0}):
+                {"lambda_1": -1.0}, {"max_iterations": -1}, {"fp_max_iters": 0}):
         with pytest.raises(GameError):
             make_cfg(**bad)
 
@@ -103,7 +101,7 @@ def test_population_owns_read_only_copies():
     assert not pop.members.flags.writeable
     with pytest.raises(ValueError):
         pop.members[0, 0] = 1.0
-    assert pop.mu_index.tolist() == [-1, -1] and pop.stale.tolist() == [True, True]
+    assert pop.stale.tolist() == [True, True]
     assert np.isnan(pop.sc_advantage).all() and pop.replies == {}
 
 def test_population_replace_is_copy_on_write():
@@ -178,23 +176,29 @@ def test_confirming_single_opponent_forced():
     pop = Population([pure(3, 0), uniform(3)])
     opp = Population([pure(3, 1)])
     refresh_confirming(pop, opp, RPS, 0)
-    assert pop.mu_index.tolist() == [0, 0]
     assert pop.sc_advantage[0] == -1.0  # Rock vs Paper
 
 def test_confirming_rps_rock_vs_three_pures():
     pop = Population([pure(3, 0)])
     opp = Population([pure(3, 0), pure(3, 1), pure(3, 2)])
     refresh_confirming(pop, opp, RPS, 0)
-    assert pop.mu_index[0] == 1          # Paper best-responds to Rock
-    assert pop.sc_advantage[0] == -1.0
+    assert pop.sc_advantage[0] == -1.0   # Paper best-responds to Rock
+
+def test_confirming_takes_least_own_payoff_over_tied_replies():
+    # Against (1/3, 2/3) both column replies pay the column player 2/3; the
+    # row player gets 11/3 against the first opponent member and 5/3
+    # against the second, and the pessimistic tie rule keeps 5/3.
+    pop = Population([[1.0 / 3.0, 2.0 / 3.0]])
+    refresh_confirming(pop, Population([pure(2, 1), pure(2, 0)]), T1, 0)
+    assert abs(pop.sc_advantage[0] - 5.0 / 3.0) <= 1e-12
 
 def test_confirming_idempotent():
     pop = Population([uniform(3), pure(3, 2)])
     opp = Population([pure(3, 0), uniform(3)])
     refresh_confirming(pop, opp, RPS, 0)
-    before = (list(pop.mu_index), list(pop.sc_advantage))
+    before = list(pop.sc_advantage)
     refresh_confirming(pop, opp, RPS, 0)
-    assert (list(pop.mu_index), list(pop.sc_advantage)) == before
+    assert list(pop.sc_advantage) == before
 
 def test_confirming_empty_opponent_error():
     with pytest.raises(EngineError):
@@ -209,9 +213,8 @@ def _brute_confirm(pop, opp, game, player):
     for p in pop.members:
         opp_vals = np.array([o @ (m_opp @ p) for o in opp.members])
         self_vals = np.array([o @ (m_self.T @ p) for o in opp.members])
-        tied = np.flatnonzero(opp_vals >= opp_vals.max() - 1e-9)
-        j = int(tied[int(np.argmin(self_vals[tied]))])
-        out.append((j, float(self_vals[j])))
+        tied = opp_vals >= opp_vals.max() - 1e-9
+        out.append(float(self_vals[tied].min()))
     return out
 
 def test_confirming_matches_brute_force_on_random_pops():
@@ -221,8 +224,7 @@ def test_confirming_matches_brute_force_on_random_pops():
         pop = Population(rng.dirichlet(np.ones(4), size=3))
         opp = Population(rng.dirichlet(np.ones(4), size=4))
         refresh_confirming(pop, opp, g, 0)
-        for i, (j, sc) in enumerate(_brute_confirm(pop, opp, g, 0)):
-            assert pop.mu_index[i] == j
+        for i, sc in enumerate(_brute_confirm(pop, opp, g, 0)):
             assert abs(pop.sc_advantage[i] - sc) <= 1e-12
 
 def _assert_caches_exact_through_updates(mode, im):
@@ -236,7 +238,7 @@ def _assert_caches_exact_through_updates(mode, im):
         refresh_confirming(state.pop_col, state.pop_row, g, 1)
         for pop, opp, player in ((state.pop_row, state.pop_col, 0),
                                  (state.pop_col, state.pop_row, 1)):
-            for i, (j, sc) in enumerate(_brute_confirm(pop, opp, g, player)):
+            for i, sc in enumerate(_brute_confirm(pop, opp, g, player)):
                 assert abs(pop.sc_advantage[i] - sc) <= 1e-9, \
                     f"seed {seed} player {player} member {i}"
         states.append(state)
@@ -318,8 +320,7 @@ def test_clipping_refreshes_stale_caches():
     opp = Population([uniform(3), pure(3, 2)])
     emp = build_empirical(RPS, pop, opp, clip=True, s=0.5)
     assert not any(pop.stale) and not any(opp.stale)
-    for i, (j, sc) in enumerate(_brute_confirm(pop, opp, RPS, 0)):
-        assert pop.mu_index[i] == j
+    for i, sc in enumerate(_brute_confirm(pop, opp, RPS, 0)):
         assert abs(pop.sc_advantage[i] - sc) <= 1e-12
     assert len(emp.row_index_map) == 2
 
@@ -335,7 +336,7 @@ def test_meta_nash_lifts_clipped_indices():
     refresh_confirming(pop, opp, g, 0)
     refresh_confirming(opp, pop, g, 1)
     emp = build_empirical(g, pop, opp, clip=True, s=0.4)
-    sol = meta_nash(emp, 5, 5, 2000, 1e-6)
+    sol = meta_nash(emp, 5, 5, 2000)
     assert sol.theta_row.shape == (5,)
     dropped = set(range(5)) - set(int(i) for i in emp.row_index_map)
     for i in dropped:
@@ -382,7 +383,7 @@ def test_aggregate_and_br_oracle():
 def test_br_oracle_is_one_hot_of_best_response_index(seed, n, m, zero_sum):
     g, p, q = small_integer_case(seed, n, m, zero_sum)
     for player, opponent in ((0, q), (1, p)):
-        want = pure(g.dims(player), best_response(g, player, opponent).index)
+        want = pure(g.dims(player), best_response_index(g, player, opponent))
         assert br_oracle(g, player, opponent).tobytes() == want.tobytes()
 
 @settings(max_examples=100, deadline=None)
@@ -1176,7 +1177,7 @@ def test_vanilla_grows_by_one_and_appends_pure_br():
 
 def test_vanilla_rps_reaches_low_exploitability():
     reports = run(RPS, make_cfg(variant="vanilla_psro", clipping_enabled=False,
-                                seed=0, max_iterations=10, fp_tol=1e-6,
+                                seed=0, max_iterations=10,
                                 fp_max_iters=200_000))
     assert reports[-1].exploitability <= 0.05
 

@@ -578,6 +578,9 @@ def test_cli_bad_override_exits_2(tmp_path, capsys):
     cases = (({"bogus": 1}, "bogus"), ({"lr": "x"}, "lr"),
              ({"clipping_enabled": 1}, "clipping_enabled"),
              ({"fp_max_iters": 50.0}, "fp_max_iters"), ({"seed": 3}, "seed"),
+             # The preset name sets the variant, and the tolerance is fixed.
+             ({"variant": "vanilla_psro"}, "variant"),
+             ({"fp_tol": 1e-6}, "fp_tol"),
              # Integers no float holds, which once failed every cell.
              *(({name: 10**400}, name) for name in ("lr", "lambda_1", "im")))
     for i, (overrides, field_name) in enumerate(cases):

@@ -1,5 +1,6 @@
-"""Exact solvers: best response, exploitability, advantage, fictitious play,
-expected cardinality, and the two desk-scale oracles."""
+"""Exact solvers: the engine's best-response oracle, exploitability,
+advantage, fictitious play, expected cardinality, and the two desk-scale
+oracles."""
 import collections
 import inspect
 import sys
@@ -13,8 +14,9 @@ from metagame_forge.games import (GameError, builtin, gen_elo,
                                   gen_general_sum, gen_symmetric_zero_sum,
                                   gen_transitive, new_game)
 from metagame_forge import solvers
+from metagame_forge.engine import br_oracle
 from metagame_forge.solvers import (COL, ROW, TIE_ATOL, advantage,
-                                    advantage_many, best_response, ec_of_gram,
+                                    advantage_many, ec_of_gram,
                                     ec_rank_one, exploitability,
                                     fictitious_play, own_matrix)
 from oracles import (nash_support_enumeration, pure, small_integer_case,
@@ -30,30 +32,29 @@ MP = builtin("matching_pennies")
 # Best response
 
 def test_br_rps_to_rock():
-    res = best_response(RPS, 1, pure(3, 0))
-    assert res.index == 1 and res.value == 1.0
+    assert br_oracle(RPS, 1, pure(3, 0)).tolist() == pure(3, 1).tolist()
 
 def test_br_rps_to_uniform_all_tied():
-    res = best_response(RPS, 1, uniform(3))
-    assert res.tied_indices == (0, 1, 2)
-    assert res.index == 0
-    assert abs(res.value) <= 1e-12
+    assert (np.abs(RPS.u_col.T @ uniform(3)) <= TIE_ATOL).all()   # all tie
+    assert br_oracle(RPS, 1, uniform(3)).tolist() == pure(3, 0).tolist()
 
 def test_br_table1_column_tie_at_stackelberg_point():
-    res = best_response(T1, 1, np.array([1.0 / 3.0, 2.0 / 3.0]))
-    assert res.tied_indices == (0, 1)
-    assert res.index == 0
-    assert abs(res.value - 2.0 / 3.0) <= 1e-12
+    q = np.array([1.0 / 3.0, 2.0 / 3.0])
+    values = T1.u_col.T @ q
+    assert abs(values[0] - values[1]) <= TIE_ATOL   # both replies tie
+    assert br_oracle(T1, 1, q).tolist() == pure(2, 0).tolist()
 
 def test_br_value_is_max_and_index_is_lowest_tie():
     rng = np.random.default_rng(0)
     for _ in range(25):
         g = gen_general_sum(5, rng.integers(1000))
         q = rng.dirichlet(np.ones(5))
-        res = best_response(g, 0, q)
+        reply = br_oracle(g, 0, q)
         vals = g.u_row @ q
-        assert abs(res.value - vals.max()) <= 1e-12
-        assert res.index == min(res.tied_indices)
+        index = int(np.flatnonzero(reply)[0])
+        assert reply.tolist() == pure(5, index).tolist()
+        assert vals[index] >= vals.max() - TIE_ATOL
+        assert (vals[:index] < vals.max() - TIE_ATOL).all()
 
 
 # ---------------------------------------------------------------------------
