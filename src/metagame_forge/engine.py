@@ -15,6 +15,9 @@ via fictitious play, and the population-update rules for the three variants:
                        replaces the population's last member; a fresh random
                        member is appended only when the improvement ratio
                        against the opponent's aggregate falls short of ``im``.
+                       With no other member, a candidate's meta-row x has EC
+                       ``|x|^2 / (1 + |x|^2)``: a one-member population's
+                       diversity branch scores payoff magnitude.
 
 In runs that clip, each member carries a confirming cache: its payoff
 against the opponent members best-responding to it (the self-confirming
@@ -307,6 +310,36 @@ def _candidates(pi_t: np.ndarray, step: float, rows=None) -> np.ndarray:
     return V
 
 
+def _steps(pi_t: np.ndarray, step: float):
+    """``(|pi_t|, delta, sums, scale)`` of ``C = _candidates(pi_t, step)``:
+    row i of ``C @ X`` is ``(|pi_t| @ X + delta[i] * X[a]) / sums[i]`` up to
+    ``scale[i] * max |X[:, j]| / sums[i]`` in column j where ``4 * scale[i]
+    <= sums[i]`` (gamma_n bounds the dense dot products, ``|pi_t| @ X`` and
+    the sums; the factor 16 covers them and the other roundings more than
+    twice over; the sums stay clear of the clamp in `_candidates`)."""
+    nu = pi_t.shape[0] * np.finfo(float).eps / 2   # n unit roundoffs
+    p = np.abs(pi_t)
+    delta = np.abs(np.concatenate([pi_t + step, pi_t - step])) - np.tile(p, 2)
+    total = p.sum()
+    sums = total + delta
+    scale = 16.0 * nu / (1.0 - nu) * (sums + total + np.abs(delta))
+    return p, delta, sums, scale
+
+
+def _ec_rows(pi_t: np.ndarray, step: float, meta: np.ndarray):
+    """The rows of ``_candidates(pi_t, step) @ meta`` in the rank-one form
+    (`_steps`), 0 where the mass is near 0, and bounds on their errors in
+    2-norm, infinite there.  The EC of ``[F; x]`` is a constant plus
+    f(x) = |Px|^2 / (1 + x.Px), P = (I + F^T F)^-1 <= I, whose gradient is
+    at most 1.58 in norm: an error e in x moves it by less than 2e."""
+    p, delta, sums, scale = _steps(pi_t, step)
+    tight = 4.0 * scale <= sums
+    sums = np.where(tight, sums, np.inf)   # loose rows divide to 0
+    x = (p @ meta + delta[:, None] * np.tile(meta, (2, 1))) / sums[:, None]
+    err = np.linalg.norm(np.abs(meta).max(axis=0)) * scale / sums
+    return x, np.where(tight, err, np.inf)
+
+
 def _advantage_bounds(game: BimatrixGame, player: int, pi_t: np.ndarray,
                       step: float):
     """Bounds ``(lo, hi)`` on the advantage that `advantage_many` gives each
@@ -315,22 +348,16 @@ def _advantage_bounds(game: BimatrixGame, player: int, pi_t: np.ndarray,
     count; ``(-inf, inf)`` on rows where the bounds would be loose, and None
     where every row is.
 
-    Candidate i moves coordinate a of pi_t by ``delta[i]`` and divides by
-    ``sums[i]``, so its payoffs against the pure replies are
-    ``(pi_t @ M + delta[i] * M[a]) / sums[i]``: elementwise work in row
-    chunks.  Each payoff that ``advantage_many`` computes lies within
-    ``rho[i] / sums[i]`` of this value, rho being M's entry of ``rhos``.
-    gamma_n bounds the dense dot products, ``pi_t @ M`` and the sums; the
-    factor 16 covers them, and the few other roundings, more than twice
-    over.  A reply whose tie-set membership these errors could flip counts
-    for the lower bound of the advantage and not for the upper one.  A
-    bound past TIE_ATOL / 4, as from payoffs past about 70 at dim 1000, or
-    a row whose sum is near 0, could settle no tie set and makes the row
-    loose; within it, the sums also stay clear of the clamp in
-    `_candidates`.  An exactly zero-sum game, where ``advantage_many``
-    takes the minimum over all replies, needs no other path: the reply at
-    the player's minimum is, up to rounding, the opponent's best, so the
-    bounds hold it as they hold a tie set.
+    Each payoff that ``advantage_many`` computes lies within ``rho[i] /
+    sums[i]`` of its rank-one form (`_steps`), formed elementwise in row
+    chunks, rho being M's entry of ``rhos``.  A reply whose tie-set
+    membership these errors could flip counts for the lower bound of the
+    advantage and not for the upper one.  A bound past TIE_ATOL / 4, as from
+    payoffs past about 70 at dim 1000, or a row whose sum is near 0, could
+    settle no tie set and makes the row loose.  An exactly zero-sum game,
+    where ``advantage_many`` takes the minimum over all replies, needs no
+    other path: the reply at the player's minimum is, up to rounding, the
+    opponent's best, so the bounds hold it as they hold a tie set.
 
     Two shortcuts form fewer opponent payoffs, each as the full pass forms
     it, so the bits are the same.  A "-" row n + a differs from its "+"
@@ -341,12 +368,7 @@ def _advantage_bounds(game: BimatrixGame, player: int, pi_t: np.ndarray,
     skips the pass.
     """
     n = pi_t.shape[0]
-    p = np.abs(pi_t)
-    delta = np.abs(np.concatenate([pi_t + step, pi_t - step])) - np.tile(p, 2)
-    total = p.sum()
-    sums = total + delta
-    eps = np.finfo(float).eps / 2
-    scale = 16.0 * n * eps / (1.0 - n * eps) * (sums + total + np.abs(delta))
+    p, delta, sums, scale = _steps(pi_t, step)
     mats = [own_matrix(game, player), own_matrix(game, 1 - player).T]
     scales, replies = game.payoff_scales, game.reply_margins
     bases = [p @ M for M in mats]
@@ -437,44 +459,42 @@ def _best_candidate(game: BimatrixGame, player: int, pi_t: np.ndarray,
                     step: float, weight: float, fixed_rows=None,
                     meta=None) -> np.ndarray:
     """The candidate of ``_candidates(pi_t, step)`` with the highest score:
-    ``weight`` times its advantage plus, where ``meta`` is given, the
-    expected cardinality of the meta-matrix of ``fixed_rows`` plus the
-    candidate's row of ``C @ meta``, C being the full block.  `ec_rank_one`
-    scores every candidate from one factorization, each within ``bound`` of
-    its exact value, and only the survivors get `_ec_scores`.  Ties go to
-    the lowest index.
+    ``weight`` times its advantage plus, where ``meta`` is given, the EC of
+    the meta-matrix of ``fixed_rows`` and its row of ``C @ meta``, C being
+    the full block.  Ties go to the lowest index.
 
-    For blocks of at least ONE_THREAD_MNK multiply-adds (`above_gate`, the
-    threading cutoff of `run_iteration`; the bounds were timed only at dims
-    100, where they cost more than they saved, and 1000) the advantage lies
-    within the bounds of `_advantage_bounds`, infinite on loose rows; where
-    every row is loose it is the full block's dense advantage.  A candidate
-    survives if its highest possible score reaches the best lowest one,
-    ``slack`` covering the rounding of the weighted terms and sums; on a
-    non-finite approximation all of them do.  Survivors that are one row are
-    that row; else they are scored exactly, with the dense advantage of the
-    survivors alone where they keep the block's bits
-    (`rows_keep_block_bits`), else of the full block.  Built after the
-    bounds, the block is held only where its dense advantage is scored;
-    elsewhere it goes once ``C @ meta`` is formed, and survivors are built
-    alone.
+    Each term first comes as an interval: the advantage from
+    `_advantage_bounds` at ONE_THREAD_MNK multiply-adds or more
+    (`above_gate`; at dim 100 they cost more than they saved), and the EC
+    from `ec_rank_one` on rows from `_ec_rows`, its bound widened by twice
+    their error.  Below the gate, or where every row is loose, the block is
+    built at once: its dense advantage is the advantage, and its rows of
+    ``C @ meta`` the EC rows.  A candidate survives if its highest possible
+    score reaches the best lowest one (``slack`` covers the rounding of the
+    sums); on a non-finite approximation all do.  One-row survivors are the
+    pick.  Else they are built alone and scored exactly: EC from a zero
+    block of the block's shape holding each in its place, whose product
+    gives each the block product's bits (BLAS kernels do not branch on
+    values), and the dense advantage of the survivors alone where they keep
+    the block's bits (`rows_keep_block_bits`), else of the block.
     """
     n = pi_t.shape[0]
     bounds = None
     if weight > 0 and above_gate(n, game.dims(1 - player)):
         bounds = _advantage_bounds(game, player, pi_t, step)
     whole = weight > 0 and bounds is None   # the block's advantage is scored
-    C = _candidates(pi_t, step) if whole or meta is not None else None
+    C = _candidates(pi_t, step) if whole else None
     approx = bound = 0.0
     if meta is not None:
-        cand_rows = C @ meta
+        cand_rows, err = ((C @ meta, 0.0) if whole
+                          else _ec_rows(pi_t, step, meta))
         approx, bound = ec_rank_one(fixed_rows, cand_rows)
+        bound = bound + 2.0 * err
     if whole:
         dense = advantage_many(game, player, C)
         if meta is None:   # every score is exact: no survivor rule is needed
             return C[int(np.argmax(dense))]
     else:
-        C = None   # released: its EC rows are formed
         dense = np.zeros(2 * n) if bounds is None else None
     lo, hi = (dense, dense) if bounds is None else bounds
     # Rounding the weighted advantage, an exact total and the sums below
@@ -490,11 +510,15 @@ def _best_candidate(game: BimatrixGame, player: int, pi_t: np.ndarray,
     rows = _candidates(pi_t, step, keep) if C is None else C[keep]
     if (rows == rows[0]).all():
         return rows[0]
+    if meta is not None and C is None:
+        cand_rows = np.zeros((2 * n, n))
+        cand_rows[keep] = rows
+        cand_rows = cand_rows @ meta
+    exact = 0.0 if meta is None else _ec_scores(fixed_rows, cand_rows, keep)
     if dense is None and not rows_keep_block_bits(game, player):
         dense = advantage_many(game, player, _candidates(pi_t, step))
     adv = (dense[keep] if dense is not None
            else advantage_many(game, player, rows, picked=True))
-    exact = 0.0 if meta is None else _ec_scores(fixed_rows, cand_rows, keep)
     return rows[int(np.argmax(exact + weight * adv))]
 
 
@@ -504,8 +528,8 @@ def _diversity_argmax(game: BimatrixGame, player: int, pi_t: np.ndarray,
     """Replace-then-score diversity update: among the pure-direction steps
     from ``pi_t``, the candidate maximizing the expected cardinality of the
     meta-matrix of ``fixed_members`` (k x n, k >= 0) plus the candidate
-    against ``opp_members``, plus ``lambda_1`` times the candidate's
-    advantage (`_best_candidate`, which holds the candidate block)."""
+    against ``opp_members``, plus ``lambda_1`` times its advantage, as
+    `_best_candidate` scores them."""
     meta = own_matrix(game, player) @ opp_members.T
     return _best_candidate(game, player, pi_t, lr, lambda_1,
                            fixed_members @ meta, meta)

@@ -1,7 +1,8 @@
 """Exact game-theoretic primitives.
 
 Exploitability, the advantage (Stackelberg-value) function, fictitious play
-over empirical matrices and the expected-cardinality diversity score.  Everything here is a pure function of its inputs.
+over empirical matrices and the expected-cardinality diversity score.
+Everything here is a pure function of its inputs.
 """
 from __future__ import annotations
 

@@ -138,12 +138,13 @@ def test_kept_members_hold_no_candidate_block():
 def test_candidate_scoring_holds_one_block_at_a_time(monkeypatch):
     # Above the gate (600 x 300 x 300 multiply-adds) in a general-sum game,
     # where a 2n-row block of doubles takes 1.44 MB.  The diversity call
-    # releases the candidate block once its EC rows are formed, so at most
-    # two blocks are alive at once: the block-bits probe's random block and
-    # product, asked afresh, or, where picked rows do not keep the block's
-    # bits, a rebuilt block and one product of its dense advantage.
-    # advantage_many reduces the opponent's payoffs to a mask before it
-    # forms the player's.
+    # builds no candidate block for its EC rows, and drops the zero block
+    # that gives its survivors' exact rows before it scores their
+    # advantage, so at most two blocks are alive at once: the block-bits
+    # probe's random block and product, asked afresh, or, where picked rows
+    # do not keep the block's bits, the block and one product of its dense
+    # advantage.  advantage_many reduces the opponent's payoffs to a mask
+    # before it forms the player's.
     n = 300
     block = 2 * n * n * 8
     g = gen_general_sum(n, 0)
@@ -1039,7 +1040,8 @@ def test_diversity_argmax_matches_brute_force_above_gate(n, threads,
     # dense advantage is computed where picked rows keep the full block's
     # bits; elsewhere the full block is scored.  Survivors that are one row
     # are returned unscored.  lr = 1e9 makes the +/- twins of criterion 8,
-    # whose totals only the dense bits order.
+    # whose totals only the dense bits order.  The survivors' EC rows carry
+    # the bits of the full block's rows of C @ meta.
     scored, survivors = [], []
     score, ec_scores = engine.advantage_many, engine._ec_scores
 
@@ -1048,7 +1050,7 @@ def test_diversity_argmax_matches_brute_force_above_gate(n, threads,
         return score(game, player, P, picked=picked)
 
     def counted_ec(fixed_rows, cand_rows, index):
-        survivors.append(index)
+        survivors.append((index, cand_rows[index].copy()))
         return ec_scores(fixed_rows, cand_rows, index)
 
     monkeypatch.setattr(engine, "advantage_many", counted_score)
@@ -1073,31 +1075,36 @@ def test_diversity_argmax_matches_brute_force_above_gate(n, threads,
         # One dense call exactly when the survivors hold two or more rows.
         assert len(scored) == len(survivors) <= 1
         if survivors:
-            keep = survivors[0]
+            keep, ec_rows = survivors[0]
             assert len(np.unique(C[keep], axis=0)) >= 2
+            with blas_threads(threads):
+                meta = own_matrix(g, player) @ opp.T
+                assert np.array_equal(ec_rows, (C @ meta)[keep])
             rows, was_picked = scored[0]
             assert (rows == len(keep) and was_picked) if picked else (
                 rows == 2 * n and not was_picked)
 
-@pytest.mark.parametrize("lr", [0.3, 1e9])
-@pytest.mark.parametrize("lambda_1, scale", [(1.0, 1e6), (0.0, 1.0)])
-def test_diversity_above_gate_builds_the_block_once(lambda_1, scale, lr,
-                                                    monkeypatch):
-    # Above the gate (400 x 200 x 200 multiply-adds).  Payoffs of scale 1e6
-    # leave every row loose, so the block's dense advantage is scored and
-    # the block is held for it; with lambda_1 = 0 no advantage is scored,
-    # and only the survivors are built again.  Either way the full 2n-row
-    # block is built once.
-    n = 200
+def _recorded_builds(monkeypatch):
+    """Patch `engine._candidates` to record the rows of every build."""
     built = []
     candidates = engine._candidates
 
-    def counted_candidates(pi_t, step, rows=None):
+    def recorded_candidates(pi_t, step, rows=None):
         V = candidates(pi_t, step, rows)
-        built.append(V.shape[0])
+        built.append(np.arange(V.shape[0]) if rows is None else rows)
         return V
 
-    monkeypatch.setattr(engine, "_candidates", counted_candidates)
+    monkeypatch.setattr(engine, "_candidates", recorded_candidates)
+    return built
+
+def _full_builds(built, n):
+    return sum(len(rows) == 2 * n for rows in built)
+
+def _check_diversity_above_gate(lambda_1, scale, blocks, lr, monkeypatch):
+    # Above the gate (400 x 200 x 200 multiply-adds): the pick builds the
+    # full 2n-row block `blocks` times and still matches brute force.
+    n = 200
+    built = _recorded_builds(monkeypatch)
     rng = np.random.default_rng(4)
     g = new_game(scale * rng.normal(size=(n, n)),
                  scale * rng.normal(size=(n, n)))
@@ -1107,8 +1114,127 @@ def test_diversity_above_gate_builds_the_block_once(lambda_1, scale, lr,
     if lambda_1 > 0:
         assert engine._advantage_bounds(g, 0, pi, lr) is None
     out = _diversity_argmax(g, 0, pi, F, opp, lr, lambda_1)
-    assert built.count(2 * n) == 1
+    assert _full_builds(built, n) == blocks
     C, _, total = _brute_diversity_scores(g, 0, pi, F, opp, lr, lambda_1)
+    assert np.array_equal(out, C[int(np.argmax(total))])
+
+@pytest.mark.parametrize("lr", [0.3, 1e9])
+@pytest.mark.parametrize("lambda_1, scale", [(1.0, 1e6)])
+def test_diversity_above_gate_builds_the_block_once(lambda_1, scale, lr,
+                                                    monkeypatch):
+    # Payoffs of scale 1e6 leave every row loose, so the block's dense
+    # advantage is scored and the block is built once for it and its EC rows.
+    _check_diversity_above_gate(lambda_1, scale, 1, lr, monkeypatch)
+
+@pytest.mark.parametrize("lr", [0.3, 1e9])
+@pytest.mark.parametrize("lambda_1, scale, blocks", [(0.0, 1.0, 0)])
+def test_diversity_above_gate_builds_the_block_only_for_its_advantage(
+        lambda_1, scale, blocks, lr, monkeypatch):
+    # With lambda_1 = 0 no advantage is scored, the EC rows come from the
+    # rank-one form, and only the survivors are built: no full block.
+    _check_diversity_above_gate(lambda_1, scale, blocks, lr, monkeypatch)
+
+@pytest.mark.parametrize("n", [200, 300])
+def test_diversity_without_block_bits_builds_the_block_once(n, monkeypatch):
+    # Above the gate, where rows scored apart from the block would get other
+    # bits, the survivors' dense advantage comes from the full block, the
+    # one 2n-row build of the pick: the EC rows need none.  lr = 1e9 leaves
+    # +/- twins that only the exact scores order.
+    built = _recorded_builds(monkeypatch)
+    monkeypatch.setattr(engine, "rows_keep_block_bits", lambda *args: False)
+    rng = np.random.default_rng(n)
+    g = new_game(rng.normal(size=(n, n)), rng.normal(size=(n, n)))
+    scored = 0
+    for n_fixed in (1, 2, 3):
+        pi = rng.dirichlet(np.ones(n))
+        F = rng.dirichlet(np.ones(n), size=n_fixed)
+        opp = rng.dirichlet(np.ones(n), size=5)
+        built.clear()
+        out = _diversity_argmax(g, 0, pi, F, opp, 1e9, 1.0)
+        assert _full_builds(built, n) <= 1
+        scored += _full_builds(built, n)
+        C, _, total = _brute_diversity_scores(g, 0, pi, F, opp, 1e9, 1.0)
+        assert np.array_equal(out, C[int(np.argmax(total))])
+    assert scored >= 1   # survivors of two or more rows were scored
+
+@pytest.mark.parametrize("threads", [1, None])
+@pytest.mark.parametrize("k", [1, 2, 5, 17, 40])
+@pytest.mark.parametrize("n, m", [(100, 100), (200, 200), (1000, 1000),
+                                  (220, 140)])
+def test_survivors_in_a_zero_block_keep_the_block_product_bits(n, m, k,
+                                                               threads):
+    # The diversity branch forms the exact EC rows of its survivors as the
+    # product of a zero block of the candidate block's shape that holds each
+    # survivor in its place.  Each row must carry the bits the full block's
+    # product gives it, on the iteration's thread count and with keep sets
+    # at both ends of the block.
+    rng = np.random.default_rng(n + m + k)
+    meta = rng.normal(size=(n, m)) @ rng.dirichlet(np.ones(m), size=k).T
+    for step in (1e-3, 0.3, 1e9):
+        C = _candidates(rng.dirichlet(np.ones(n)), step)
+        a = int(rng.integers(n))
+        inner = rng.integers(0, 2 * n, size=6)
+        keeps = [np.array([0, 2 * n - 1]), np.array([a, n + a]),
+                 np.unique(np.r_[0, inner, 2 * n - 1])]
+        with blas_threads(threads):
+            full = C @ meta
+            for keep in keeps:
+                Z = np.zeros_like(C)
+                Z[keep] = C[keep]
+                assert np.array_equal((Z @ meta)[keep], full[keep])
+
+@settings(max_examples=200, deadline=None)
+# Steps of pi_t[a] leave "-" row n + a with no mass or almost none: a loose
+# row, 0 or not in the block.
+@example(seed=0, n=5, k=3, n_fixed=2, pi_kind="pure", step="pi_a",
+         scale=1.0)
+@example(seed=0, n=5, k=3, n_fixed=2, pi_kind="nearer_pure", step="pi_a",
+         scale=1.0)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 40),
+       k=st.integers(1, 6), n_fixed=st.integers(0, 5),
+       pi_kind=st.sampled_from(["dirichlet", "pure", "near_pure",
+                                "nearer_pure", "half_zero"]),
+       step=st.sampled_from([1e-6, 1e-3, 0.3, 1.0, 1e3, 1e9, "pi_a"]),
+       scale=st.sampled_from([1e-2, 1.0, 1e2, 1e6]))
+def test_rank_one_ec_rows_keep_the_exact_ec_in_the_widened_bound(
+        seed, n, k, n_fixed, pi_kind, step, scale):
+    # The diversity branch scores EC from rank-one rows where it builds no
+    # candidate block.  Each row lies within its stated error of the row of
+    # C @ meta; the ec_rank_one interval, widened by twice that error, holds
+    # ec_of_gram of the exact bordered Gram matrix; and rows of mass near 0,
+    # given an infinite bound, survive to be scored exactly.
+    rng = np.random.default_rng(seed)
+    pi = rng.dirichlet(np.ones(n))
+    if pi_kind == "half_zero":
+        pi[rng.permutation(n)[: n // 2]] = 0.0
+    elif pi_kind != "dirichlet":
+        tiny = {"pure": 0.0, "near_pure": 1e-12, "nearer_pure": 1e-16}[pi_kind]
+        pi = np.abs(pure(n, int(rng.integers(n))) + tiny * rng.uniform(size=n))
+    pi /= pi.sum()
+    step = float(pi.max()) if step == "pi_a" else step
+    g = new_game(scale * rng.normal(size=(n, n)), rng.normal(size=(n, n)))
+    opp = rng.dirichlet(np.ones(n), size=k)
+    members = rng.dirichlet(np.ones(n), size=n_fixed)
+    meta = own_matrix(g, 0) @ opp.T
+    fixed_rows = members @ meta
+    C = _candidates(pi, step)
+    rows, err = engine._ec_rows(pi, step, meta)
+    exact_rows = C @ meta
+    assert (np.linalg.norm(rows - exact_rows, axis=1) <= err).all()
+
+    approx, bound = ec_rank_one(fixed_rows, rows)
+    L = np.empty((n_fixed + 1, n_fixed + 1))
+    L[:n_fixed, :n_fixed] = fixed_rows @ fixed_rows.T
+    for i, x in enumerate(exact_rows):
+        L[:n_fixed, n_fixed] = L[n_fixed, :n_fixed] = fixed_rows @ x
+        L[n_fixed, n_fixed] = x @ x
+        assert abs(approx[i] - ec_of_gram(L)) <= bound + 2.0 * err[i]
+
+    with pytest.MonkeyPatch.context() as mp:
+        built = _recorded_builds(mp)
+        out = _diversity_argmax(g, 0, pi, members, opp, step, 0.0)
+    assert built and set(np.flatnonzero(np.isinf(err))) <= set(built[0])
+    C, _, total = _brute_diversity_scores(g, 0, pi, members, opp, step, 0.0)
     assert np.array_equal(out, C[int(np.argmax(total))])
 
 def test_diversity_one_row_survivors_are_not_scored(monkeypatch):
