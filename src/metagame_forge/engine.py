@@ -19,12 +19,13 @@ via fictitious play, and the population-update rules for the three variants:
                        ``|x|^2 / (1 + |x|^2)``: a one-member population's
                        diversity branch scores payoff magnitude.
 
-In runs that clip, each member carries a confirming cache: its payoff
-against the opponent members best-responding to it (the self-confirming
-advantage), which drives the clipping, and a flag marking it stale.
+Each member keeps both players' payoffs per opponent action against it
+(`Population.reply`) and, in runs that clip, a confirming cache: its
+self-confirming advantage, which drives the clipping, and a stale flag.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -36,7 +37,7 @@ from .games import (BimatrixGame, GameError, check_fields, freeze, payoff,
 from .solvers import (TIE_ATOL, MetaSolution, above_gate, advantage,
                       advantage_many, blas_threads, ec_of_gram,
                       ec_rank_one, exploitability, fictitious_play, own_matrix,
-                      rows_keep_block_bits)
+                      rows_keep_block_bits, zero_block)
 
 VARIANTS = ("vanilla_psro", "diversity_psro", "sc_psro")
 MODES = ("self_play", "stackelberg_player", "prosocial")
@@ -99,10 +100,10 @@ class Population:
     against the opponent population members best-responding to it, the
     least one where several tie (pessimistic).  ``stale[i]`` marks an entry
     to recompute: a replaced or appended member's own, and every entry once
-    the opponent population changes.  ``replies[i]`` memoises the two rows
-    of member i that depend on its strategy alone, so one population is
-    confirmed against one (game, player).  Only runs that clip fill the
-    cache (lazily, in `build_empirical`).
+    the opponent population changes.  Only runs that clip fill it (lazily,
+    in `build_empirical`).  ``replies[i]`` holds member i's two payoff
+    vectors (`reply`), in every run, so one population plays one (game,
+    player).
     """
 
     members: np.ndarray
@@ -129,6 +130,16 @@ class Population:
         self.members = freeze(members)
         self.stale[index] = True
         self.replies.pop(index, None)
+
+    def reply(self, game: BimatrixGame, player: int, i: int, side: int):
+        """Member i's payoffs per opponent action, formed once: its own
+        (side 0, ``pi_i @ M`` for ``M = own_matrix(game, player)``) or the
+        opponent's (side 1, ``M = own_matrix(game, 1 - player).T``)."""
+        vectors = self.replies.setdefault(i, [None, None])
+        if vectors[side] is None:
+            M = own_matrix(game, player if side == 0 else 1 - player)
+            vectors[side] = self.members[i] @ (M if side == 0 else M.T)
+        return vectors[side]
 
 
 @dataclass
@@ -201,15 +212,10 @@ def refresh_confirming(pop: Population, opponent_pop: Population,
     Idempotent once all flags are clear."""
     if len(opponent_pop) == 0:
         raise EngineError("cannot confirm against an empty opponent population")
-    m_self = own_matrix(game, player)
-    m_opp = own_matrix(game, 1 - player)
     O = opponent_pop.members
     for i in map(int, np.flatnonzero(pop.stale)):
-        if i not in pop.replies:
-            pop.replies[i] = (m_opp @ pop.members[i], m_self.T @ pop.members[i])
-        r_opp, r_self = pop.replies[i]
-        opp_vals = O @ r_opp     # opponent payoff per opponent member
-        self_vals = O @ r_self   # own payoff per opponent member
+        opp_vals = O @ pop.reply(game, player, i, 1)
+        self_vals = O @ pop.reply(game, player, i, 0)
         tied = opp_vals >= opp_vals.max() - TIE_ATOL
         pop.sc_advantage[i] = float(self_vals[tied].min())
         pop.stale[i] = False
@@ -341,16 +347,18 @@ def _ec_rows(pi_t: np.ndarray, step: float, meta: np.ndarray):
 
 
 def _advantage_bounds(game: BimatrixGame, player: int, pi_t: np.ndarray,
-                      step: float):
+                      step: float, bases=None):
     """Bounds ``(lo, hi)`` on the advantage that `advantage_many` gives each
     row of ``_candidates(pi_t, step)`` (pi_t on the simplex), found without
     the dense products, whatever rows share their block and on any thread
     count; ``(-inf, inf)`` on rows where the bounds would be loose, and None
-    where every row is.
+    where every row is.  ``bases(q)``, where given, is ``|pi_t| @ mats[q]``
+    bit for bit (`Population.reply`: members are non-negative).
 
     Each payoff that ``advantage_many`` computes lies within ``rho[i] /
-    sums[i]`` of its rank-one form (`_steps`), formed elementwise in row
-    chunks, rho being M's entry of ``rhos``.  A reply whose tie-set
+    sums[i]`` of its rank-one form (`_steps`), formed elementwise, rho being
+    M's entry of ``rhos``; the near replies are picked in row chunks and
+    reduced to bounds once, over all chunks.  A reply whose tie-set
     membership these errors could flip counts for the lower bound of the
     advantage and not for the upper one.  A bound past TIE_ATOL / 4, as from
     payoffs past about 70 at dim 1000, or a row whose sum is near 0, could
@@ -371,7 +379,7 @@ def _advantage_bounds(game: BimatrixGame, player: int, pi_t: np.ndarray,
     p, delta, sums, scale = _steps(pi_t, step)
     mats = [own_matrix(game, player), own_matrix(game, 1 - player).T]
     scales, replies = game.payoff_scales, game.reply_margins
-    bases = [p @ M for M in mats]
+    bases = [p @ M if bases is None else bases(q) for q, M in enumerate(mats)]
     rhos = [scale * max(scales[q], TIE_ATOL) for q in (player, 1 - player)]
     tight = np.logical_and(*(rho <= sums * (TIE_ATOL / 4) for rho in rhos))
     if not tight.any():
@@ -403,29 +411,32 @@ def _advantage_bounds(game: BimatrixGame, player: int, pi_t: np.ndarray,
                    + 2.0 * (rhos[1][:n] + rhos[1][n:]))
     m = mats[0].shape[1]
     X = np.empty((max(1, 65536 // m), m))
+    pairs = []     # (rows, columns, "+" payoffs) of each chunk's near replies
     for start in range(0, n, X.shape[0]):
         a = slice(start, min(start + X.shape[0], n))
         if not open_rows[a].any():
             continue
-        rows = mats[1][a]     # the values that pick the replies
-        x = np.multiply(rows, delta[a, None], out=X[:rows.shape[0]])
+        x = np.multiply(mats[1][a], delta[a, None], out=X[:a.stop - start])
         x += bases[1]
         top = x.max(axis=1)
-        # Each row's own maximum passes, so every row starts a run in r.
         r, c = np.divmod(np.flatnonzero(x >= np.minimum(
             top - sums[a] * TIE_ATOL - band[a], top - reach[a])[:, None]), m)
-        runs = np.flatnonzero(np.diff(r, prepend=-1))
-        twins = slice(n + a.start, n + a.stop)
-        for i, xs in ((a, x[r, c]),
-                      (twins, rows[r, c] * delta[twins][r] + bases[1][c])):
+        pairs.append((start + r, c, x[r, c]))
+    if pairs:
+        r, c, x = map(np.concatenate, zip(*pairs))
+        # Each row's own maximum passes, so every row starts a run in r.
+        new_row = np.diff(r, prepend=-1) != 0
+        runs, run = np.flatnonzero(new_row), np.cumsum(new_row) - 1
+        twins = mats[1][r, c] * delta[n + r] + bases[1][c]
+        for i, xs in ((r[runs], x), (n + r[runs], twins)):
             thr = np.maximum.reduceat(xs, runs) - sums[i] * TIE_ATOL
-            near = xs >= (thr - band[i])[r]
-            rn, cn = r[near], c[near]
-            y = bases[0][cn] + delta[i][rn] * mats[0][start + rn, cn]
+            near = xs >= (thr - band[i])[run]
+            rn, cn, kn = r[near], c[near], run[near]
+            y = bases[0][cn] + delta[i][kn] * mats[0][rn, cn]
             starts = np.flatnonzero(np.diff(rn, prepend=-1))
             lo[i] = np.minimum.reduceat(y, starts)
             hi[i] = np.minimum.reduceat(
-                np.where(xs[near] >= (thr + band[i])[rn], y, np.inf), starts)
+                np.where(xs[near] >= (thr + band[i])[kn], y, np.inf), starts)
     # Loose rows are left out of the division: their sums may be 0.
     return (np.divide(lo - rhos[0], sums, out=np.full(2 * n, -np.inf),
                       where=tight),
@@ -457,7 +468,7 @@ def _ec_scores(fixed_rows: np.ndarray, cand_rows: np.ndarray,
 
 def _best_candidate(game: BimatrixGame, player: int, pi_t: np.ndarray,
                     step: float, weight: float, fixed_rows=None,
-                    meta=None) -> np.ndarray:
+                    meta=None, bases=None) -> np.ndarray:
     """The candidate of ``_candidates(pi_t, step)`` with the highest score:
     ``weight`` times its advantage plus, where ``meta`` is given, the EC of
     the meta-matrix of ``fixed_rows`` and its row of ``C @ meta``, C being
@@ -465,23 +476,24 @@ def _best_candidate(game: BimatrixGame, player: int, pi_t: np.ndarray,
 
     Each term first comes as an interval: the advantage from
     `_advantage_bounds` at ONE_THREAD_MNK multiply-adds or more
-    (`above_gate`; at dim 100 they cost more than they saved), and the EC
-    from `ec_rank_one` on rows from `_ec_rows`, its bound widened by twice
-    their error.  Below the gate, or where every row is loose, the block is
-    built at once: its dense advantage is the advantage, and its rows of
-    ``C @ meta`` the EC rows.  A candidate survives if its highest possible
-    score reaches the best lowest one (``slack`` covers the rounding of the
-    sums); on a non-finite approximation all do.  One-row survivors are the
-    pick.  Else they are built alone and scored exactly: EC from a zero
-    block of the block's shape holding each in its place, whose product
-    gives each the block product's bits (BLAS kernels do not branch on
-    values), and the dense advantage of the survivors alone where they keep
-    the block's bits (`rows_keep_block_bits`), else of the block.
+    (`above_gate`; at dim 100 they cost more than they saved), passed
+    ``bases``, and the EC from `ec_rank_one` on rows from `_ec_rows`, its
+    bound widened by twice their error.  Below the gate, or where every row
+    is loose, the block is built at once: its dense advantage is the
+    advantage, and its rows of ``C @ meta`` the EC rows.  A candidate
+    survives if its highest possible score reaches the best lowest one
+    (``slack`` covers the rounding of the sums); on a non-finite
+    approximation all do.  One-row survivors are the pick.  Else they are
+    built alone and scored exactly: EC from the zero block (`zero_block`)
+    holding each in its place, whose product gives each the block
+    product's bits (BLAS kernels do not branch on values), and the dense
+    advantage of the survivors alone where they keep the block's bits
+    (`rows_keep_block_bits`), else of the block.
     """
     n = pi_t.shape[0]
     bounds = None
     if weight > 0 and above_gate(n, game.dims(1 - player)):
-        bounds = _advantage_bounds(game, player, pi_t, step)
+        bounds = _advantage_bounds(game, player, pi_t, step, bases)
     whole = weight > 0 and bounds is None   # the block's advantage is scored
     C = _candidates(pi_t, step) if whole else None
     approx = bound = 0.0
@@ -511,9 +523,12 @@ def _best_candidate(game: BimatrixGame, player: int, pi_t: np.ndarray,
     if (rows == rows[0]).all():
         return rows[0]
     if meta is not None and C is None:
-        cand_rows = np.zeros((2 * n, n))
-        cand_rows[keep] = rows
-        cand_rows = cand_rows @ meta
+        Z = zero_block(n)
+        Z[keep] = rows
+        try:
+            cand_rows = Z @ meta
+        finally:
+            Z[keep] = 0.0
     exact = 0.0 if meta is None else _ec_scores(fixed_rows, cand_rows, keep)
     if dense is None and not rows_keep_block_bits(game, player):
         dense = advantage_many(game, player, _candidates(pi_t, step))
@@ -524,7 +539,7 @@ def _best_candidate(game: BimatrixGame, player: int, pi_t: np.ndarray,
 
 def _diversity_argmax(game: BimatrixGame, player: int, pi_t: np.ndarray,
                       fixed_members: np.ndarray, opp_members: np.ndarray,
-                      lr: float, lambda_1: float) -> np.ndarray:
+                      lr: float, lambda_1: float, bases=None) -> np.ndarray:
     """Replace-then-score diversity update: among the pure-direction steps
     from ``pi_t``, the candidate maximizing the expected cardinality of the
     meta-matrix of ``fixed_members`` (k x n, k >= 0) plus the candidate
@@ -532,22 +547,23 @@ def _diversity_argmax(game: BimatrixGame, player: int, pi_t: np.ndarray,
     `_best_candidate` scores them."""
     meta = own_matrix(game, player) @ opp_members.T
     return _best_candidate(game, player, pi_t, lr, lambda_1,
-                           fixed_members @ meta, meta)
+                           fixed_members @ meta, meta, bases)
 
 
 def lookahead_step(game: BimatrixGame, player: int, pi_t: np.ndarray,
                    theta_self: np.ndarray, lr_base: float,
-                   rng: np.random.Generator) -> np.ndarray:
+                   rng: np.random.Generator, bases=None) -> np.ndarray:
     """Advantage hill-climb: sample a step size bounded by the max-norm of the
     player's own meta-weights, enumerate pure-direction candidates, and return
     the one with the highest advantage (`_best_candidate`; the lowest index
     among ties)."""
-    bound = min(lr_base, float(np.abs(theta_self).max()))
-    return _best_candidate(game, player, pi_t, rng.uniform(0.0, bound), 1.0)
+    step = rng.uniform(0.0, min(lr_base, float(np.abs(theta_self).max())))
+    return _best_candidate(game, player, pi_t, step, 1.0, bases=bases)
 
 
 # ---------------------------------------------------------------------------
 # Population update (the sc_psro rule)
+
 
 def population_update(game: BimatrixGame, player: int, state: EngineState,
                       theta: MetaSolution, opp_members: np.ndarray) -> str:
@@ -563,20 +579,21 @@ def population_update(game: BimatrixGame, player: int, state: EngineState,
     theta_opp = theta.theta_col if player == 0 else theta.theta_row
     pi_t = pop.members[-1]
     last = len(pop) - 1
+    bases = functools.partial(pop.reply, game, player, last)
 
     if state.rng.uniform() <= cfg.lambda_d:
         branch = "diversity"
         pi_star = _diversity_argmax(game, player, pi_t, pop.members[:-1],
-                                    opp_members, cfg.lr, cfg.lambda_1)
+                                    opp_members, cfg.lr, cfg.lambda_1, bases)
     else:
         branch = "lookahead"
         pi_star = lookahead_step(game, player, pi_t, theta_self, cfg.lr,
-                                 state.rng)
+                                 state.rng, bases)
 
-    m_self = own_matrix(game, player)
     agg_opp = np.asarray(theta_opp) @ opp_members
-    num = float(pi_star @ m_self @ agg_opp)
-    den = float(pi_t @ m_self @ agg_opp)
+    den = float(pop.reply(game, player, last, 0) @ agg_opp)
+    pop.replace(last, pi_star)   # the new member's own payoffs are kept
+    num = float(pop.reply(game, player, last, 0) @ agg_opp)
     if den < DEN_ATOL:
         # Ratio test is ill-posed at zero or negative baselines; fall back to
         # an additive test scaled by the payoff range.
@@ -584,7 +601,6 @@ def population_update(game: BimatrixGame, player: int, state: EngineState,
     else:
         improved = (num / den - 1.0) >= cfg.im
 
-    pop.replace(last, pi_star)
     if not improved:
         pop.append(state.rng.dirichlet(np.ones(game.dims(player))))
     if state.clips:
@@ -635,9 +651,10 @@ def run_iteration(state: EngineState) -> IterationReport:
                                br_oracle(game, player, agg_opp))
             elif cfg.variant == "diversity_psro":
                 pop = state.pop(player)
+                bases = functools.partial(pop.reply, game, player, len(pop) - 1)
                 cand = _diversity_argmax(game, player, pop.members[-1],
                                          pop.members, opp_members, cfg.lr,
-                                         cfg.lambda_1)
+                                         cfg.lambda_1, bases)
                 branches[player] = "diversity"
                 _append_member(game, player, state, cand)
             else:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
@@ -140,6 +141,13 @@ def advantage_many(game: BimatrixGame, player: int, strategies: np.ndarray,
 _BLOCK_BITS: dict = {}
 
 
+@functools.cache
+def zero_block(n: int) -> np.ndarray:
+    """The process's one 2n x n block of zeros, for one thread at a time.
+    Callers write rows into it and zeros back, on an exception too."""
+    return np.zeros((2 * n, n))
+
+
 def rows_keep_block_bits(game: BimatrixGame, player: int) -> bool:
     """Whether `advantage_many(..., picked=True)` gives rows picked from
     ``player``'s 2n-row candidate block the bits the whole block gives them.
@@ -150,10 +158,11 @@ def rows_keep_block_bits(game: BimatrixGame, player: int) -> bool:
     dims 500 and 700, and against 999 opponent actions: the smaller products
     gave other bits in the last columns or in all of them, and some rows
     changed bits with their position in the block.  So random rows are
-    checked: chunks of PICKED_ROWS rows from both ends of a random block and
-    at random must match the full block entry for entry.  The answer is kept
-    per shape, layout and the thread count set when it is asked.  Below
-    ONE_THREAD_MNK, where no caller asks, the answer is no: with one
+    checked: chunks of PICKED_ROWS rows from both ends of `zero_block` and
+    at random, random there alone (BLAS kernels do not branch on the values
+    in other rows), must match the full block entry for entry.  The answer
+    is kept per shape, layout and the thread count set when it is asked.
+    Below ONE_THREAD_MNK, where no caller asks, the answer is no: with one
     opponent action the products go through gemv, whose last rows agree
     with the block's or not depending on the values.
     """
@@ -167,13 +176,17 @@ def rows_keep_block_bits(game: BimatrixGame, player: int) -> bool:
     key = (threads, tuple((M.shape, M.strides) for M in mats))
     if key not in _BLOCK_BITS:
         rng = np.random.default_rng(0)
-        P = rng.random((2 * n, n))
         picks = [np.arange(PICKED_ROWS) % (2 * n),
                  -1 - np.arange(PICKED_ROWS) % (2 * n)]
         picks += [rng.integers(0, 2 * n, size=PICKED_ROWS) for _ in range(3)]
         picks = np.stack(picks)
-        _BLOCK_BITS[key] = all(np.array_equal(P[picks] @ M, (P @ M)[picks])
-                               for M in mats)
+        P = zero_block(n)
+        try:
+            P[picks] = rng.random((*picks.shape, n))
+            _BLOCK_BITS[key] = all(np.array_equal(P[picks] @ M, (P @ M)[picks])
+                                   for M in mats)
+        finally:
+            P[picks] = 0.0
     return _BLOCK_BITS[key]
 
 

@@ -1,5 +1,6 @@
 """Engine: populations, confirming caches, clipping, update rules and the run
 loop."""
+import functools
 import gc
 import math
 import tracemalloc
@@ -205,6 +206,86 @@ def test_confirming_empty_opponent_error():
     with pytest.raises(EngineError):
         refresh_confirming(Population([uniform(3)]), Population(np.empty((0, 3))),
                            RPS, 0)
+
+def _assert_replies_fresh(pops, game):
+    """Every kept payoff vector is its member's, bit for bit, both as
+    ``members[i] @ M`` and as ``M.T @ members[i]``."""
+    for player, pop in enumerate(pops):
+        mats = [own_matrix(game, player), own_matrix(game, 1 - player).T]
+        assert set(pop.replies) <= set(range(len(pop)))
+        for i, vectors in pop.replies.items():
+            for M, v in zip(mats, vectors):
+                if v is not None:
+                    assert np.array_equal(v, pop.members[i] @ M)
+                    assert np.array_equal(v, M.T @ pop.members[i])
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1),
+       n=st.one_of(st.integers(2, 30), st.integers(150, 420)),
+       m=st.one_of(st.integers(2, 30), st.integers(150, 420)),
+       ops=st.lists(st.tuples(st.sampled_from(["append", "replace",
+                                               "refresh", "reply"]),
+                              st.sampled_from([0, 1]), st.integers(0, 99)),
+                    max_size=12))
+def test_reply_vectors_follow_appends_replaces_and_refreshes(seed, n, m, ops):
+    # n != m, so each side's vectors have their own length; the row player's
+    # matrices are C-ordered and the column player's, from own_matrix,
+    # F-ordered.  A replaced member's vectors are dropped, never reused.
+    if n == m:
+        m += 1
+    rng = np.random.default_rng(seed)
+    g = new_game(rng.normal(size=(n, m)), rng.normal(size=(n, m)))
+    pops = [Population(rng.dirichlet(np.ones(d), size=1)) for d in (n, m)]
+    for op, player, pick in ops:
+        pop, opp = pops[player], pops[1 - player]
+        strategy = rng.dirichlet(np.ones(g.dims(player)))
+        if op == "append":
+            pop.append(strategy)
+            opp.stale[:] = True
+        elif op == "replace":
+            pop.replace(pick % len(pop), strategy)
+            opp.stale[:] = True
+        elif op == "refresh":
+            refresh_confirming(pop, opp, g, player)
+        else:
+            pop.reply(g, player, pick % len(pop), pick % 2)
+        _assert_replies_fresh(pops, g)
+
+def test_each_reply_vector_is_formed_once(monkeypatch):
+    # A clipping sc_psro run above the gate (400 x 200 x 200 multiply-adds):
+    # each member's own and opponent payoff vectors are formed at most once,
+    # the replacing member's own one in the improvement test, and the
+    # advantage bounds read the last member's and form no bases.
+    formed, bounds_calls = [], []
+    reply, bounds_of, update = (Population.reply, engine._advantage_bounds,
+                                engine.population_update)
+
+    def counted_reply(pop, game, player, i, side):
+        if pop.replies.get(i, [None, None])[side] is None:
+            formed.append((player, side, pop.members[i].tobytes()))
+        return reply(pop, game, player, i, side)
+
+    def counted_bounds(game, player, pi_t, step, bases=None):
+        bounds_calls.append(bases is not None)
+        return bounds_of(game, player, pi_t, step, bases)
+
+    def checked_update(game, player, state, *args):
+        last = len(state.pop(player)) - 1
+        branch = update(game, player, state, *args)
+        assert state.pop(player).replies[last][0] is not None
+        return branch
+
+    monkeypatch.setattr(Population, "reply", counted_reply)
+    monkeypatch.setattr(engine, "_advantage_bounds", counted_bounds)
+    monkeypatch.setattr(engine, "population_update", checked_update)
+    g = gen_general_sum(200, 7)
+    state = init_state(g, make_config("sc_psro", seed=0))
+    assert state.clips
+    for _ in range(5):
+        run_iteration(state)
+    assert formed and len(set(formed)) == len(formed)
+    assert bounds_calls and all(bounds_calls)
+    _assert_replies_fresh((state.pop_row, state.pop_col), g)
 
 def _brute_confirm(pop, opp, game, player):
     """Reference implementation: full restricted BR with pessimistic ties."""
@@ -656,6 +737,12 @@ def test_advantage_bounds_keep_the_full_pass_bits(seed, n, m, player,
     reference = (reference_advantage_bounds(g, player, pi, step)
                  or reference_advantage_bounds(g, player, pi, step,
                                                rowwise=True))
+    # The last member's payoff vectors as bases give the same bits.
+    bases = functools.partial(Population([pi]).reply, g, player, 0)
+    with_bases = engine._advantage_bounds(g, player, pi, step, bases)
+    assert (with_bases is None) == (bounds is None)
+    if bounds is not None:
+        assert all(map(np.array_equal, with_bases, bounds))
     if reference is None:
         assert bounds is None
         return
@@ -893,8 +980,9 @@ def test_lookahead_above_gate_skips_dense_products(monkeypatch):
     bounds_of, score, step = (engine._advantage_bounds, engine.advantage_many,
                               engine.lookahead_step)
 
-    def counted_bounds(game, player, pi_t, step_size):
-        records[-1]["bounds"] = bounds_of(game, player, pi_t, step_size)
+    def counted_bounds(game, player, pi_t, step_size, bases=None):
+        records[-1]["bounds"] = bounds_of(game, player, pi_t, step_size,
+                                          bases)
         records[-1]["C"] = _candidates(pi_t, step_size)
         return records[-1]["bounds"]
 
@@ -1182,6 +1270,66 @@ def test_survivors_in_a_zero_block_keep_the_block_product_bits(n, m, k,
                 Z = np.zeros_like(C)
                 Z[keep] = C[keep]
                 assert np.array_equal((Z @ meta)[keep], full[keep])
+
+def test_shared_zero_block_is_zero_after_each_use(monkeypatch):
+    # Survivor EC scoring and the block-bits probe write rows into the one
+    # 2n x n zero block and write zeros back, on an exception too.  lr = 1e9
+    # leaves +/- twins, so survivors of two rows are scored.
+    n = 200
+    rng = np.random.default_rng(3)
+    g = new_game(rng.normal(size=(n, n)), rng.normal(size=(n, n)))
+    Z = solvers.zero_block(n)
+    monkeypatch.setattr(solvers, "_BLOCK_BITS", {})
+    solvers.rows_keep_block_bits(g, 0)
+    assert solvers._BLOCK_BITS and not Z.any()
+    scored = []
+    ec_scores = engine._ec_scores
+    monkeypatch.setattr(engine, "_ec_scores",
+                        lambda *args: scored.append(1) or ec_scores(*args))
+    draws = [(rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n), size=k),
+              rng.dirichlet(np.ones(n), size=5)) for k in (1, 2, 3)]
+    for pi, F, opp in draws:
+        _diversity_argmax(g, 0, pi, F, opp, 1e9, 1.0)
+        assert not Z.any()
+    assert scored
+
+    def failing(*args):
+        raise ZeroDivisionError
+
+    monkeypatch.setattr(engine, "_ec_scores", failing)
+    with pytest.raises(ZeroDivisionError):
+        for pi, F, opp in draws:
+            _diversity_argmax(g, 0, pi, F, opp, 1e9, 1.0)
+    assert not Z.any()
+
+def _random_block_probe(game, player):
+    """`rows_keep_block_bits`' probe on a block random in every row."""
+    mats = [own_matrix(game, player)]
+    if not game.exact_zero_sum:
+        mats.append(own_matrix(game, 1 - player).T)
+    n = mats[0].shape[0]
+    rng = np.random.default_rng(0)
+    P = rng.random((2 * n, n))
+    picks = [np.arange(solvers.PICKED_ROWS) % (2 * n),
+             -1 - np.arange(solvers.PICKED_ROWS) % (2 * n)]
+    picks += [rng.integers(0, 2 * n, size=solvers.PICKED_ROWS)
+              for _ in range(3)]
+    picks = np.stack(picks)
+    return all(np.array_equal(P[picks] @ M, (P @ M)[picks]) for M in mats)
+
+@pytest.mark.skipif(solvers._OPENBLAS_THREADS is None,
+                    reason="numpy has no bundled OpenBLAS")
+@pytest.mark.parametrize("threads", [1, None])
+@pytest.mark.parametrize("n, m", [(1000, 1000), (220, 140), (500, 500)])
+def test_block_bits_probe_on_the_zero_block_answers_as_on_a_random_one(
+        n, m, threads, monkeypatch):
+    rng = np.random.default_rng(n + m)
+    g = new_game(rng.normal(size=(n, m)), rng.normal(size=(n, m)))
+    monkeypatch.setattr(solvers, "_BLOCK_BITS", {})
+    with blas_threads(threads):
+        assert (solvers.rows_keep_block_bits(g, 0)
+                == _random_block_probe(g, 0))
+    assert not solvers.zero_block(n).any()
 
 @settings(max_examples=200, deadline=None)
 # Steps of pi_t[a] leave "-" row n + a with no mass or almost none: a loose
