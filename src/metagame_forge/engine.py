@@ -347,13 +347,13 @@ def _ec_rows(pi_t: np.ndarray, step: float, meta: np.ndarray):
 
 
 def _advantage_bounds(game: BimatrixGame, player: int, pi_t: np.ndarray,
-                      step: float, bases=None):
+                      step: float, bases):
     """Bounds ``(lo, hi)`` on the advantage that `advantage_many` gives each
     row of ``_candidates(pi_t, step)`` (pi_t on the simplex), found without
     the dense products, whatever rows share their block and on any thread
     count; ``(-inf, inf)`` on rows where the bounds would be loose, and None
-    where every row is.  ``bases(q)``, where given, is ``|pi_t| @ mats[q]``
-    bit for bit (`Population.reply`: members are non-negative).
+    where every row is.  ``bases(q)`` is ``|pi_t| @ mats[q]`` bit for bit,
+    as `Population.reply` keeps it for pi_t (members are non-negative).
 
     Each payoff that ``advantage_many`` computes lies within ``rho[i] /
     sums[i]`` of its rank-one form (`_steps`), formed elementwise, rho being
@@ -376,10 +376,10 @@ def _advantage_bounds(game: BimatrixGame, player: int, pi_t: np.ndarray,
     skips the pass.
     """
     n = pi_t.shape[0]
-    p, delta, sums, scale = _steps(pi_t, step)
+    _, delta, sums, scale = _steps(pi_t, step)
     mats = [own_matrix(game, player), own_matrix(game, 1 - player).T]
     scales, replies = game.payoff_scales, game.reply_margins
-    bases = [p @ M if bases is None else bases(q) for q, M in enumerate(mats)]
+    bases = [bases(0), bases(1)]
     rhos = [scale * max(scales[q], TIE_ATOL) for q in (player, 1 - player)]
     tight = np.logical_and(*(rho <= sums * (TIE_ATOL / 4) for rho in rhos))
     if not tight.any():
@@ -444,15 +444,23 @@ def _advantage_bounds(game: BimatrixGame, player: int, pi_t: np.ndarray,
                       where=tight))
 
 
-def _ec_scores(fixed_rows: np.ndarray, cand_rows: np.ndarray,
-               index: np.ndarray) -> np.ndarray:
+def _ec_scores(fixed_rows: np.ndarray, rows: np.ndarray, index: np.ndarray,
+               meta: np.ndarray) -> np.ndarray:
     """Expected cardinality of the meta-matrix made of the k fixed rows plus
-    candidate row i, for each i in ``index``: one inverse of the candidate's
-    own bordered Gram matrix each (`ec_of_gram`).
+    candidate i's row of ``C @ meta`` (C the full 2n-row block) for each i
+    in ``index``, ``rows`` being those candidates: one inverse of its own
+    bordered Gram matrix each (`ec_of_gram`).
 
-    Each score depends only on its candidate's bordered matrix, so it carries
-    the same bits whichever other candidates are scored alongside it.
+    The rows of ``C @ meta`` come from the zero block (`zero_block`) holding
+    each candidate in its place.  BLAS kernels do not branch on the values
+    in other rows, so each score has the bits the full block gives it.
     """
+    Z = zero_block(rows.shape[1])
+    Z[index] = rows
+    try:
+        cand_rows = Z @ meta
+    finally:
+        Z[index] = 0.0
     k = fixed_rows.shape[0]
     cross = cand_rows @ fixed_rows.T
     L = np.empty((k + 1, k + 1))
@@ -467,8 +475,8 @@ def _ec_scores(fixed_rows: np.ndarray, cand_rows: np.ndarray,
 
 
 def _best_candidate(game: BimatrixGame, player: int, pi_t: np.ndarray,
-                    step: float, weight: float, fixed_rows=None,
-                    meta=None, bases=None) -> np.ndarray:
+                    step: float, weight: float, bases, fixed_rows=None,
+                    meta=None) -> np.ndarray:
     """The candidate of ``_candidates(pi_t, step)`` with the highest score:
     ``weight`` times its advantage plus, where ``meta`` is given, the EC of
     the meta-matrix of ``fixed_rows`` and its row of ``C @ meta``, C being
@@ -476,17 +484,15 @@ def _best_candidate(game: BimatrixGame, player: int, pi_t: np.ndarray,
 
     Each term first comes as an interval: the advantage from
     `_advantage_bounds` at ONE_THREAD_MNK multiply-adds or more
-    (`above_gate`; at dim 100 they cost more than they saved), passed
+    (`above_gate`; at dim 100 they cost more than they saved), on the bases
     ``bases``, and the EC from `ec_rank_one` on rows from `_ec_rows`, its
     bound widened by twice their error.  Below the gate, or where every row
     is loose, the block is built at once: its dense advantage is the
-    advantage, and its rows of ``C @ meta`` the EC rows.  A candidate
-    survives if its highest possible score reaches the best lowest one
-    (``slack`` covers the rounding of the sums); on a non-finite
+    advantage, and its rows of ``C @ meta`` the rows `ec_rank_one` scores.
+    A candidate survives if its highest possible score reaches the best
+    lowest one (``slack`` covers the rounding of the sums); on a non-finite
     approximation all do.  One-row survivors are the pick.  Else they are
-    built alone and scored exactly: EC from the zero block (`zero_block`)
-    holding each in its place, whose product gives each the block
-    product's bits (BLAS kernels do not branch on values), and the dense
+    built alone and scored exactly: EC by `_ec_scores`, and the dense
     advantage of the survivors alone where they keep the block's bits
     (`rows_keep_block_bits`), else of the block.
     """
@@ -498,9 +504,8 @@ def _best_candidate(game: BimatrixGame, player: int, pi_t: np.ndarray,
     C = _candidates(pi_t, step) if whole else None
     approx = bound = 0.0
     if meta is not None:
-        cand_rows, err = ((C @ meta, 0.0) if whole
-                          else _ec_rows(pi_t, step, meta))
-        approx, bound = ec_rank_one(fixed_rows, cand_rows)
+        rows, err = (C @ meta, 0.0) if whole else _ec_rows(pi_t, step, meta)
+        approx, bound = ec_rank_one(fixed_rows, rows)
         bound = bound + 2.0 * err
     if whole:
         dense = advantage_many(game, player, C)
@@ -522,14 +527,7 @@ def _best_candidate(game: BimatrixGame, player: int, pi_t: np.ndarray,
     rows = _candidates(pi_t, step, keep) if C is None else C[keep]
     if (rows == rows[0]).all():
         return rows[0]
-    if meta is not None and C is None:
-        Z = zero_block(n)
-        Z[keep] = rows
-        try:
-            cand_rows = Z @ meta
-        finally:
-            Z[keep] = 0.0
-    exact = 0.0 if meta is None else _ec_scores(fixed_rows, cand_rows, keep)
+    exact = 0.0 if meta is None else _ec_scores(fixed_rows, rows, keep, meta)
     if dense is None and not rows_keep_block_bits(game, player):
         dense = advantage_many(game, player, _candidates(pi_t, step))
     adv = (dense[keep] if dense is not None
@@ -539,26 +537,26 @@ def _best_candidate(game: BimatrixGame, player: int, pi_t: np.ndarray,
 
 def _diversity_argmax(game: BimatrixGame, player: int, pi_t: np.ndarray,
                       fixed_members: np.ndarray, opp_members: np.ndarray,
-                      lr: float, lambda_1: float, bases=None) -> np.ndarray:
+                      lr: float, lambda_1: float, bases) -> np.ndarray:
     """Replace-then-score diversity update: among the pure-direction steps
     from ``pi_t``, the candidate maximizing the expected cardinality of the
     meta-matrix of ``fixed_members`` (k x n, k >= 0) plus the candidate
     against ``opp_members``, plus ``lambda_1`` times its advantage, as
-    `_best_candidate` scores them."""
+    `_best_candidate` scores them on ``bases``."""
     meta = own_matrix(game, player) @ opp_members.T
-    return _best_candidate(game, player, pi_t, lr, lambda_1,
-                           fixed_members @ meta, meta, bases)
+    return _best_candidate(game, player, pi_t, lr, lambda_1, bases,
+                           fixed_members @ meta, meta)
 
 
 def lookahead_step(game: BimatrixGame, player: int, pi_t: np.ndarray,
                    theta_self: np.ndarray, lr_base: float,
-                   rng: np.random.Generator, bases=None) -> np.ndarray:
+                   rng: np.random.Generator, bases) -> np.ndarray:
     """Advantage hill-climb: sample a step size bounded by the max-norm of the
     player's own meta-weights, enumerate pure-direction candidates, and return
     the one with the highest advantage (`_best_candidate`; the lowest index
     among ties)."""
     step = rng.uniform(0.0, min(lr_base, float(np.abs(theta_self).max())))
-    return _best_candidate(game, player, pi_t, step, 1.0, bases=bases)
+    return _best_candidate(game, player, pi_t, step, 1.0, bases)
 
 
 # ---------------------------------------------------------------------------

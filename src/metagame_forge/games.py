@@ -93,27 +93,17 @@ class BimatrixGame:
         """For each player p, a pair of arrays over p's pure actions: the
         opponent's best pure reply to each (the lowest index among ties), and
         its payoff's margin over the opponent's second best (0 at a tie, inf
-        with one reply).  Computed in chunks of rows, with no temporary the
-        size of a matrix."""
+        with one reply), from one partial sort of each row."""
         return _best_replies(self.u_col), _best_replies(self.u_row.T)
 
 
 def _best_replies(B: np.ndarray) -> tuple:
     """Each row's argmax (lowest index among ties) and its margin over the
     row's second largest entry (inf for one column)."""
-    n, m = B.shape
-    rows = max(1, 65536 // m)
-    best = np.empty(n, dtype=int)
-    margin = np.full(n, np.inf)
-    for start in range(0, n, rows):
-        X = B[start:start + rows].copy()
-        i, j = np.arange(X.shape[0]), X.argmax(axis=1)
-        best[start:start + rows] = j
-        if m > 1:   # the best entry, then the largest of the others
-            top = X[i, j]
-            X[i, j] = -np.inf
-            margin[start:start + rows] = top - X.max(axis=1)
-    return best, margin
+    if B.shape[1] == 1:
+        return B.argmax(axis=1), np.full(B.shape[0], np.inf)
+    top_two = np.partition(B, -2, axis=1)[:, -2:]
+    return B.argmax(axis=1), top_two[:, 1] - top_two[:, 0]
 
 
 def new_game(u_row, u_col, name: str = "game") -> BimatrixGame:

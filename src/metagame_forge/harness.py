@@ -9,6 +9,7 @@ import concurrent.futures
 import csv
 import hashlib
 import json
+import logging
 import os
 import traceback
 from collections import Counter
@@ -19,6 +20,9 @@ import numpy as np
 
 from .engine import MODES, AlgorithmConfig, run
 from .games import BimatrixGame, GameError, GameGenSpec, check_value, load_game
+
+# Failed cells' tracebacks; with no handler configured, they go to stderr.
+logger = logging.getLogger(__name__)
 
 METRICS_COLUMNS = [
     "run_id", "algorithm", "game", "seed", "iteration", "exploitability",
@@ -217,7 +221,7 @@ def _cell_worker(cell, games: tuple = None):
         return ("error", identity, traceback.format_exc())
 
 
-def execute_grid(config: ExperimentConfig, log=print) -> tuple[list, int]:
+def execute_grid(config: ExperimentConfig) -> tuple[list, int]:
     """Run the full grid; returns (rows, n_failed).  Each game is built or
     loaded once, then the output directory made, before any cell runs; each
     pool worker gets the games once (inherited by a fork, pickled by a spawn).
@@ -247,7 +251,7 @@ def execute_grid(config: ExperimentConfig, log=print) -> tuple[list, int]:
             rows.extend(outcome)
         else:
             failed += 1
-            log(f"run failed for cell {cell}:\n{outcome}")
+            logger.error("run failed for cell %s:\n%s", cell, outcome)
     rows.sort(key=lambda r: (r["run_id"], r["iteration"]))
     return rows, failed
 
@@ -338,11 +342,11 @@ def write_plot_data(summary: list, out_dir) -> None:
                 fh.write(f"{it}\t{mean}\t{std}\t{count}\n")
 
 
-def run_experiment(config: ExperimentConfig, log=print) -> int:
+def run_experiment(config: ExperimentConfig) -> int:
     """Execute the grid and write metrics.csv, summary.csv and plot TSVs to
     the output directory.  Returns the number of failed cells."""
     out_dir = Path(config.output_dir)
-    rows, failed = execute_grid(config, log=log)
+    rows, failed = execute_grid(config)
     write_metrics(rows, out_dir / "metrics.csv")
     summary = aggregate_rows(rows)
     write_summary(summary, out_dir / "summary.csv")

@@ -200,8 +200,7 @@ def advantage(game: BimatrixGame, player: int, pi) -> float:
 # ---------------------------------------------------------------------------
 # Fictitious play
 
-def fictitious_play(m_row, m_col, max_iters: int = 2000,
-                    tol: float = 1e-8) -> MetaSolution:
+def fictitious_play(m_row, m_col, max_iters: int, tol: float) -> MetaSolution:
     """Simultaneous fictitious play on a bimatrix, returning average strategies.
 
     Both players best-respond to the opponent's running average each step,

@@ -256,9 +256,9 @@ def _metrics_without_wall(path):
 def test_criterion_7_determinism_and_schema(tmp_path):
     """Identical config reproduces identical metrics.csv (wall_ms aside);
     jobs=1 and jobs=8 agree; the CSV header matches the documented schema."""
-    run_experiment(_experiment(tmp_path / "a", jobs=1), log=lambda *_: None)
-    run_experiment(_experiment(tmp_path / "b", jobs=1), log=lambda *_: None)
-    run_experiment(_experiment(tmp_path / "c", jobs=8), log=lambda *_: None)
+    run_experiment(_experiment(tmp_path / "a", jobs=1))
+    run_experiment(_experiment(tmp_path / "b", jobs=1))
+    run_experiment(_experiment(tmp_path / "c", jobs=8))
     a = _metrics_without_wall(tmp_path / "a")
     b = _metrics_without_wall(tmp_path / "b")
     c = _metrics_without_wall(tmp_path / "c")

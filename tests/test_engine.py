@@ -1,6 +1,5 @@
 """Engine: populations, confirming caches, clipping, update rules and the run
 loop."""
-import functools
 import gc
 import math
 import tracemalloc
@@ -26,7 +25,7 @@ from metagame_forge.solvers import (advantage, advantage_many, blas_threads,
                                     ec_of_gram, ec_rank_one, exploitability,
                                     fictitious_play, own_matrix)
 from oracles import (best_response_index, pure, reference_advantage_bounds,
-                     small_integer_case, uniform)
+                     reply_bases, small_integer_case, uniform)
 
 RPS = builtin("rps")
 T1 = builtin("stackelberg_table1")
@@ -165,8 +164,9 @@ def test_candidate_scoring_holds_one_block_at_a_time(monkeypatch):
         finally:
             tracemalloc.stop()
 
+    bases = reply_bases(g, 0, pi)
     assert peak_blocks(lambda: _diversity_argmax(g, 0, pi, F, opp, 1e9,
-                                                 1.0)) < 2.5
+                                                 1.0, bases)) < 2.5
     assert len(solvers._BLOCK_BITS) == 1   # the probe ran inside the call
     assert peak_blocks(lambda: advantage_many(g, 0, C)) < 1.5
 
@@ -255,7 +255,7 @@ def test_each_reply_vector_is_formed_once(monkeypatch):
     # A clipping sc_psro run above the gate (400 x 200 x 200 multiply-adds):
     # each member's own and opponent payoff vectors are formed at most once,
     # the replacing member's own one in the improvement test, and the
-    # advantage bounds read the last member's and form no bases.
+    # advantage bounds read the last member's.
     formed, bounds_calls = [], []
     reply, bounds_of, update = (Population.reply, engine._advantage_bounds,
                                 engine.population_update)
@@ -265,8 +265,8 @@ def test_each_reply_vector_is_formed_once(monkeypatch):
             formed.append((player, side, pop.members[i].tobytes()))
         return reply(pop, game, player, i, side)
 
-    def counted_bounds(game, player, pi_t, step, bases=None):
-        bounds_calls.append(bases is not None)
+    def counted_bounds(game, player, pi_t, step, bases):
+        bounds_calls.append(step)
         return bounds_of(game, player, pi_t, step, bases)
 
     def checked_update(game, player, state, *args):
@@ -284,7 +284,7 @@ def test_each_reply_vector_is_formed_once(monkeypatch):
     for _ in range(5):
         run_iteration(state)
     assert formed and len(set(formed)) == len(formed)
-    assert bounds_calls and all(bounds_calls)
+    assert bounds_calls
     _assert_replies_fresh((state.pop_row, state.pop_col), g)
 
 def _brute_confirm(pop, opp, game, player):
@@ -564,7 +564,8 @@ class FixedRng:
 
 def test_lookahead_zero_step_returns_pi_t():
     pi = np.array([0.3, 0.7])
-    out = lookahead_step(T1, 0, pi, np.array([1.0]), 0.5, FixedRng(0.0))
+    out = lookahead_step(T1, 0, pi, np.array([1.0]), 0.5, FixedRng(0.0),
+                         reply_bases(T1, 0, pi))
     assert np.allclose(out, pi)
 
 def test_lookahead_argmax_contract():
@@ -572,21 +573,23 @@ def test_lookahead_argmax_contract():
     rng = np.random.default_rng(17)
     g = gen_symmetric_zero_sum(6, 1)
     pi = rng.dirichlet(np.ones(6))
-    out = lookahead_step(g, 0, pi, np.array([1.0]), 0.4, FixedRng(0.5))
+    out = lookahead_step(g, 0, pi, np.array([1.0]), 0.4, FixedRng(0.5),
+                         reply_bases(g, 0, pi))
     C = _candidates(pi, 0.5 * 0.4)
     assert advantage(g, 0, out) >= advantage_many(g, 0, C).max() - 1e-12
 
 def test_lookahead_step_bounded_by_theta_norm():
     # theta max-norm 0 forces a zero step regardless of lr.
     pi = np.array([0.6, 0.4])
-    out = lookahead_step(T1, 0, pi, np.array([0.0, 0.0]), 10.0, FixedRng(1.0))
+    out = lookahead_step(T1, 0, pi, np.array([0.0, 0.0]), 10.0, FixedRng(1.0),
+                         reply_bases(T1, 0, pi))
     assert np.allclose(out, pi)
 
 def test_lookahead_table1_moves_toward_stackelberg_mix():
     # From pure D a large step lands past the (1/3, 2/3) tie point, where the
     # advantage (approached from above) exceeds the pure-D value of 2.
     out = lookahead_step(T1, 0, pure(2, 1), np.array([1.0]), 0.6,
-                         FixedRng(1.0))
+                         FixedRng(1.0), reply_bases(T1, 0, pure(2, 1)))
     assert advantage(T1, 0, out) > 2.0
     assert out[0] > 1.0 / 3.0
 
@@ -635,7 +638,8 @@ def _settled_index(g, player, pi, step, C):
     """The candidate the advantage bounds settle, or None: the index of the
     best lower bound where every candidate whose upper bound reaches it has
     the same row."""
-    bounds = engine._advantage_bounds(g, player, pi, step)
+    bounds = engine._advantage_bounds(g, player, pi, step,
+                                      reply_bases(g, player, pi))
     if bounds is None:
         return None
     lo, hi = bounds
@@ -672,13 +676,14 @@ def test_certified_advantage_argmax_matches_dense(threads, seed, n, m, player,
     g, pi, step = _draw_certify_case(seed, n, m, player, zero_sum, payoffs,
                                      scale, pi_kind, step)
     C = _candidates(pi, step)
+    bases = reply_bases(g, player, pi)
     with blas_threads(threads):
         dense = advantage_many(g, player, C)
         # Settled, scored from survivors or dense: the full block's pick.
         out = engine.lookahead_step(g, player, pi, np.ones(1), 1.0,
-                                    _FixedStep(step))
+                                    _FixedStep(step), bases)
     assert np.array_equal(out, C[int(np.argmax(dense))])
-    bounds = engine._advantage_bounds(g, player, pi, step)
+    bounds = engine._advantage_bounds(g, player, pi, step, bases)
     if bounds is None:
         return
     lo, hi = bounds
@@ -733,16 +738,13 @@ def test_advantage_bounds_keep_the_full_pass_bits(seed, n, m, player,
     # the dense scores.
     g, pi, step = _draw_certify_case(seed, n, m, player, zero_sum, payoffs,
                                      scale, pi_kind, step)
-    bounds = engine._advantage_bounds(g, player, pi, step)
+    # On the last member's payoff vectors as bases, which the reference
+    # forms as |pi_t| @ M.
+    bounds = engine._advantage_bounds(g, player, pi, step,
+                                      reply_bases(g, player, pi))
     reference = (reference_advantage_bounds(g, player, pi, step)
                  or reference_advantage_bounds(g, player, pi, step,
                                                rowwise=True))
-    # The last member's payoff vectors as bases give the same bits.
-    bases = functools.partial(Population([pi]).reply, g, player, 0)
-    with_bases = engine._advantage_bounds(g, player, pi, step, bases)
-    assert (with_bases is None) == (bounds is None)
-    if bounds is not None:
-        assert all(map(np.array_equal, with_bases, bounds))
     if reference is None:
         assert bounds is None
         return
@@ -765,7 +767,8 @@ def test_advantage_bounds_settle_dominant_steps_without_the_pass(monkeypatch):
     for player in (0, 1):
         for step in (1e9, 0.3):
             picks.clear()
-            bounds = engine._advantage_bounds(g, player, pi, step)
+            bounds = engine._advantage_bounds(g, player, pi, step,
+                                              reply_bases(g, player, pi))
             assert (picks == []) == (step == 1e9)
             reference = reference_advantage_bounds(g, player, pi, step)
             assert np.array_equal(bounds, reference)
@@ -780,10 +783,11 @@ def test_one_loose_row_costs_no_dense_block(monkeypatch):
     g = new_game(10.0 * base.u_row, 10.0 * base.u_col)
     pi, step = pure(n, 17), 0.95
     assert reference_advantage_bounds(g, 0, pi, step) is None
-    lo, hi = engine._advantage_bounds(g, 0, pi, step)
+    bases = reply_bases(g, 0, pi)
+    lo, hi = engine._advantage_bounds(g, 0, pi, step, bases)
     assert np.flatnonzero(np.isinf(lo) | np.isinf(hi)).tolist() == [n + 17]
     # Step 1 takes that row to 0; it is loose, and never divided by its sum.
-    lo, hi = engine._advantage_bounds(g, 0, pi, 1.0)
+    lo, hi = engine._advantage_bounds(g, 0, pi, 1.0, bases)
     assert np.flatnonzero(np.isinf(lo) | np.isinf(hi)).tolist() == [n + 17]
     calls = []
     score = engine.advantage_many
@@ -793,7 +797,8 @@ def test_one_loose_row_costs_no_dense_block(monkeypatch):
         return score(game, player, P, picked=picked)
 
     monkeypatch.setattr(engine, "advantage_many", counted_score)
-    out = engine.lookahead_step(g, 0, pi, np.ones(1), 1.0, _FixedStep(step))
+    out = engine.lookahead_step(g, 0, pi, np.ones(1), 1.0, _FixedStep(step),
+                                bases)
     C = _candidates(pi, step)
     assert np.array_equal(out, _dense_argmax_row(g, 0, C, None))
     if solvers.rows_keep_block_bits(g, 0):
@@ -980,7 +985,7 @@ def test_lookahead_above_gate_skips_dense_products(monkeypatch):
     bounds_of, score, step = (engine._advantage_bounds, engine.advantage_many,
                               engine.lookahead_step)
 
-    def counted_bounds(game, player, pi_t, step_size, bases=None):
+    def counted_bounds(game, player, pi_t, step_size, bases):
         records[-1]["bounds"] = bounds_of(game, player, pi_t, step_size,
                                           bases)
         records[-1]["C"] = _candidates(pi_t, step_size)
@@ -1018,14 +1023,16 @@ def test_lookahead_above_gate_skips_dense_products(monkeypatch):
 def test_diversity_single_direction_returns_pi_t():
     g = new_game([[1.0, 0.0]], [[0.0, 1.0]])  # one row action
     out = _diversity_argmax(g, 0, np.array([1.0]), np.empty((0, 1)),
-                            np.array([uniform(2)]), 0.5, 1.0)
+                            np.array([uniform(2)]), 0.5, 1.0,
+                            reply_bases(g, 0, np.array([1.0])))
     assert np.allclose(out, [1.0])
 
 def test_diversity_huge_lambda1_selects_max_advantage_candidate():
     rng = np.random.default_rng(18)
     pi = rng.dirichlet(np.ones(3))
     out = _diversity_argmax(RPS, 0, pi, np.array([uniform(3)]),
-                            np.array([pure(3, 0), uniform(3)]), 0.5, 1e9)
+                            np.array([pure(3, 0), uniform(3)]), 0.5, 1e9,
+                            reply_bases(RPS, 0, pi))
     C = _candidates(pi, 0.5)
     best = advantage_many(RPS, 0, C).max()
     assert advantage(RPS, 0, out) >= best - 1e-9
@@ -1034,7 +1041,8 @@ def test_diversity_against_single_rock_opponent():
     pi = uniform(3)
     # One-column meta-matrix.
     out = _diversity_argmax(RPS, 0, pi, np.array([pure(3, 2)]),
-                            np.array([pure(3, 0)]), 0.5, 1.0)
+                            np.array([pure(3, 0)]), 0.5, 1.0,
+                            reply_bases(RPS, 0, pi))
     assert np.isfinite(out).all()
     assert (out >= 0).all() and abs(out.sum() - 1.0) <= 1e-12
 
@@ -1107,7 +1115,8 @@ def test_diversity_argmax_matches_brute_force(seed, n, n_opp, player,
         F /= F.sum(axis=1, keepdims=True)
     else:
         F = rng.dirichlet(np.ones(n), size=int(rng.integers(2, 12)))
-    out = _diversity_argmax(g, player, pi, F, opp, lr, lambda_1)
+    out = _diversity_argmax(g, player, pi, F, opp, lr, lambda_1,
+                            reply_bases(g, player, pi))
     C, ec, total = _brute_diversity_scores(g, player, pi, F, opp, lr, lambda_1)
     assert np.array_equal(out, C[int(np.argmax(total))])
 
@@ -1128,8 +1137,8 @@ def test_diversity_argmax_matches_brute_force_above_gate(n, threads,
     # dense advantage is computed where picked rows keep the full block's
     # bits; elsewhere the full block is scored.  Survivors that are one row
     # are returned unscored.  lr = 1e9 makes the +/- twins of criterion 8,
-    # whose totals only the dense bits order.  The survivors' EC rows carry
-    # the bits of the full block's rows of C @ meta.
+    # whose totals only the dense bits order.  The survivors' EC scores carry
+    # the bits that the full block's rows of C @ meta give them.
     scored, survivors = [], []
     score, ec_scores = engine.advantage_many, engine._ec_scores
 
@@ -1137,9 +1146,10 @@ def test_diversity_argmax_matches_brute_force_above_gate(n, threads,
         scored.append((P.shape[0], picked))
         return score(game, player, P, picked=picked)
 
-    def counted_ec(fixed_rows, cand_rows, index):
-        survivors.append((index, cand_rows[index].copy()))
-        return ec_scores(fixed_rows, cand_rows, index)
+    def counted_ec(fixed_rows, rows, index, meta):
+        exact = ec_scores(fixed_rows, rows, index, meta)
+        survivors.append((index, rows.copy(), exact))
+        return exact
 
     monkeypatch.setattr(engine, "advantage_many", counted_score)
     monkeypatch.setattr(engine, "_ec_scores", counted_ec)
@@ -1155,19 +1165,19 @@ def test_diversity_argmax_matches_brute_force_above_gate(n, threads,
         scored.clear()
         survivors.clear()
         with blas_threads(threads):
-            out = _diversity_argmax(g, player, pi, F, opp, lr, lambda_1)
-            C, _, total = _brute_diversity_scores(g, player, pi, F, opp, lr,
-                                                  lambda_1)
+            out = _diversity_argmax(g, player, pi, F, opp, lr, lambda_1,
+                                    reply_bases(g, player, pi))
+            C, ec, total = _brute_diversity_scores(g, player, pi, F, opp, lr,
+                                                   lambda_1)
             picked = solvers.rows_keep_block_bits(g, player)
         assert np.array_equal(out, C[int(np.argmax(total))])
         # One dense call exactly when the survivors hold two or more rows.
         assert len(scored) == len(survivors) <= 1
         if survivors:
-            keep, ec_rows = survivors[0]
+            keep, kept_rows, exact = survivors[0]
             assert len(np.unique(C[keep], axis=0)) >= 2
-            with blas_threads(threads):
-                meta = own_matrix(g, player) @ opp.T
-                assert np.array_equal(ec_rows, (C @ meta)[keep])
+            assert np.array_equal(kept_rows, C[keep])
+            assert np.array_equal(exact, ec[keep])
             rows, was_picked = scored[0]
             assert (rows == len(keep) and was_picked) if picked else (
                 rows == 2 * n and not was_picked)
@@ -1199,9 +1209,10 @@ def _check_diversity_above_gate(lambda_1, scale, blocks, lr, monkeypatch):
     pi = rng.dirichlet(np.ones(n))
     F = rng.dirichlet(np.ones(n), size=3)
     opp = rng.dirichlet(np.ones(n), size=5)
+    bases = reply_bases(g, 0, pi)
     if lambda_1 > 0:
-        assert engine._advantage_bounds(g, 0, pi, lr) is None
-    out = _diversity_argmax(g, 0, pi, F, opp, lr, lambda_1)
+        assert engine._advantage_bounds(g, 0, pi, lr, bases) is None
+    out = _diversity_argmax(g, 0, pi, F, opp, lr, lambda_1, bases)
     assert _full_builds(built, n) == blocks
     C, _, total = _brute_diversity_scores(g, 0, pi, F, opp, lr, lambda_1)
     assert np.array_equal(out, C[int(np.argmax(total))])
@@ -1238,38 +1249,55 @@ def test_diversity_without_block_bits_builds_the_block_once(n, monkeypatch):
         F = rng.dirichlet(np.ones(n), size=n_fixed)
         opp = rng.dirichlet(np.ones(n), size=5)
         built.clear()
-        out = _diversity_argmax(g, 0, pi, F, opp, 1e9, 1.0)
+        out = _diversity_argmax(g, 0, pi, F, opp, 1e9, 1.0,
+                                reply_bases(g, 0, pi))
         assert _full_builds(built, n) <= 1
         scored += _full_builds(built, n)
         C, _, total = _brute_diversity_scores(g, 0, pi, F, opp, 1e9, 1.0)
         assert np.array_equal(out, C[int(np.argmax(total))])
     assert scored >= 1   # survivors of two or more rows were scored
 
+# (n, m, k): above the gate and at dim 100, as the diversity branch with
+# lambda_1 = 0 meets them, and below it, where its advantage term is dense.
+ZERO_BLOCK_SHAPES = (
+    [(n, m, k) for n, m in [(100, 100), (200, 200), (1000, 1000), (220, 140)]
+     for k in (1, 2, 5, 17, 40)]
+    + [(n, n, k) for n in (2, 3, 9, 50) for k in (1, 2, 5)])
+
 @pytest.mark.parametrize("threads", [1, None])
-@pytest.mark.parametrize("k", [1, 2, 5, 17, 40])
-@pytest.mark.parametrize("n, m", [(100, 100), (200, 200), (1000, 1000),
-                                  (220, 140)])
+@pytest.mark.parametrize("n, m, k", ZERO_BLOCK_SHAPES)
 def test_survivors_in_a_zero_block_keep_the_block_product_bits(n, m, k,
                                                                threads):
-    # The diversity branch forms the exact EC rows of its survivors as the
+    # Candidate scoring forms the exact EC rows of its survivors as the
     # product of a zero block of the candidate block's shape that holds each
-    # survivor in its place.  Each row must carry the bits the full block's
-    # product gives it, on the iteration's thread count and with keep sets
-    # at both ends of the block.
+    # survivor in its place (`_ec_scores`).  Each row must carry the bits the
+    # full block's product gives it, on the iteration's thread count and
+    # with keep sets at both ends of the block; below the gate, each EC
+    # score the bits of the brute-force score on the full block.
     rng = np.random.default_rng(n + m + k)
-    meta = rng.normal(size=(n, m)) @ rng.dirichlet(np.ones(m), size=k).T
+    u = rng.normal(size=(n, m))
+    opp = rng.dirichlet(np.ones(m), size=k)
+    g = new_game(u, u)
+    meta = own_matrix(g, 0) @ opp.T
+    F = rng.dirichlet(np.ones(n), size=3)
     for step in (1e-3, 0.3, 1e9):
-        C = _candidates(rng.dirichlet(np.ones(n)), step)
+        pi = rng.dirichlet(np.ones(n))
+        C = _candidates(pi, step)
         a = int(rng.integers(n))
         inner = rng.integers(0, 2 * n, size=6)
         keeps = [np.array([0, 2 * n - 1]), np.array([a, n + a]),
                  np.unique(np.r_[0, inner, 2 * n - 1])]
         with blas_threads(threads):
             full = C @ meta
+            ec = (None if solvers.above_gate(n, m) else
+                  _brute_diversity_scores(g, 0, pi, F, opp, step, 0.0)[1])
             for keep in keeps:
                 Z = np.zeros_like(C)
                 Z[keep] = C[keep]
                 assert np.array_equal((Z @ meta)[keep], full[keep])
+                if ec is not None:
+                    exact = engine._ec_scores(F @ meta, C[keep], keep, meta)
+                    assert np.array_equal(exact, ec[keep])
 
 def test_shared_zero_block_is_zero_after_each_use(monkeypatch):
     # Survivor EC scoring and the block-bits probe write rows into the one
@@ -1289,17 +1317,20 @@ def test_shared_zero_block_is_zero_after_each_use(monkeypatch):
     draws = [(rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n), size=k),
               rng.dirichlet(np.ones(n), size=5)) for k in (1, 2, 3)]
     for pi, F, opp in draws:
-        _diversity_argmax(g, 0, pi, F, opp, 1e9, 1.0)
+        _diversity_argmax(g, 0, pi, F, opp, 1e9, 1.0, reply_bases(g, 0, pi))
         assert not Z.any()
     assert scored
 
-    def failing(*args):
-        raise ZeroDivisionError
+    class FailingProduct(np.ndarray):
+        def __matmul__(self, other):
+            assert self.any()   # the survivors are in place
+            raise ZeroDivisionError
 
-    monkeypatch.setattr(engine, "_ec_scores", failing)
+    monkeypatch.setattr(engine, "zero_block", lambda n: Z.view(FailingProduct))
     with pytest.raises(ZeroDivisionError):
         for pi, F, opp in draws:
-            _diversity_argmax(g, 0, pi, F, opp, 1e9, 1.0)
+            _diversity_argmax(g, 0, pi, F, opp, 1e9, 1.0,
+                              reply_bases(g, 0, pi))
     assert not Z.any()
 
 def _random_block_probe(game, player):
@@ -1380,7 +1411,8 @@ def test_rank_one_ec_rows_keep_the_exact_ec_in_the_widened_bound(
 
     with pytest.MonkeyPatch.context() as mp:
         built = _recorded_builds(mp)
-        out = _diversity_argmax(g, 0, pi, members, opp, step, 0.0)
+        out = _diversity_argmax(g, 0, pi, members, opp, step, 0.0,
+                                reply_bases(g, 0, pi))
     assert built and set(np.flatnonzero(np.isinf(err))) <= set(built[0])
     C, _, total = _brute_diversity_scores(g, 0, pi, members, opp, step, 0.0)
     assert np.array_equal(out, C[int(np.argmax(total))])
@@ -1402,7 +1434,8 @@ def test_diversity_one_row_survivors_are_not_scored(monkeypatch):
     pi = np.zeros(n)
     pi[1:5] = 0.125
     pi[5:] = 0.5 / (n - 5)
-    out = _diversity_argmax(g, 0, pi, pi[None, :], np.eye(n)[:5], 1e9, 1e-3)
+    out = _diversity_argmax(g, 0, pi, pi[None, :], np.eye(n)[:5], 1e9, 1e-3,
+                            reply_bases(g, 0, pi))
     assert np.array_equal(out, _candidates(pi, 1e9)[0])
     assert calls == []
 

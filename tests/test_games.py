@@ -42,8 +42,8 @@ def test_new_game_rejects_bad_input():
        m=st.one_of(st.integers(1, 70), st.integers(1000, 1100)),
        kind=st.sampled_from(["normal", "integer", "zero"]))
 def test_reply_margins_match_a_full_sort(seed, n, m, kind):
-    # Chunked per row (m >= 1000 leaves one row a chunk); integer payoffs
-    # tie at the top, where the margin is 0 and the lowest index is best.
+    # One partial sort per row, at up to 1100 columns; integer payoffs tie
+    # at the top, where the margin is 0 and the lowest index is best.
     # The payoff scales come without the margins; all-zero payoffs give
     # scale 0, where the population update falls back to scale 1.
     rng = np.random.default_rng(seed)

@@ -7,6 +7,8 @@ import math
 import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -29,6 +31,7 @@ from metagame_forge.harness import (METRICS_COLUMNS, PLOT_METRICS, PRESETS,
 from test_games import JSON, JSON_SCALARS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +169,7 @@ def test_parse_experiment_raises_only_game_error(doc):
 
 def test_grid_row_count_and_schema(tmp_path):
     cfg = small_experiment(tmp_path)
-    failed = run_experiment(cfg, log=lambda *_: None)
+    failed = run_experiment(cfg)
     assert failed == 0
     out = tmp_path / "out"
     with open(out / "metrics.csv", newline="") as fh:
@@ -185,20 +188,20 @@ def _strip_wall(path):
 def test_rerun_is_deterministic(tmp_path):
     cfg_a = small_experiment(tmp_path / "a")
     cfg_b = small_experiment(tmp_path / "b")
-    run_experiment(cfg_a, log=lambda *_: None)
-    run_experiment(cfg_b, log=lambda *_: None)
+    run_experiment(cfg_a)
+    run_experiment(cfg_b)
     assert _strip_wall(tmp_path / "a" / "out" / "metrics.csv") == \
            _strip_wall(tmp_path / "b" / "out" / "metrics.csv")
 
 def test_jobs_do_not_affect_output(tmp_path):
     cfg_a = small_experiment(tmp_path / "a", jobs=1, seeds=(0, 1))
     cfg_b = small_experiment(tmp_path / "b", jobs=2, seeds=(0, 1))
-    run_experiment(cfg_a, log=lambda *_: None)
-    run_experiment(cfg_b, log=lambda *_: None)
+    run_experiment(cfg_a)
+    run_experiment(cfg_b)
     assert _strip_wall(tmp_path / "a" / "out" / "metrics.csv") == \
            _strip_wall(tmp_path / "b" / "out" / "metrics.csv")
 
-def test_failing_cell_is_logged_and_skipped(tmp_path, monkeypatch):
+def test_failing_cell_is_logged_and_skipped(tmp_path, monkeypatch, caplog):
     # A game file that loads, and whose cells fail when they run.
     path = tmp_path / "failing_game.json"
     save_game(builtin("rps"), path)
@@ -212,11 +215,12 @@ def test_failing_cell_is_logged_and_skipped(tmp_path, monkeypatch):
         return run_cell(game_spec, *args)
 
     monkeypatch.setattr(harness, "run_cell", failing)
-    logs = []
-    rows, failed = execute_grid(cfg, log=logs.append)
+    rows, failed = execute_grid(cfg)
     assert failed == 2                   # both algorithms on the bad game
     assert len(rows) == 2 * 10           # the good game still ran
-    assert logs and "failing_game" in logs[0]
+    logs = [r.getMessage() for r in caplog.records]
+    assert len(logs) == 2 and "failing_game" in logs[0]
+    assert {r.levelname for r in caplog.records} == {"ERROR"}
     # The log names the cell by its spec, never by its game's payoffs.
     assert not any("BimatrixGame" in line or "array(" in line for line in logs)
 
@@ -363,7 +367,7 @@ def test_grid_pool_is_capped_by_cpu_affinity(tmp_path, monkeypatch, allowed,
 
 def test_plot_data_files(tmp_path):
     cfg = small_experiment(tmp_path, seeds=(0, 1))
-    run_experiment(cfg, log=lambda *_: None)
+    run_experiment(cfg)
     out = tmp_path / "out"
     tsv = out / "exploitability__rps__vanilla_psro.tsv"
     assert tsv.exists()
@@ -379,7 +383,7 @@ def test_read_metrics_rejects_wrong_header(tmp_path):
 
 def test_read_metrics_names_file_and_line_of_malformed_row(tmp_path):
     cfg = small_experiment(tmp_path, seeds=(0,))
-    run_experiment(cfg, log=lambda *_: None)
+    run_experiment(cfg)
     lines = (tmp_path / "out" / "metrics.csv").read_text().splitlines()
     cells = lines[3].split(",")
     # A short row, a long row, and a seed that is not a number.
@@ -630,6 +634,31 @@ def test_cli_dead_pool_worker_exits_1(tmp_path, monkeypatch, capsys):
     assert err.startswith("error: a grid worker process died")
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "out" / "metrics.csv").exists()
+
+def test_cli_failed_cell_goes_to_stderr(tmp_path):
+    # As the installed script runs it, with no logging configured: a failed
+    # cell's traceback goes to stderr and names the cell, and stdout stays
+    # empty.  A fresh interpreter, as pytest installs its own log handlers.
+    config = {"games": [{"kind": "builtin", "builtin_name": "rps"}],
+              "algorithms": ["vanilla_psro"], "seeds": [0],
+              "max_iterations": 2, "output_dir": str(tmp_path / "out")}
+    cpath = tmp_path / "exp.json"
+    cpath.write_text(json.dumps(config))
+    code = ("import sys\n"
+            "from metagame_forge import cli, harness\n"
+            "def failing(*args):\n"
+            "    raise RuntimeError('cell failed')\n"
+            "harness.run_cell = failing\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "run", "--config", str(cpath)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "run failed for cell" in proc.stderr and "'rps'" in proc.stderr
+    assert "RuntimeError: cell failed" in proc.stderr
 
 def test_cli_bad_game_spec_exits_2(tmp_path, capsys):
     cases = (({"kind": "elo", "dim": "x"}, "dim"), ({"kind": "nope"}, "nope"),

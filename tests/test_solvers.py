@@ -196,11 +196,13 @@ def test_fp_outputs_simplex_valid_and_residual_nonneg():
 
 def test_fp_contract_errors():
     with pytest.raises(GameError):
-        fictitious_play(np.zeros((0, 2)), np.zeros((0, 2)))
+        fictitious_play(np.zeros((0, 2)), np.zeros((0, 2)), 10, 1e-3)
     with pytest.raises(GameError):
-        fictitious_play([[1.0]], [[1.0, 2.0]])
+        fictitious_play([[1.0]], [[1.0, 2.0]], 10, 1e-3)
     with pytest.raises(GameError):
-        fictitious_play([[1.0]], [[1.0]], max_iters=0)
+        fictitious_play([[1.0]], [[1.0]], max_iters=0, tol=1e-3)
+    with pytest.raises(GameError):
+        fictitious_play([[1.0]], [[1.0]], max_iters=10, tol=-1.0)
 
 def _fp_reference(m_row, m_col, max_iters, tol):
     """Reference: fictitious play recomputing the reply payoffs at every use
