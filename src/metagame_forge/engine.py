@@ -20,8 +20,9 @@ via fictitious play, and the population-update rules for the three variants:
                        diversity branch scores payoff magnitude.
 
 Each member keeps both players' payoffs per opponent action against it
-(`Population.reply`) and, in runs that clip, a confirming cache: its
-self-confirming advantage, which drives the clipping, and a stale flag.
+(`Population.reply`) and a confirming cache: its self-confirming advantage,
+which drives the clipping, and a stale flag.  Every population change marks
+the opponent's entries stale; only runs that clip refresh them.
 """
 from __future__ import annotations
 
@@ -49,10 +50,6 @@ DEN_ATOL = 1e-9
 # Fictitious play on the empirical game stops once its residual is at most
 # this, or after `AlgorithmConfig.fp_max_iters` steps.
 FP_TOL = 1e-3
-
-
-class EngineError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -90,20 +87,21 @@ class AlgorithmConfig:
 
 @dataclass
 class Population:
-    """Strategies as the rows of one owned, read-only array (k x dim), plus
-    a per-member confirming cache in arrays of length k.
+    """Strategies as the rows of one owned, read-only array (k x dim, k >=
+    1), plus a per-member confirming cache in arrays of length k.
 
     ``append`` and ``replace`` build a new ``members`` array and never write
     the old one, so a caller may keep it, or a row of it, as a snapshot.
+    Neither shrinks the population, so it is never empty.
 
     ``sc_advantage[i]`` is member i's self-confirming advantage: its payoff
     against the opponent population members best-responding to it, the
     least one where several tie (pessimistic).  ``stale[i]`` marks an entry
     to recompute: a replaced or appended member's own, and every entry once
-    the opponent population changes.  Only runs that clip fill it (lazily,
-    in `build_empirical`).  ``replies[i]`` holds member i's two payoff
-    vectors (`reply`), in every run, so one population plays one (game,
-    player).
+    the opponent population changes, in every run.  Only runs that clip
+    fill the entries (lazily, in `build_empirical`).  ``replies[i]`` holds
+    member i's two payoff vectors (`reply`), in every run, so one
+    population plays one (game, player).
     """
 
     members: np.ndarray
@@ -113,6 +111,8 @@ class Population:
 
     def __post_init__(self) -> None:
         self.members = freeze(np.array(self.members, dtype=float))  # a copy
+        if self.members.ndim != 2 or self.members.size == 0:
+            raise GameError("members must be a k x dim array, k, dim >= 1")
         self.sc_advantage = np.full(len(self), math.nan)
         self.stale = np.ones(len(self), dtype=bool)
 
@@ -178,7 +178,7 @@ class EngineState:
 
     @property
     def clips(self) -> bool:
-        """Whether the run clips, and so keeps confirming caches."""
+        """Whether the run clips, and so refreshes confirming caches."""
         return self.config.clipping_enabled and self.config.variant == "sc_psro"
 
 
@@ -210,8 +210,6 @@ def refresh_confirming(pop: Population, opponent_pop: Population,
                        game: BimatrixGame, player: int) -> None:
     """Recompute the self-confirming advantage of every stale member.
     Idempotent once all flags are clear."""
-    if len(opponent_pop) == 0:
-        raise EngineError("cannot confirm against an empty opponent population")
     O = opponent_pop.members
     for i in map(int, np.flatnonzero(pop.stale)):
         opp_vals = O @ pop.reply(game, player, i, 1)
@@ -223,7 +221,8 @@ def refresh_confirming(pop: Population, opponent_pop: Population,
 
 def _invalidate_for_change(opp_pop: Population) -> None:
     """Mark every opponent-side confirming cache stale after a member of the
-    population it is confirmed against was replaced or appended."""
+    population it is confirmed against was replaced or appended, in every
+    run; only runs that clip read the flags."""
     opp_pop.stale[:] = True
 
 
@@ -246,8 +245,6 @@ def build_empirical(game: BimatrixGame, pop_row: Population, pop_col: Population
     top ceil(s*n) members by self-confirming advantage (ties by lower index,
     at least two members where possible), never changing the populations.
     """
-    if len(pop_row) == 0 or len(pop_col) == 0:
-        raise EngineError("populations must be nonempty")
     if clip:
         refresh_confirming(pop_row, pop_col, game, 0)
         refresh_confirming(pop_col, pop_row, game, 1)
@@ -564,17 +561,18 @@ def lookahead_step(game: BimatrixGame, player: int, pi_t: np.ndarray,
 
 
 def population_update(game: BimatrixGame, player: int, state: EngineState,
-                      theta: MetaSolution, opp_members: np.ndarray) -> str:
+                      theta: MetaSolution, opp_members: np.ndarray,
+                      agg_opp: np.ndarray) -> str:
     """One update of ``player``'s population: pick the diversity or lookahead
     branch at random, replace the last member with the branch's argmax, and
-    append a fresh random member when the improvement ratio against the
-    opponent's aggregate stays below the bound.  The branches play against
-    ``opp_members``, the opponent population matrix at the iteration's
-    start.  Returns the branch taken."""
+    append a fresh random member when the improvement ratio against
+    ``agg_opp``, the opponent's aggregate, stays below the bound.  The
+    branches play against ``opp_members``, the opponent population matrix
+    at the iteration's start.  Either way the opponent's confirming entries
+    go stale.  Returns the branch taken."""
     cfg = state.config
     pop = state.pop(player)
     theta_self = theta.theta_row if player == 0 else theta.theta_col
-    theta_opp = theta.theta_col if player == 0 else theta.theta_row
     pi_t = pop.members[-1]
     last = len(pop) - 1
     bases = functools.partial(pop.reply, game, player, last)
@@ -588,7 +586,6 @@ def population_update(game: BimatrixGame, player: int, state: EngineState,
         pi_star = lookahead_step(game, player, pi_t, theta_self, cfg.lr,
                                  state.rng, bases)
 
-    agg_opp = np.asarray(theta_opp) @ opp_members
     den = float(pop.reply(game, player, last, 0) @ agg_opp)
     pop.replace(last, pi_star)   # the new member's own payoffs are kept
     num = float(pop.reply(game, player, last, 0) @ agg_opp)
@@ -601,22 +598,20 @@ def population_update(game: BimatrixGame, player: int, state: EngineState,
 
     if not improved:
         pop.append(state.rng.dirichlet(np.ones(game.dims(player))))
-    if state.clips:
-        _invalidate_for_change(state.pop(1 - player))
+    _invalidate_for_change(state.pop(1 - player))
     return branch
 
 
 # ---------------------------------------------------------------------------
 # Iteration and run loop
 
-def _append_member(game: BimatrixGame, player: int, state: EngineState,
-                   strategy: np.ndarray, dedupe: bool = False) -> None:
+def _append_member(player: int, state: EngineState, strategy: np.ndarray,
+                   dedupe: bool = False) -> None:
     pop = state.pop(player)
     if dedupe and (pop.members == strategy).all(axis=1).any():
         return
     pop.append(strategy)
-    if state.clips:
-        _invalidate_for_change(state.pop(1 - player))
+    _invalidate_for_change(state.pop(1 - player))
 
 
 def run_iteration(state: EngineState) -> IterationReport:
@@ -643,10 +638,9 @@ def run_iteration(state: EngineState) -> IterationReport:
         branches = ["best_response", "best_response"]
         for player in learners:
             opp_members = snapshot[1 - player]
+            agg_opp = agg_col if player == 0 else agg_row
             if cfg.variant == "vanilla_psro":
-                agg_opp = agg_col if player == 0 else agg_row
-                _append_member(game, player, state,
-                               br_oracle(game, player, agg_opp))
+                _append_member(player, state, br_oracle(game, player, agg_opp))
             elif cfg.variant == "diversity_psro":
                 pop = state.pop(player)
                 bases = functools.partial(pop.reply, game, player, len(pop) - 1)
@@ -654,16 +648,17 @@ def run_iteration(state: EngineState) -> IterationReport:
                                          pop.members, opp_members, cfg.lr,
                                          cfg.lambda_1, bases)
                 branches[player] = "diversity"
-                _append_member(game, player, state, cand)
+                _append_member(player, state, cand)
             else:
                 branches[player] = population_update(game, player, state,
-                                                     theta, opp_members)
+                                                     theta, opp_members,
+                                                     agg_opp)
 
         if mode == "stackelberg_player":
             # The follower is an exact best responder; remember each pure
             # reply it has used so the meta-game can mix over them.
             follower_play = br_oracle(game, 1, agg_row)
-            _append_member(game, 1, state, follower_play, dedupe=True)
+            _append_member(1, state, follower_play, dedupe=True)
             expl = exploitability(game, agg_row, follower_play)
             reward_row = advantage(game, 0, agg_row)
             reward_col = payoff(game, agg_row, follower_play)[1]

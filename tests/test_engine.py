@@ -11,9 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metagame_forge import engine, solvers
-from metagame_forge.engine import (AlgorithmConfig, EngineError, Population,
-                                   aggregate, br_oracle, build_empirical,
-                                   _candidates, _diversity_argmax, init_state,
+from metagame_forge.engine import (AlgorithmConfig, Population, aggregate,
+                                   br_oracle, build_empirical, _candidates,
+                                   _diversity_argmax, init_state,
                                    lookahead_step, meta_nash,
                                    population_update, refresh_confirming, run,
                                    run_iteration)
@@ -92,6 +92,18 @@ def test_init_state_rejects_unknown_mode():
 
 # ---------------------------------------------------------------------------
 # Populations
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 6), d=st.integers(1, 6))
+def test_population_needs_a_member(k, d):
+    # append and replace never shrink a population, so one that builds is
+    # never empty: the empirical game and the confirming refresh rely on it.
+    pop = Population(np.full((k, d), 1.0 / d))
+    assert len(pop) == k and pop.members.shape == (k, d)
+    for bad in (np.empty((0, d)), np.full(d, 1.0 / d),
+                np.full((1, k, d), 1.0 / d)):
+        with pytest.raises(GameError):
+            Population(bad)
 
 def test_population_owns_read_only_copies():
     block = np.full((200, 3), 1.0 / 3.0)
@@ -201,11 +213,6 @@ def test_confirming_idempotent():
     before = list(pop.sc_advantage)
     refresh_confirming(pop, opp, RPS, 0)
     assert list(pop.sc_advantage) == before
-
-def test_confirming_empty_opponent_error():
-    with pytest.raises(EngineError):
-        refresh_confirming(Population([uniform(3)]), Population(np.empty((0, 3))),
-                           RPS, 0)
 
 def _assert_replies_fresh(pops, game):
     """Every kept payoff vector is its member's, bit for bit, both as
@@ -344,14 +351,17 @@ def test_cache_invalidation_exact_when_every_update_replaces():
                                     "sc_psro_no_clipping"])
 def test_runs_without_clipping_never_touch_confirming_caches(preset, monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("confirming cache used by a run that does not clip")
+        raise AssertionError("confirming cache refreshed without clipping")
 
     monkeypatch.setattr(engine, "refresh_confirming", forbidden)
-    monkeypatch.setattr(engine, "_invalidate_for_change", forbidden)
     g = gen_general_sum(5, 3)
     for mode in ("self_play", "stackelberg_player"):
-        reports = run(g, make_config(preset, seed=1, max_iterations=8), mode)
-        assert len(reports) == 8
+        state = init_state(g, make_config(preset, seed=1), mode)
+        for _ in range(8):
+            run_iteration(state)
+        # Populations changed, so their entries went stale; none was filled.
+        for pop in (state.pop_row, state.pop_col):
+            assert np.isnan(pop.sc_advantage).all()
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +415,6 @@ def test_clipping_refreshes_stale_caches():
     for i, sc in enumerate(_brute_confirm(pop, opp, RPS, 0)):
         assert abs(pop.sc_advantage[i] - sc) <= 1e-12
     assert len(emp.row_index_map) == 2
-
-def test_build_empirical_empty_population_error():
-    with pytest.raises(EngineError):
-        build_empirical(RPS, Population(np.empty((0, 3))), Population([uniform(3)]))
 
 def test_meta_nash_lifts_clipped_indices():
     rng = np.random.default_rng(15)
