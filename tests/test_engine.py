@@ -214,6 +214,13 @@ def test_confirming_idempotent():
     refresh_confirming(pop, opp, RPS, 0)
     assert list(pop.sc_advantage) == before
 
+def test_confirming_empty_opponent_error():
+    # The empty opponent is refused when it is built, so the refresh never
+    # sees one.
+    with pytest.raises(GameError):
+        refresh_confirming(Population([uniform(3)]), Population(np.empty((0, 3))),
+                           RPS, 0)
+
 def _assert_replies_fresh(pops, game):
     """Every kept payoff vector is its member's, bit for bit, both as
     ``members[i] @ M`` and as ``M.T @ members[i]``."""
@@ -415,6 +422,12 @@ def test_clipping_refreshes_stale_caches():
     for i, sc in enumerate(_brute_confirm(pop, opp, RPS, 0)):
         assert abs(pop.sc_advantage[i] - sc) <= 1e-12
     assert len(emp.row_index_map) == 2
+
+def test_build_empirical_empty_population_error():
+    # The empty population is refused when it is built, so the empirical game
+    # never sees one.
+    with pytest.raises(GameError):
+        build_empirical(RPS, Population(np.empty((0, 3))), Population([uniform(3)]))
 
 def test_meta_nash_lifts_clipped_indices():
     rng = np.random.default_rng(15)
