@@ -26,7 +26,6 @@ the opponent's entries stale; only runs that clip refresh them.
 """
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -100,8 +99,8 @@ class Population:
     to recompute: a replaced or appended member's own, and every entry once
     the opponent population changes, in every run.  Only runs that clip
     fill the entries (lazily, in `build_empirical`).  ``replies[i]`` holds
-    member i's two payoff vectors (`reply`), in every run, so one
-    population plays one (game, player).
+    member i's two payoff vectors (`reply`), in every run; candidate scoring
+    reads the last member's.  One population plays one (game, player).
     """
 
     members: np.ndarray
@@ -343,14 +342,14 @@ def _ec_rows(pi_t: np.ndarray, step: float, meta: np.ndarray):
     return x, np.where(tight, err, np.inf)
 
 
-def _advantage_bounds(game: BimatrixGame, player: int, pi_t: np.ndarray,
-                      step: float, bases):
+def _advantage_bounds(game: BimatrixGame, player: int, pop: Population,
+                      step: float):
     """Bounds ``(lo, hi)`` on the advantage that `advantage_many` gives each
-    row of ``_candidates(pi_t, step)`` (pi_t on the simplex), found without
-    the dense products, whatever rows share their block and on any thread
-    count; ``(-inf, inf)`` on rows where the bounds would be loose, and None
-    where every row is.  ``bases(q)`` is ``|pi_t| @ mats[q]`` bit for bit,
-    as `Population.reply` keeps it for pi_t (members are non-negative).
+    row of ``_candidates(pi_t, step)``, pi_t being ``pop``'s last member,
+    found without the dense products, whatever rows share their block and on
+    any thread count; ``(-inf, inf)`` on rows where the bounds would be
+    loose, and None where every row is.  The bases, pi_t's `Population.reply`
+    vectors, are ``|pi_t| @ mats[q]`` bit for bit (members are non-negative).
 
     Each payoff that ``advantage_many`` computes lies within ``rho[i] /
     sums[i]`` of its rank-one form (`_steps`), formed elementwise, rho being
@@ -372,11 +371,11 @@ def _advantage_bounds(game: BimatrixGame, player: int, pi_t: np.ndarray,
     the rest has that reply as its whole tie set; a chunk of such rows
     skips the pass.
     """
-    n = pi_t.shape[0]
-    _, delta, sums, scale = _steps(pi_t, step)
+    n = pop.members.shape[1]
+    _, delta, sums, scale = _steps(pop.members[-1], step)
     mats = [own_matrix(game, player), own_matrix(game, 1 - player).T]
     scales, replies = game.payoff_scales, game.reply_margins
-    bases = [bases(0), bases(1)]
+    bases = [pop.reply(game, player, len(pop) - 1, q) for q in (0, 1)]
     rhos = [scale * max(scales[q], TIE_ATOL) for q in (player, 1 - player)]
     tight = np.logical_and(*(rho <= sums * (TIE_ATOL / 4) for rho in rhos))
     if not tight.any():
@@ -471,32 +470,36 @@ def _ec_scores(fixed_rows: np.ndarray, rows: np.ndarray, index: np.ndarray,
     return scores
 
 
-def _best_candidate(game: BimatrixGame, player: int, pi_t: np.ndarray,
-                    step: float, weight: float, bases, fixed_rows=None,
+# Finite steps or weights past about 1e307 overflow by design: every row goes
+# loose, or every candidate survives and overflowed scores tie.
+@np.errstate(over="ignore", invalid="ignore")
+def _best_candidate(game: BimatrixGame, player: int, pop: Population,
+                    step: float, weight: float, fixed_rows=None,
                     meta=None) -> np.ndarray:
-    """The candidate of ``_candidates(pi_t, step)`` with the highest score:
-    ``weight`` times its advantage plus, where ``meta`` is given, the EC of
-    the meta-matrix of ``fixed_rows`` and its row of ``C @ meta``, C being
-    the full block.  Ties go to the lowest index.
+    """The candidate of ``_candidates(pi_t, step)``, pi_t being ``pop``'s
+    last member, with the highest score: ``weight`` times its advantage plus,
+    where ``meta`` is given, the EC of the meta-matrix of ``fixed_rows`` and
+    its row of ``C @ meta``, C being the full block.  Ties go to the lowest
+    index.
 
     Each term first comes as an interval: the advantage from
     `_advantage_bounds` at ONE_THREAD_MNK multiply-adds or more
-    (`above_gate`; at dim 100 they cost more than they saved), on the bases
-    ``bases``, and the EC from `ec_rank_one` on rows from `_ec_rows`, its
-    bound widened by twice their error.  Below the gate, or where every row
-    is loose, the block is built at once: its dense advantage is the
-    advantage, and its rows of ``C @ meta`` the rows `ec_rank_one` scores.
-    A candidate survives if its highest possible score reaches the best
-    lowest one (``slack`` covers the rounding of the sums); on a non-finite
-    approximation all do.  One-row survivors are the pick.  Else they are
-    built alone and scored exactly: EC by `_ec_scores`, and the dense
-    advantage of the survivors alone where they keep the block's bits
-    (`rows_keep_block_bits`), else of the block.
+    (`above_gate`; at dim 100 they cost more than they saved), and the EC
+    from `ec_rank_one` on rows from `_ec_rows`, its bound widened by twice
+    their error.  Below the gate, or where every row is loose, the block is
+    built at once: its dense advantage is the advantage, and its rows of
+    ``C @ meta`` the rows `ec_rank_one` scores.  A candidate survives if its
+    highest possible score reaches the best lowest one (``slack`` covers the
+    rounding of the sums); on a non-finite approximation all do.  One-row
+    survivors are the pick.  Else they are built alone and scored exactly:
+    EC by `_ec_scores`, and the dense advantage of the survivors alone where
+    they keep the block's bits (`rows_keep_block_bits`), else of the block.
     """
+    pi_t = pop.members[-1]
     n = pi_t.shape[0]
     bounds = None
     if weight > 0 and above_gate(n, game.dims(1 - player)):
-        bounds = _advantage_bounds(game, player, pi_t, step, bases)
+        bounds = _advantage_bounds(game, player, pop, step)
     whole = weight > 0 and bounds is None   # the block's advantage is scored
     C = _candidates(pi_t, step) if whole else None
     approx = bound = 0.0
@@ -532,28 +535,28 @@ def _best_candidate(game: BimatrixGame, player: int, pi_t: np.ndarray,
     return rows[int(np.argmax(exact + weight * adv))]
 
 
-def _diversity_argmax(game: BimatrixGame, player: int, pi_t: np.ndarray,
+def _diversity_argmax(game: BimatrixGame, player: int, pop: Population,
                       fixed_members: np.ndarray, opp_members: np.ndarray,
-                      lr: float, lambda_1: float, bases) -> np.ndarray:
+                      lr: float, lambda_1: float) -> np.ndarray:
     """Replace-then-score diversity update: among the pure-direction steps
-    from ``pi_t``, the candidate maximizing the expected cardinality of the
-    meta-matrix of ``fixed_members`` (k x n, k >= 0) plus the candidate
-    against ``opp_members``, plus ``lambda_1`` times its advantage, as
-    `_best_candidate` scores them on ``bases``."""
+    from ``pop``'s last member, the candidate maximizing the expected
+    cardinality of the meta-matrix of ``fixed_members`` (k x n, k >= 0) plus
+    the candidate against ``opp_members``, plus ``lambda_1`` times its
+    advantage, as `_best_candidate` scores them."""
     meta = own_matrix(game, player) @ opp_members.T
-    return _best_candidate(game, player, pi_t, lr, lambda_1, bases,
+    return _best_candidate(game, player, pop, lr, lambda_1,
                            fixed_members @ meta, meta)
 
 
-def lookahead_step(game: BimatrixGame, player: int, pi_t: np.ndarray,
+def lookahead_step(game: BimatrixGame, player: int, pop: Population,
                    theta_self: np.ndarray, lr_base: float,
-                   rng: np.random.Generator, bases) -> np.ndarray:
-    """Advantage hill-climb: sample a step size bounded by the max-norm of the
-    player's own meta-weights, enumerate pure-direction candidates, and return
-    the one with the highest advantage (`_best_candidate`; the lowest index
-    among ties)."""
+                   rng: np.random.Generator) -> np.ndarray:
+    """Advantage hill-climb from ``pop``'s last member: sample a step size
+    bounded by the max-norm of the player's own meta-weights, enumerate
+    pure-direction candidates, and return the one with the highest
+    advantage (`_best_candidate`; the lowest index among ties)."""
     step = rng.uniform(0.0, min(lr_base, float(np.abs(theta_self).max())))
-    return _best_candidate(game, player, pi_t, step, 1.0, bases)
+    return _best_candidate(game, player, pop, step, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -573,18 +576,16 @@ def population_update(game: BimatrixGame, player: int, state: EngineState,
     cfg = state.config
     pop = state.pop(player)
     theta_self = theta.theta_row if player == 0 else theta.theta_col
-    pi_t = pop.members[-1]
     last = len(pop) - 1
-    bases = functools.partial(pop.reply, game, player, last)
 
     if state.rng.uniform() <= cfg.lambda_d:
         branch = "diversity"
-        pi_star = _diversity_argmax(game, player, pi_t, pop.members[:-1],
-                                    opp_members, cfg.lr, cfg.lambda_1, bases)
+        pi_star = _diversity_argmax(game, player, pop, pop.members[:-1],
+                                    opp_members, cfg.lr, cfg.lambda_1)
     else:
         branch = "lookahead"
-        pi_star = lookahead_step(game, player, pi_t, theta_self, cfg.lr,
-                                 state.rng, bases)
+        pi_star = lookahead_step(game, player, pop, theta_self, cfg.lr,
+                                 state.rng)
 
     den = float(pop.reply(game, player, last, 0) @ agg_opp)
     pop.replace(last, pi_star)   # the new member's own payoffs are kept
@@ -643,10 +644,8 @@ def run_iteration(state: EngineState) -> IterationReport:
                 _append_member(player, state, br_oracle(game, player, agg_opp))
             elif cfg.variant == "diversity_psro":
                 pop = state.pop(player)
-                bases = functools.partial(pop.reply, game, player, len(pop) - 1)
-                cand = _diversity_argmax(game, player, pop.members[-1],
-                                         pop.members, opp_members, cfg.lr,
-                                         cfg.lambda_1, bases)
+                cand = _diversity_argmax(game, player, pop, pop.members,
+                                         opp_members, cfg.lr, cfg.lambda_1)
                 branches[player] = "diversity"
                 _append_member(player, state, cand)
             else:

@@ -1,14 +1,11 @@
 """Oracles that only the tests use: pure and uniform strategies, small-integer
 games, the index of a pure best response, a simplex grid search for
 Stackelberg strategies, support enumeration for Nash equilibria, all at desk
-scale, the plain full pass of the certified advantage bounds, and the bases
-that candidate scoring reads."""
-import functools
+scale, and the plain full pass of the certified advantage bounds."""
 import itertools
 
 import numpy as np
 
-from metagame_forge.engine import Population
 from metagame_forge.games import BimatrixGame, GameError, new_game
 from metagame_forge.solvers import (TIE_ATOL, advantage_many, exploitability,
                                     own_matrix)
@@ -47,12 +44,6 @@ def best_response_index(game: BimatrixGame, responder: int,
     values = own_matrix(game, responder) @ np.asarray(opponent_mixed, float)
     tied = [i for i, v in enumerate(values) if v >= values.max() - TIE_ATOL]
     return tied[0]
-
-
-def reply_bases(game: BimatrixGame, player: int, pi_t: np.ndarray):
-    """The bases a run passes to candidate scoring from ``pi_t``: the payoff
-    vectors `Population.reply` keeps for it as a population's last member."""
-    return functools.partial(Population([pi_t]).reply, game, player, 0)
 
 
 def _simplex_grid(n: int, resolution: int) -> np.ndarray:

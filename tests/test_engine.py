@@ -25,7 +25,7 @@ from metagame_forge.solvers import (advantage, advantage_many, blas_threads,
                                     ec_of_gram, ec_rank_one, exploitability,
                                     fictitious_play, own_matrix)
 from oracles import (best_response_index, pure, reference_advantage_bounds,
-                     reply_bases, small_integer_case, uniform)
+                     small_integer_case, uniform)
 
 RPS = builtin("rps")
 T1 = builtin("stackelberg_table1")
@@ -59,6 +59,21 @@ NUMERIC_FIELDS = [f.name for f in fields(AlgorithmConfig)
 def test_config_rejects_non_finite(name, value):
     with pytest.raises(GameError, match=name):
         make_cfg(**{name: value})
+
+@pytest.mark.parametrize("kind", ["general_sum", "symmetric_zero_sum"])
+@pytest.mark.parametrize("dim", [5, 200])
+@pytest.mark.parametrize("preset", ["sc_psro", "diversity_psro"])
+@pytest.mark.parametrize("name", ["lr", "lambda_1"])
+def test_extreme_finite_step_or_weight_runs_clean(name, preset, dim, kind):
+    # Validation accepts any finite lr and lambda_1.  At 1e308 candidate
+    # scoring's sums overflow, by design: every row goes loose, or every
+    # candidate survives.  The suite turns RuntimeWarnings into errors.
+    gen = gen_general_sum if kind == "general_sum" else gen_symmetric_zero_sum
+    cfg = make_config(preset, seed=0, max_iterations=4, **{name: 1e308})
+    for r in run(gen(dim, 0), cfg):
+        assert np.isfinite([r.exploitability, r.reward_row, r.reward_col]).all()
+        assert np.isfinite(r.theta.theta_row).all()
+        assert np.isfinite(r.theta.theta_col).all()
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +191,31 @@ def test_candidate_scoring_holds_one_block_at_a_time(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    bases = reply_bases(g, 0, pi)
-    assert peak_blocks(lambda: _diversity_argmax(g, 0, pi, F, opp, 1e9,
-                                                 1.0, bases)) < 2.5
+    pop = Population([pi])
+    assert peak_blocks(lambda: _diversity_argmax(g, 0, pop, F, opp, 1e9,
+                                                 1.0)) < 2.5
     assert len(solvers._BLOCK_BITS) == 1   # the probe ran inside the call
     assert peak_blocks(lambda: advantage_many(g, 0, C)) < 1.5
+
+@pytest.mark.parametrize("n", [20, 200])
+def test_candidate_scoring_reads_the_last_member(n):
+    # Below and above the gate (2 n n n multiply-adds): both branches step
+    # from the population's last member, and read its payoff vectors, and
+    # no other member's, only where the advantage bounds are tried.
+    assert solvers.above_gate(n, n) == (n == 200)
+    g = gen_general_sum(n, 3)
+    rng = np.random.default_rng(n)
+    a, b, pi = rng.dirichlet(np.ones(n), size=3)
+    F = rng.dirichlet(np.ones(n), size=2)
+    opp = rng.dirichlet(np.ones(n), size=4)
+    picks = (
+        lambda pop: engine.lookahead_step(g, 0, pop, np.ones(1), 1.0,
+                                          _FixedStep(0.3)),
+        lambda pop: _diversity_argmax(g, 0, pop, F, opp, 0.3, 1.0))
+    for pick in picks:
+        pop = Population([a, b, pi])
+        assert np.array_equal(pick(pop), pick(Population([pi])))
+        assert set(pop.replies) == ({2} if n == 200 else set())
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +314,9 @@ def test_each_reply_vector_is_formed_once(monkeypatch):
             formed.append((player, side, pop.members[i].tobytes()))
         return reply(pop, game, player, i, side)
 
-    def counted_bounds(game, player, pi_t, step, bases):
+    def counted_bounds(game, player, pop, step):
         bounds_calls.append(step)
-        return bounds_of(game, player, pi_t, step, bases)
+        return bounds_of(game, player, pop, step)
 
     def checked_update(game, player, state, *args):
         last = len(state.pop(player)) - 1
@@ -583,8 +618,8 @@ class FixedRng:
 
 def test_lookahead_zero_step_returns_pi_t():
     pi = np.array([0.3, 0.7])
-    out = lookahead_step(T1, 0, pi, np.array([1.0]), 0.5, FixedRng(0.0),
-                         reply_bases(T1, 0, pi))
+    out = lookahead_step(T1, 0, Population([pi]), np.array([1.0]), 0.5,
+                         FixedRng(0.0))
     assert np.allclose(out, pi)
 
 def test_lookahead_argmax_contract():
@@ -592,23 +627,23 @@ def test_lookahead_argmax_contract():
     rng = np.random.default_rng(17)
     g = gen_symmetric_zero_sum(6, 1)
     pi = rng.dirichlet(np.ones(6))
-    out = lookahead_step(g, 0, pi, np.array([1.0]), 0.4, FixedRng(0.5),
-                         reply_bases(g, 0, pi))
+    out = lookahead_step(g, 0, Population([pi]), np.array([1.0]), 0.4,
+                         FixedRng(0.5))
     C = _candidates(pi, 0.5 * 0.4)
     assert advantage(g, 0, out) >= advantage_many(g, 0, C).max() - 1e-12
 
 def test_lookahead_step_bounded_by_theta_norm():
     # theta max-norm 0 forces a zero step regardless of lr.
     pi = np.array([0.6, 0.4])
-    out = lookahead_step(T1, 0, pi, np.array([0.0, 0.0]), 10.0, FixedRng(1.0),
-                         reply_bases(T1, 0, pi))
+    out = lookahead_step(T1, 0, Population([pi]), np.array([0.0, 0.0]), 10.0,
+                         FixedRng(1.0))
     assert np.allclose(out, pi)
 
 def test_lookahead_table1_moves_toward_stackelberg_mix():
     # From pure D a large step lands past the (1/3, 2/3) tie point, where the
     # advantage (approached from above) exceeds the pure-D value of 2.
-    out = lookahead_step(T1, 0, pure(2, 1), np.array([1.0]), 0.6,
-                         FixedRng(1.0), reply_bases(T1, 0, pure(2, 1)))
+    out = lookahead_step(T1, 0, Population([pure(2, 1)]), np.array([1.0]),
+                         0.6, FixedRng(1.0))
     assert advantage(T1, 0, out) > 2.0
     assert out[0] > 1.0 / 3.0
 
@@ -657,8 +692,7 @@ def _settled_index(g, player, pi, step, C):
     """The candidate the advantage bounds settle, or None: the index of the
     best lower bound where every candidate whose upper bound reaches it has
     the same row."""
-    bounds = engine._advantage_bounds(g, player, pi, step,
-                                      reply_bases(g, player, pi))
+    bounds = engine._advantage_bounds(g, player, Population([pi]), step)
     if bounds is None:
         return None
     lo, hi = bounds
@@ -695,14 +729,14 @@ def test_certified_advantage_argmax_matches_dense(threads, seed, n, m, player,
     g, pi, step = _draw_certify_case(seed, n, m, player, zero_sum, payoffs,
                                      scale, pi_kind, step)
     C = _candidates(pi, step)
-    bases = reply_bases(g, player, pi)
+    pop = Population([pi])
     with blas_threads(threads):
         dense = advantage_many(g, player, C)
         # Settled, scored from survivors or dense: the full block's pick.
-        out = engine.lookahead_step(g, player, pi, np.ones(1), 1.0,
-                                    _FixedStep(step), bases)
+        out = engine.lookahead_step(g, player, pop, np.ones(1), 1.0,
+                                    _FixedStep(step))
     assert np.array_equal(out, C[int(np.argmax(dense))])
-    bounds = engine._advantage_bounds(g, player, pi, step, bases)
+    bounds = engine._advantage_bounds(g, player, pop, step)
     if bounds is None:
         return
     lo, hi = bounds
@@ -759,8 +793,7 @@ def test_advantage_bounds_keep_the_full_pass_bits(seed, n, m, player,
                                      scale, pi_kind, step)
     # On the last member's payoff vectors as bases, which the reference
     # forms as |pi_t| @ M.
-    bounds = engine._advantage_bounds(g, player, pi, step,
-                                      reply_bases(g, player, pi))
+    bounds = engine._advantage_bounds(g, player, Population([pi]), step)
     reference = (reference_advantage_bounds(g, player, pi, step)
                  or reference_advantage_bounds(g, player, pi, step,
                                                rowwise=True))
@@ -786,8 +819,8 @@ def test_advantage_bounds_settle_dominant_steps_without_the_pass(monkeypatch):
     for player in (0, 1):
         for step in (1e9, 0.3):
             picks.clear()
-            bounds = engine._advantage_bounds(g, player, pi, step,
-                                              reply_bases(g, player, pi))
+            bounds = engine._advantage_bounds(g, player, Population([pi]),
+                                              step)
             assert (picks == []) == (step == 1e9)
             reference = reference_advantage_bounds(g, player, pi, step)
             assert np.array_equal(bounds, reference)
@@ -802,11 +835,11 @@ def test_one_loose_row_costs_no_dense_block(monkeypatch):
     g = new_game(10.0 * base.u_row, 10.0 * base.u_col)
     pi, step = pure(n, 17), 0.95
     assert reference_advantage_bounds(g, 0, pi, step) is None
-    bases = reply_bases(g, 0, pi)
-    lo, hi = engine._advantage_bounds(g, 0, pi, step, bases)
+    pop = Population([pi])
+    lo, hi = engine._advantage_bounds(g, 0, pop, step)
     assert np.flatnonzero(np.isinf(lo) | np.isinf(hi)).tolist() == [n + 17]
     # Step 1 takes that row to 0; it is loose, and never divided by its sum.
-    lo, hi = engine._advantage_bounds(g, 0, pi, 1.0, bases)
+    lo, hi = engine._advantage_bounds(g, 0, pop, 1.0)
     assert np.flatnonzero(np.isinf(lo) | np.isinf(hi)).tolist() == [n + 17]
     calls = []
     score = engine.advantage_many
@@ -816,8 +849,7 @@ def test_one_loose_row_costs_no_dense_block(monkeypatch):
         return score(game, player, P, picked=picked)
 
     monkeypatch.setattr(engine, "advantage_many", counted_score)
-    out = engine.lookahead_step(g, 0, pi, np.ones(1), 1.0, _FixedStep(step),
-                                bases)
+    out = engine.lookahead_step(g, 0, pop, np.ones(1), 1.0, _FixedStep(step))
     C = _candidates(pi, step)
     assert np.array_equal(out, _dense_argmax_row(g, 0, C, None))
     if solvers.rows_keep_block_bits(g, 0):
@@ -1004,10 +1036,9 @@ def test_lookahead_above_gate_skips_dense_products(monkeypatch):
     bounds_of, score, step = (engine._advantage_bounds, engine.advantage_many,
                               engine.lookahead_step)
 
-    def counted_bounds(game, player, pi_t, step_size, bases):
-        records[-1]["bounds"] = bounds_of(game, player, pi_t, step_size,
-                                          bases)
-        records[-1]["C"] = _candidates(pi_t, step_size)
+    def counted_bounds(game, player, pop, step_size):
+        records[-1]["bounds"] = bounds_of(game, player, pop, step_size)
+        records[-1]["C"] = _candidates(pop.members[-1], step_size)
         return records[-1]["bounds"]
 
     def counted_score(game, player, P, picked=False):
@@ -1041,17 +1072,15 @@ def test_lookahead_above_gate_skips_dense_products(monkeypatch):
 
 def test_diversity_single_direction_returns_pi_t():
     g = new_game([[1.0, 0.0]], [[0.0, 1.0]])  # one row action
-    out = _diversity_argmax(g, 0, np.array([1.0]), np.empty((0, 1)),
-                            np.array([uniform(2)]), 0.5, 1.0,
-                            reply_bases(g, 0, np.array([1.0])))
+    out = _diversity_argmax(g, 0, Population([[1.0]]), np.empty((0, 1)),
+                            np.array([uniform(2)]), 0.5, 1.0)
     assert np.allclose(out, [1.0])
 
 def test_diversity_huge_lambda1_selects_max_advantage_candidate():
     rng = np.random.default_rng(18)
     pi = rng.dirichlet(np.ones(3))
-    out = _diversity_argmax(RPS, 0, pi, np.array([uniform(3)]),
-                            np.array([pure(3, 0), uniform(3)]), 0.5, 1e9,
-                            reply_bases(RPS, 0, pi))
+    out = _diversity_argmax(RPS, 0, Population([pi]), np.array([uniform(3)]),
+                            np.array([pure(3, 0), uniform(3)]), 0.5, 1e9)
     C = _candidates(pi, 0.5)
     best = advantage_many(RPS, 0, C).max()
     assert advantage(RPS, 0, out) >= best - 1e-9
@@ -1059,9 +1088,8 @@ def test_diversity_huge_lambda1_selects_max_advantage_candidate():
 def test_diversity_against_single_rock_opponent():
     pi = uniform(3)
     # One-column meta-matrix.
-    out = _diversity_argmax(RPS, 0, pi, np.array([pure(3, 2)]),
-                            np.array([pure(3, 0)]), 0.5, 1.0,
-                            reply_bases(RPS, 0, pi))
+    out = _diversity_argmax(RPS, 0, Population([pi]), np.array([pure(3, 2)]),
+                            np.array([pure(3, 0)]), 0.5, 1.0)
     assert np.isfinite(out).all()
     assert (out >= 0).all() and abs(out.sum() - 1.0) <= 1e-12
 
@@ -1134,8 +1162,7 @@ def test_diversity_argmax_matches_brute_force(seed, n, n_opp, player,
         F /= F.sum(axis=1, keepdims=True)
     else:
         F = rng.dirichlet(np.ones(n), size=int(rng.integers(2, 12)))
-    out = _diversity_argmax(g, player, pi, F, opp, lr, lambda_1,
-                            reply_bases(g, player, pi))
+    out = _diversity_argmax(g, player, Population([pi]), F, opp, lr, lambda_1)
     C, ec, total = _brute_diversity_scores(g, player, pi, F, opp, lr, lambda_1)
     assert np.array_equal(out, C[int(np.argmax(total))])
 
@@ -1184,8 +1211,8 @@ def test_diversity_argmax_matches_brute_force_above_gate(n, threads,
         scored.clear()
         survivors.clear()
         with blas_threads(threads):
-            out = _diversity_argmax(g, player, pi, F, opp, lr, lambda_1,
-                                    reply_bases(g, player, pi))
+            out = _diversity_argmax(g, player, Population([pi]), F, opp, lr,
+                                    lambda_1)
             C, ec, total = _brute_diversity_scores(g, player, pi, F, opp, lr,
                                                    lambda_1)
             picked = solvers.rows_keep_block_bits(g, player)
@@ -1228,10 +1255,10 @@ def _check_diversity_above_gate(lambda_1, scale, blocks, lr, monkeypatch):
     pi = rng.dirichlet(np.ones(n))
     F = rng.dirichlet(np.ones(n), size=3)
     opp = rng.dirichlet(np.ones(n), size=5)
-    bases = reply_bases(g, 0, pi)
+    pop = Population([pi])
     if lambda_1 > 0:
-        assert engine._advantage_bounds(g, 0, pi, lr, bases) is None
-    out = _diversity_argmax(g, 0, pi, F, opp, lr, lambda_1, bases)
+        assert engine._advantage_bounds(g, 0, pop, lr) is None
+    out = _diversity_argmax(g, 0, pop, F, opp, lr, lambda_1)
     assert _full_builds(built, n) == blocks
     C, _, total = _brute_diversity_scores(g, 0, pi, F, opp, lr, lambda_1)
     assert np.array_equal(out, C[int(np.argmax(total))])
@@ -1268,8 +1295,7 @@ def test_diversity_without_block_bits_builds_the_block_once(n, monkeypatch):
         F = rng.dirichlet(np.ones(n), size=n_fixed)
         opp = rng.dirichlet(np.ones(n), size=5)
         built.clear()
-        out = _diversity_argmax(g, 0, pi, F, opp, 1e9, 1.0,
-                                reply_bases(g, 0, pi))
+        out = _diversity_argmax(g, 0, Population([pi]), F, opp, 1e9, 1.0)
         assert _full_builds(built, n) <= 1
         scored += _full_builds(built, n)
         C, _, total = _brute_diversity_scores(g, 0, pi, F, opp, 1e9, 1.0)
@@ -1336,7 +1362,7 @@ def test_shared_zero_block_is_zero_after_each_use(monkeypatch):
     draws = [(rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n), size=k),
               rng.dirichlet(np.ones(n), size=5)) for k in (1, 2, 3)]
     for pi, F, opp in draws:
-        _diversity_argmax(g, 0, pi, F, opp, 1e9, 1.0, reply_bases(g, 0, pi))
+        _diversity_argmax(g, 0, Population([pi]), F, opp, 1e9, 1.0)
         assert not Z.any()
     assert scored
 
@@ -1348,8 +1374,7 @@ def test_shared_zero_block_is_zero_after_each_use(monkeypatch):
     monkeypatch.setattr(engine, "zero_block", lambda n: Z.view(FailingProduct))
     with pytest.raises(ZeroDivisionError):
         for pi, F, opp in draws:
-            _diversity_argmax(g, 0, pi, F, opp, 1e9, 1.0,
-                              reply_bases(g, 0, pi))
+            _diversity_argmax(g, 0, Population([pi]), F, opp, 1e9, 1.0)
     assert not Z.any()
 
 def _random_block_probe(game, player):
@@ -1430,8 +1455,8 @@ def test_rank_one_ec_rows_keep_the_exact_ec_in_the_widened_bound(
 
     with pytest.MonkeyPatch.context() as mp:
         built = _recorded_builds(mp)
-        out = _diversity_argmax(g, 0, pi, members, opp, step, 0.0,
-                                reply_bases(g, 0, pi))
+        out = _diversity_argmax(g, 0, Population([pi]), members, opp, step,
+                                0.0)
     assert built and set(np.flatnonzero(np.isinf(err))) <= set(built[0])
     C, _, total = _brute_diversity_scores(g, 0, pi, members, opp, step, 0.0)
     assert np.array_equal(out, C[int(np.argmax(total))])
@@ -1453,8 +1478,8 @@ def test_diversity_one_row_survivors_are_not_scored(monkeypatch):
     pi = np.zeros(n)
     pi[1:5] = 0.125
     pi[5:] = 0.5 / (n - 5)
-    out = _diversity_argmax(g, 0, pi, pi[None, :], np.eye(n)[:5], 1e9, 1e-3,
-                            reply_bases(g, 0, pi))
+    out = _diversity_argmax(g, 0, Population([pi]), pi[None, :], np.eye(n)[:5],
+                            1e9, 1e-3)
     assert np.array_equal(out, _candidates(pi, 1e9)[0])
     assert calls == []
 
