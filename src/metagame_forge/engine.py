@@ -470,9 +470,6 @@ def _ec_scores(fixed_rows: np.ndarray, rows: np.ndarray, index: np.ndarray,
     return scores
 
 
-# Finite steps or weights past about 1e307 overflow by design: every row goes
-# loose, or every candidate survives and overflowed scores tie.
-@np.errstate(over="ignore", invalid="ignore")
 def _best_candidate(game: BimatrixGame, player: int, pop: Population,
                     step: float, weight: float, fixed_rows=None,
                     meta=None) -> np.ndarray:
@@ -490,10 +487,11 @@ def _best_candidate(game: BimatrixGame, player: int, pop: Population,
     built at once: its dense advantage is the advantage, and its rows of
     ``C @ meta`` the rows `ec_rank_one` scores.  A candidate survives if its
     highest possible score reaches the best lowest one (``slack`` covers the
-    rounding of the sums); on a non-finite approximation all do.  One-row
-    survivors are the pick.  Else they are built alone and scored exactly:
-    EC by `_ec_scores`, and the dense advantage of the survivors alone where
-    they keep the block's bits (`rows_keep_block_bits`), else of the block.
+    rounding of the sums, finite as `games.MAX_MAGNITUDE` bounds every
+    input).  One-row survivors are the pick.  Else they are built alone and
+    scored exactly: EC by `_ec_scores`, and the dense advantage of the
+    survivors alone where they keep the block's bits
+    (`rows_keep_block_bits`), else of the block.
     """
     pi_t = pop.members[-1]
     n = pi_t.shape[0]
@@ -521,9 +519,7 @@ def _best_candidate(game: BimatrixGame, player: int, pop: Population,
         np.abs(approx) + bound + weight * np.maximum(np.abs(lo), np.abs(hi)))
     low = approx - bound + weight * lo - slack
     high = approx + bound + weight * hi + slack
-    # A weight so large that the sums overflow to NaN keeps them all.
-    keep = (np.flatnonzero(~(high < low.max())) if np.isfinite(approx).all()
-            else np.arange(2 * n))
+    keep = np.flatnonzero(~(high < low.max()))
     rows = _candidates(pi_t, step, keep) if C is None else C[keep]
     if (rows == rows[0]).all():
         return rows[0]
@@ -606,12 +602,9 @@ def population_update(game: BimatrixGame, player: int, state: EngineState,
 # ---------------------------------------------------------------------------
 # Iteration and run loop
 
-def _append_member(player: int, state: EngineState, strategy: np.ndarray,
-                   dedupe: bool = False) -> None:
-    pop = state.pop(player)
-    if dedupe and (pop.members == strategy).all(axis=1).any():
-        return
-    pop.append(strategy)
+def _append_member(player: int, state: EngineState,
+                   strategy: np.ndarray) -> None:
+    state.pop(player).append(strategy)
     _invalidate_for_change(state.pop(1 - player))
 
 
@@ -657,7 +650,8 @@ def run_iteration(state: EngineState) -> IterationReport:
             # The follower is an exact best responder; remember each pure
             # reply it has used so the meta-game can mix over them.
             follower_play = br_oracle(game, 1, agg_row)
-            _append_member(1, state, follower_play, dedupe=True)
+            if not (state.pop_col.members == follower_play).all(axis=1).any():
+                _append_member(1, state, follower_play)
             expl = exploitability(game, agg_row, follower_play)
             reward_row = advantage(game, 0, agg_row)
             reward_col = payoff(game, agg_row, follower_play)[1]

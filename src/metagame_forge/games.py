@@ -7,7 +7,6 @@ seed) always produces bit-identical matrices.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -29,16 +28,17 @@ FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str,
 
 
 def check_value(name: str, value, type_name: str) -> None:
-    """Raise GameError unless ``value`` is a finite ``type_name`` value."""
+    """Raise GameError unless ``value`` is a ``type_name`` value, and a
+    float one finite and at most MAX_MAGNITUDE in magnitude."""
     kind = FIELD_TYPES[type_name]
     if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
         raise GameError(f"{name} must be a {type_name}, got {value!r}")
     try:   # an integer too large for a float field overflows here
-        finite = kind is not numbers.Real or math.isfinite(float(value))
+        bounded = kind is not numbers.Real or abs(float(value)) <= MAX_MAGNITUDE
     except OverflowError:
-        finite = False
-    if not finite:
-        raise GameError(f"{name} must be finite")
+        bounded = False
+    if not bounded:   # NaN fails the comparison
+        raise GameError(f"{name} must be finite and within ±{MAX_MAGNITUDE:g}")
 
 
 def check_fields(obj) -> None:
@@ -107,7 +107,8 @@ def _best_replies(B: np.ndarray) -> tuple:
 
 
 def new_game(u_row, u_col, name: str = "game") -> BimatrixGame:
-    """Validate payoff matrices and build a game."""
+    """Validate payoff matrices and build a game: every payoff must be
+    finite and at most MAX_MAGNITUDE in magnitude."""
     try:
         u_row = np.asarray(u_row, dtype=float)
         u_col = np.asarray(u_col, dtype=float)
@@ -117,9 +118,10 @@ def new_game(u_row, u_col, name: str = "game") -> BimatrixGame:
         raise GameError("u_row must be a nonempty 2-D matrix")
     if u_row.shape != u_col.shape:
         raise GameError(f"payoff shape mismatch: {u_row.shape} vs {u_col.shape}")
-    if not (np.isfinite(u_row).all() and np.isfinite(u_col).all()):
-        raise GameError("payoff matrices must be finite")
-    return BimatrixGame(freeze(u_row), freeze(u_col), name)
+    game = BimatrixGame(freeze(u_row), freeze(u_col), name)
+    if not all(scale <= MAX_MAGNITUDE for scale in game.payoff_scales):
+        raise GameError(f"payoffs must be finite and within ±{MAX_MAGNITUDE:g}")
+    return game
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +148,9 @@ def payoff(game: BimatrixGame, pi_row, pi_col) -> tuple[float, float]:
 
 # At dim 5,000 the payoffs and one 2n x n candidate block with one product
 # and its masks take 1.3 GB; far larger noise overflows `gen_elo`'s payoffs.
-MAX_DIM, MAX_NOISE = 5_000, 1e6
+# A product of two accepted magnitudes (payoffs, steps, weights) summed over
+# MAX_DIM terms stays near 5e203: arithmetic on valid inputs cannot overflow.
+MAX_DIM, MAX_NOISE, MAX_MAGNITUDE = 5_000, 1e6, 1e100
 
 
 def _check_dim(dim: int) -> None:

@@ -17,9 +17,9 @@ from metagame_forge.engine import (AlgorithmConfig, Population, aggregate,
                                    lookahead_step, meta_nash,
                                    population_update, refresh_confirming, run,
                                    run_iteration)
-from metagame_forge.games import (GameError, builtin, gen_general_sum,
-                                  gen_symmetric_zero_sum, gen_transitive,
-                                  new_game)
+from metagame_forge.games import (MAX_MAGNITUDE, GameError, builtin,
+                                  gen_general_sum, gen_symmetric_zero_sum,
+                                  gen_transitive, new_game)
 from metagame_forge.harness import make_config
 from metagame_forge.solvers import (advantage, advantage_many, blas_threads,
                                     ec_of_gram, ec_rank_one, exploitability,
@@ -53,27 +53,59 @@ def test_config_accepts_negative_im_above_minus_one():
 NUMERIC_FIELDS = [f.name for f in fields(AlgorithmConfig)
                   if type(f.default) in (int, float)]
 
+PAST_BOUND = np.nextafter(MAX_MAGNITUDE, math.inf)
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(NUMERIC_FIELDS),
-       st.sampled_from([math.nan, math.inf, -math.inf]))
+       st.sampled_from([math.nan, math.inf, -math.inf, PAST_BOUND,
+                        -PAST_BOUND]))
 def test_config_rejects_non_finite(name, value):
     with pytest.raises(GameError, match=name):
         make_cfg(**{name: value})
 
-@pytest.mark.parametrize("kind", ["general_sum", "symmetric_zero_sum"])
-@pytest.mark.parametrize("dim", [5, 200])
-@pytest.mark.parametrize("preset", ["sc_psro", "diversity_psro"])
-@pytest.mark.parametrize("name", ["lr", "lambda_1"])
-def test_extreme_finite_step_or_weight_runs_clean(name, preset, dim, kind):
-    # Validation accepts any finite lr and lambda_1.  At 1e308 candidate
-    # scoring's sums overflow, by design: every row goes loose, or every
-    # candidate survives.  The suite turns RuntimeWarnings into errors.
-    gen = gen_general_sum if kind == "general_sum" else gen_symmetric_zero_sum
-    cfg = make_config(preset, seed=0, max_iterations=4, **{name: 1e308})
-    for r in run(gen(dim, 0), cfg):
+def _assert_finite_reports(reports):
+    for r in reports:
         assert np.isfinite([r.exploitability, r.reward_row, r.reward_col]).all()
         assert np.isfinite(r.theta.theta_row).all()
         assert np.isfinite(r.theta.theta_col).all()
+
+@pytest.mark.parametrize("name, preset, dim, kind", [
+    *((name, preset, dim, kind) for name in ("lr", "lambda_1")
+      for preset in ("sc_psro", "diversity_psro") for dim in (5, 200)
+      for kind in ("general_sum", "symmetric_zero_sum")),
+    # On a zero-sum game the improvement test is the additive one.
+    *(("im", "sc_psro", dim, "symmetric_zero_sum") for dim in (5, 200))])
+def test_extreme_finite_step_or_weight_runs_clean(name, preset, dim, kind):
+    # Validation accepts lr, lambda_1 and im up to MAX_MAGNITUDE, where
+    # candidate scoring's sums and the improvement test stay finite.  The
+    # suite turns RuntimeWarnings into errors.
+    gen = gen_general_sum if kind == "general_sum" else gen_symmetric_zero_sum
+    cfg = make_config(preset, seed=0, max_iterations=4,
+                      **{name: MAX_MAGNITUDE})
+    _assert_finite_reports(run(gen(dim, 0), cfg))
+
+@pytest.mark.parametrize("mode", ["self_play", "stackelberg_player"])
+@pytest.mark.parametrize("dim", [5, 200])
+@pytest.mark.parametrize("preset, overrides", [
+    ("vanilla_psro", {}),
+    ("sc_psro_no_diversity", {"lr": MAX_MAGNITUDE, "im": MAX_MAGNITUDE}),
+    ("sc_psro_no_diversity", {"lr": MAX_MAGNITUDE, "im": -1.0})])
+def test_payoffs_at_the_bound_run_clean(preset, overrides, dim, mode):
+    rng = np.random.default_rng(dim)
+    game = new_game(*rng.uniform(-MAX_MAGNITUDE, MAX_MAGNITUDE, (2, dim, dim)))
+    cfg = make_config(preset, seed=0, max_iterations=4, **overrides)
+    _assert_finite_reports(run(game, cfg, mode))
+
+@pytest.mark.xfail(strict=True, raises=np.linalg.LinAlgError,
+                   reason="EC scoring's Gram inverse goes singular once "
+                          "large payoffs absorb its identity")
+def test_expected_cardinality_runs_on_large_payoffs():
+    # Far inside the magnitude bound, where vanilla_psro runs.
+    rng = np.random.default_rng(0)
+    game = new_game(rng.uniform(-1e10, 1e10, (8, 8)),
+                    rng.uniform(-1e10, 1e10, (8, 8)))
+    _assert_finite_reports(run(game, make_config("sc_psro", seed=0,
+                                                 max_iterations=20)))
 
 
 # ---------------------------------------------------------------------------

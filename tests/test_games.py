@@ -6,12 +6,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from metagame_forge.games import (MAX_DIM, MAX_NOISE, BimatrixGame,
-                                  GameError, GameGenSpec, StrategyError,
-                                  builtin, gen_elo, gen_general_sum,
-                                  gen_symmetric_zero_sum, gen_transitive,
-                                  load_game, new_game, payoff, save_game,
-                                  validate_strategy)
+from metagame_forge.games import (MAX_DIM, MAX_MAGNITUDE, MAX_NOISE,
+                                  BimatrixGame, GameError, GameGenSpec,
+                                  StrategyError, builtin, gen_elo,
+                                  gen_general_sum, gen_symmetric_zero_sum,
+                                  gen_transitive, load_game, new_game, payoff,
+                                  save_game, validate_strategy)
 from oracles import pure, uniform
 
 
@@ -36,6 +36,24 @@ def test_new_game_rejects_bad_input():
         new_game([[np.inf]], [[0.0]])
     with pytest.raises(GameError):
         new_game(np.zeros((0, 2)), np.zeros((0, 2)))
+
+PAST_BOUND = np.nextafter(MAX_MAGNITUDE, np.inf)
+
+@settings(max_examples=100, deadline=None)
+@given(value=st.sampled_from([MAX_MAGNITUDE, -MAX_MAGNITUDE, PAST_BOUND,
+                              -PAST_BOUND, np.nan, np.inf, -np.inf]),
+       matrix=st.integers(0, 1), n=st.integers(1, 4), m=st.integers(1, 4),
+       data=st.data())
+def test_new_game_bounds_every_payoff(value, matrix, n, m, data):
+    # One payoff anywhere in either matrix decides; the rest are small.
+    mats = [np.zeros((n, m)), np.ones((n, m))]
+    at = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)))
+    mats[matrix][at] = value
+    if abs(value) <= MAX_MAGNITUDE:
+        assert new_game(*mats).payoff_scales[matrix] == MAX_MAGNITUDE
+    else:
+        with pytest.raises(GameError, match="finite"):
+            new_game(*mats)
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 70),

@@ -585,8 +585,10 @@ def test_cli_bad_override_exits_2(tmp_path, capsys):
              # The preset name sets the variant, and the tolerance is fixed.
              ({"variant": "vanilla_psro"}, "variant"),
              ({"fp_tol": 1e-6}, "fp_tol"),
-             # Integers no float holds, which once failed every cell.
-             *(({name: 10**400}, name) for name in ("lr", "lambda_1", "im")))
+             # Integers no float holds, which once failed every cell, and
+             # floats just past the magnitude bound.
+             *(({name: value}, name) for name in ("lr", "lambda_1", "im")
+               for value in (10**400, 1.0000001e100)))
     for i, (overrides, field_name) in enumerate(cases):
         config = {
             "games": [{"kind": "builtin", "builtin_name": "rps"}],
@@ -673,7 +675,10 @@ def test_cli_bad_game_spec_exits_2(tmp_path, capsys):
              "list.json": b"[1, 2]", "short.json": b'{"name": "g"}',
              "ragged.json": json.dumps({"name": "g", "n_rows": 1, "n_cols": 2,
                                         "U_row": [[1, "a"]],
-                                        "U_col": [[0, 0]]}).encode()}
+                                        "U_col": [[0, 0]]}).encode(),
+             "huge.json": json.dumps({"name": "g", "n_rows": 1, "n_cols": 2,
+                                      "U_row": [[1, 0]],
+                                      "U_col": [[0, -1.0000001e100]]}).encode()}
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
     cases += tuple((str(tmp_path / name), str(tmp_path / name))
