@@ -34,8 +34,8 @@ import numpy as np
 
 from .games import (BimatrixGame, GameError, check_fields, freeze, payoff,
                     validate_strategy)
-from .solvers import (TIE_ATOL, MetaSolution, above_gate, advantage,
-                      advantage_many, blas_threads, ec_of_gram,
+from .solvers import (PICKED_ROWS, TIE_ATOL, MetaSolution, above_gate,
+                      advantage, advantage_many, blas_threads, ec_of_gram,
                       ec_rank_one, exploitability, fictitious_play, own_matrix,
                       rows_keep_block_bits, zero_block)
 
@@ -249,8 +249,7 @@ def build_empirical(game: BimatrixGame, pop_row: Population, pop_col: Population
         refresh_confirming(pop_col, pop_row, game, 1)
     ri = _retained_indices(pop_row, clip, s)
     ci = _retained_indices(pop_col, clip, s)
-    R = pop_row.members[ri] if clip else pop_row.members
-    C = pop_col.members[ci] if clip else pop_col.members
+    R, C = pop_row.members[ri], pop_col.members[ci]
     m_row = R @ game.u_row @ C.T
     # Negation is exact and rounding symmetric, so in an exactly zero-sum
     # game this equals the column product entry for entry; only an exact
@@ -481,36 +480,36 @@ def _best_candidate(game: BimatrixGame, player: int, pop: Population,
 
     Each term first comes as an interval: the advantage from
     `_advantage_bounds` at ONE_THREAD_MNK multiply-adds or more
-    (`above_gate`; at dim 100 they cost more than they saved), and the EC
-    from `ec_rank_one` on rows from `_ec_rows`, its bound widened by twice
-    their error.  Below the gate, or where every row is loose, the block is
-    built at once: its dense advantage is the advantage, and its rows of
-    ``C @ meta`` the rows `ec_rank_one` scores.  A candidate survives if its
-    highest possible score reaches the best lowest one (``slack`` covers the
-    rounding of the sums, finite as `games.MAX_MAGNITUDE` bounds every
-    input).  One-row survivors are the pick.  Else they are built alone and
-    scored exactly: EC by `_ec_scores`, and the dense advantage of the
-    survivors alone where they keep the block's bits
-    (`rows_keep_block_bits`), else of the block.
+    (`above_gate`; at dim 100 they cost more than they saved), and the EC,
+    at every size, from `ec_rank_one` on rows from `_ec_rows`, its bound
+    widened by twice their error.  Below the gate, or where every row is
+    loose, the block is built and its dense advantage is the advantage.  A
+    candidate survives if its highest possible score reaches the best lowest
+    one (``slack`` covers the rounding of the sums, finite as
+    `games.MAX_MAGNITUDE` bounds every input).  One-row survivors are the
+    pick.  Else they are built alone and scored exactly: EC by `_ec_scores`,
+    and the dense advantage of the survivors alone, in calls of PICKED_ROWS
+    rows, where they keep the block's bits (`rows_keep_block_bits`), else of
+    the block.
     """
     pi_t = pop.members[-1]
     n = pi_t.shape[0]
     bounds = None
     if weight > 0 and above_gate(n, game.dims(1 - player)):
         bounds = _advantage_bounds(game, player, pop, step)
-    whole = weight > 0 and bounds is None   # the block's advantage is scored
-    C = _candidates(pi_t, step) if whole else None
-    approx = bound = 0.0
-    if meta is not None:
-        rows, err = (C @ meta, 0.0) if whole else _ec_rows(pi_t, step, meta)
-        approx, bound = ec_rank_one(fixed_rows, rows)
-        bound = bound + 2.0 * err
-    if whole:
+    dense = None
+    if weight > 0 and bounds is None:   # the block's advantage is scored
+        C = _candidates(pi_t, step)
         dense = advantage_many(game, player, C)
         if meta is None:   # every score is exact: no survivor rule is needed
             return C[int(np.argmax(dense))]
-    else:
-        dense = np.zeros(2 * n) if bounds is None else None
+    elif bounds is None:
+        dense = np.zeros(2 * n)
+    approx = bound = 0.0
+    if meta is not None:
+        rows, err = _ec_rows(pi_t, step, meta)
+        approx, bound = ec_rank_one(fixed_rows, rows)
+        bound = bound + 2.0 * err
     lo, hi = (dense, dense) if bounds is None else bounds
     # Rounding the weighted advantage, an exact total and the sums below
     # moves a total by at most 6 unit roundoffs of its terms' magnitudes;
@@ -520,14 +519,19 @@ def _best_candidate(game: BimatrixGame, player: int, pop: Population,
     low = approx - bound + weight * lo - slack
     high = approx + bound + weight * hi + slack
     keep = np.flatnonzero(~(high < low.max()))
-    rows = _candidates(pi_t, step, keep) if C is None else C[keep]
+    rows = _candidates(pi_t, step, keep)
     if (rows == rows[0]).all():
         return rows[0]
     exact = 0.0 if meta is None else _ec_scores(fixed_rows, rows, keep, meta)
     if dense is None and not rows_keep_block_bits(game, player):
         dense = advantage_many(game, player, _candidates(pi_t, step))
-    adv = (dense[keep] if dense is not None
-           else advantage_many(game, player, rows, picked=True))
+    if dense is not None:
+        adv = dense[keep]
+    else:   # the last call's rows filled up with repeated ones
+        k = len(keep)
+        P = np.resize(rows, (-(-k // PICKED_ROWS) * PICKED_ROWS, n))
+        adv = np.concatenate([advantage_many(game, player, P[s:s + PICKED_ROWS])
+                              for s in range(0, k, PICKED_ROWS)])[:k]
     return rows[int(np.argmax(exact + weight * adv))]
 
 

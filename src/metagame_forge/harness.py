@@ -34,9 +34,8 @@ PLOT_METRICS = ("exploitability", "reward_row", "reward_col", "joint_reward")
 
 # Ablations toggle exactly one lever of the full algorithm.
 PRESETS = {
-    "vanilla_psro": {"variant": "vanilla_psro", "clipping_enabled": False},
-    "diversity_psro": {"variant": "diversity_psro", "clipping_enabled": False,
-                       "lambda_1": 0.0},
+    "vanilla_psro": {"variant": "vanilla_psro"},
+    "diversity_psro": {"variant": "diversity_psro", "lambda_1": 0.0},
     "sc_psro": {"variant": "sc_psro"},
     "sc_psro_no_diversity": {"variant": "sc_psro", "lambda_d": 0.0},
     "sc_psro_no_lookahead": {"variant": "sc_psro", "lambda_d": 1.0},

@@ -33,8 +33,10 @@ ROW, COL = 0, 1
 # 0.9-1.1 s a round on two threads and 1.3-1.4 s on one.
 ONE_THREAD_MNK = 1e7
 
-# Rows that `advantage_many` scores apart from their candidate block go
-# through products of this many rows (see `rows_keep_block_bits`).
+# Candidate scoring gives rows picked from their candidate block to
+# `advantage_many` this many at a time, the last call filled up with repeated
+# rows (one row would take another BLAS routine, gemv; see
+# `rows_keep_block_bits`).
 PICKED_ROWS = 16
 
 
@@ -103,8 +105,8 @@ def exploitability(game: BimatrixGame, pi_row, pi_col) -> float:
                  + (pu_col.max() - pu_col @ q))
 
 
-def advantage_many(game: BimatrixGame, player: int, strategies: np.ndarray,
-                   picked: bool = False) -> np.ndarray:
+def advantage_many(game: BimatrixGame, player: int,
+                   strategies: np.ndarray) -> np.ndarray:
     """Advantage of each row of `strategies` (k x own-dim) for `player`.
 
     The opponent's best-response tie set is formed to TIE_ATOL and the
@@ -115,26 +117,17 @@ def advantage_many(game: BimatrixGame, player: int, strategies: np.ndarray,
     negated bit for bit (rounding is symmetric), so its tie set holds the
     player's row minimum and larger values only: one product suffices.
     Otherwise the opponent's tie mask comes first: one product at a time.
-
-    ``picked`` runs the products in chunks of PICKED_ROWS rows, the last one
-    filled up with repeated rows (a one-row product would take another BLAS
-    routine, gemv).  Where `rows_keep_block_bits` holds, rows picked from a
-    candidate block then carry the bits the whole block gives them.
     """
     m_self = own_matrix(game, player)
     P = np.atleast_2d(np.asarray(strategies, dtype=float))
-    k, n = P.shape
-    if picked:   # numpy runs one product per chunk of the stack
-        P = np.resize(P, (-(-k // PICKED_ROWS), PICKED_ROWS, n))
-    m = m_self.shape[1]
     if game.exact_zero_sum:
-        return (P @ m_self).reshape(-1, m).min(axis=1)[:k]
-    opp_vals = (P @ own_matrix(game, 1 - player).T).reshape(-1, m)
+        return (P @ m_self).min(axis=1)
+    opp_vals = P @ own_matrix(game, 1 - player).T
     untied = ~(opp_vals >= opp_vals.max(axis=1, keepdims=True) - TIE_ATOL)
     del opp_vals
-    self_vals = (P @ m_self).reshape(-1, m)   # player payoff per reply
+    self_vals = P @ m_self   # player payoff per reply
     np.putmask(self_vals, untied, np.inf)
-    return self_vals.min(axis=1)[:k]
+    return self_vals.min(axis=1)
 
 
 # Answers of `rows_keep_block_bits`, by product shapes, layouts and threads.
@@ -149,8 +142,8 @@ def zero_block(n: int) -> np.ndarray:
 
 
 def rows_keep_block_bits(game: BimatrixGame, player: int) -> bool:
-    """Whether `advantage_many(..., picked=True)` gives rows picked from
-    ``player``'s 2n-row candidate block the bits the whole block gives them.
+    """Whether `advantage_many` on PICKED_ROWS rows picked from ``player``'s
+    2n-row candidate block gives them the bits the whole block gives them.
 
     This depends on the BLAS at the products' shapes, layouts and thread
     count.  With OpenBLAS 0.3.31 (SkylakeX kernels) it held at dim 1000

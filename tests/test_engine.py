@@ -876,18 +876,18 @@ def test_one_loose_row_costs_no_dense_block(monkeypatch):
     calls = []
     score = engine.advantage_many
 
-    def counted_score(game, player, P, picked=False):
-        calls.append((P.shape[0], picked))
-        return score(game, player, P, picked=picked)
+    def counted_score(game, player, P):
+        calls.append(P.shape[0])
+        return score(game, player, P)
 
     monkeypatch.setattr(engine, "advantage_many", counted_score)
     out = engine.lookahead_step(g, 0, pop, np.ones(1), 1.0, _FixedStep(step))
     C = _candidates(pi, step)
     assert np.array_equal(out, _dense_argmax_row(g, 0, C, None))
     if solvers.rows_keep_block_bits(g, 0):
-        assert calls and all(rows < 2 * n and picked for rows, picked in calls)
+        assert calls and set(calls) == {solvers.PICKED_ROWS}
     else:
-        assert calls == [(2 * n, False)]
+        assert calls == [2 * n]
 
 def test_games_below_the_gate_never_compute_reply_margins():
     # Only the advantage bounds read them, and only above ONE_THREAD_MNK.
@@ -945,9 +945,11 @@ def test_picked_rows_keep_full_block_bits(threads, seed, n, m, player,
                                           zero_sum, count, repeat):
     # Both sides of the gate.  Below it the answer is no.  Above it, where
     # rows_keep_block_bits holds, rows scored apart from their 2n-row
-    # candidate block (one row, repeated rows, more than one chunk) carry
-    # the bits the full block gives them on the set thread count.  Where it
-    # does not, the engine scores the full block.
+    # candidate block as the engine scores survivors (one advantage_many
+    # call per PICKED_ROWS rows, the last filled up with repeated rows; one
+    # row, repeated rows, more than one call) carry the bits the full block
+    # gives them on the set thread count.  Where it does not, the engine
+    # scores the full block.
     rng = np.random.default_rng(seed)
     shape = (n, m) if player == 0 else (m, n)
     u_row = rng.normal(size=shape)
@@ -961,8 +963,16 @@ def test_picked_rows_keep_full_block_bits(threads, seed, n, m, player,
         if 2 * n * n * m < solvers.ONE_THREAD_MNK:
             assert not keeps
         elif keeps:
-            alone = advantage_many(g, player, C[rows], picked=True)
+            alone = _advantage_in_slices(g, player, C[rows])
             assert np.array_equal(alone, advantage_many(g, player, C)[rows])
+
+def _advantage_in_slices(game, player, rows):
+    """`advantage_many` of ``rows`` as `engine._best_candidate` scores
+    survivors: one call per PICKED_ROWS rows of ``np.resize(rows, ...)``."""
+    k, chunk = rows.shape[0], solvers.PICKED_ROWS
+    P = np.resize(rows, (-(-k // chunk) * chunk, rows.shape[1]))
+    return np.concatenate([advantage_many(game, player, P[s:s + chunk])
+                           for s in range(0, k, chunk)])[:k]
 
 def test_lookahead_below_gate_keeps_dense_path(monkeypatch):
     # dim 100: 200 x 100 x 100 = 2e6 multiply-adds a block, below the gate;
@@ -1058,11 +1068,12 @@ def test_bounds_keep_dense_trajectory_above_gate(shape, lr, monkeypatch):
 
 def test_lookahead_above_gate_skips_dense_products(monkeypatch):
     # dim 200: 400 x 200 x 200 = 1.6e7 multiply-adds a block.  Each record
-    # holds one lookahead step's bounds and the (rows, picked) of each
-    # advantage_many call it makes.  The full 2n-row block is scored only
+    # holds one lookahead step's bounds and the rows of each advantage_many
+    # call it makes.  The full 2n-row block is scored, in one call, only
     # where the bounds are loose or picked rows would not keep its bits;
-    # otherwise only the candidates that can win are, and none where they
-    # are one row.  Every pick is the dense argmax's row.
+    # otherwise only the candidates that can win are, in calls of
+    # PICKED_ROWS rows, and none where they are one row.  Every pick is the
+    # dense argmax's row.
     n = 200
     records = []
     bounds_of, score, step = (engine._advantage_bounds, engine.advantage_many,
@@ -1073,9 +1084,9 @@ def test_lookahead_above_gate_skips_dense_products(monkeypatch):
         records[-1]["C"] = _candidates(pop.members[-1], step_size)
         return records[-1]["bounds"]
 
-    def counted_score(game, player, P, picked=False):
-        records[-1]["calls"].append((P.shape[0], picked))
-        return score(game, player, P, picked=picked)
+    def counted_score(game, player, P):
+        records[-1]["calls"].append(P.shape[0])
+        return score(game, player, P)
 
     def counted_step(game, player, *args):
         records.append({"bounds": None, "calls": [], "game": game,
@@ -1098,9 +1109,9 @@ def test_lookahead_above_gate_skips_dense_products(monkeypatch):
         if r["bounds"] is None or (
                 r["calls"] and not solvers.rows_keep_block_bits(
                     r["game"], r["player"])):
-            assert r["calls"] == [(2 * n, False)]
+            assert r["calls"] == [2 * n]
         else:
-            assert all(rows < 2 * n and picked for rows, picked in r["calls"])
+            assert set(r["calls"]) <= {solvers.PICKED_ROWS}
 
 def test_diversity_single_direction_returns_pi_t():
     g = new_game([[1.0, 0.0]], [[0.0, 1.0]])  # one row action
@@ -1212,17 +1223,17 @@ def test_diversity_argmax_matches_brute_force(seed, n, n_opp, player,
 def test_diversity_argmax_matches_brute_force_above_gate(n, threads,
                                                          monkeypatch):
     # Above the gate the advantage bounds pick the survivors, and only their
-    # dense advantage is computed where picked rows keep the full block's
-    # bits; elsewhere the full block is scored.  Survivors that are one row
-    # are returned unscored.  lr = 1e9 makes the +/- twins of criterion 8,
+    # dense advantage is computed, in calls of PICKED_ROWS rows, where picked
+    # rows keep the full block's bits; elsewhere the full block is scored in
+    # one call.  Survivors that are one row are returned unscored.  lr = 1e9 makes the +/- twins of criterion 8,
     # whose totals only the dense bits order.  The survivors' EC scores carry
     # the bits that the full block's rows of C @ meta give them.
     scored, survivors = [], []
     score, ec_scores = engine.advantage_many, engine._ec_scores
 
-    def counted_score(game, player, P, picked=False):
-        scored.append((P.shape[0], picked))
-        return score(game, player, P, picked=picked)
+    def counted_score(game, player, P):
+        scored.append(P.shape[0])
+        return score(game, player, P)
 
     def counted_ec(fixed_rows, rows, index, meta):
         exact = ec_scores(fixed_rows, rows, index, meta)
@@ -1249,16 +1260,16 @@ def test_diversity_argmax_matches_brute_force_above_gate(n, threads,
                                                    lambda_1)
             picked = solvers.rows_keep_block_bits(g, player)
         assert np.array_equal(out, C[int(np.argmax(total))])
-        # One dense call exactly when the survivors hold two or more rows.
-        assert len(scored) == len(survivors) <= 1
+        # Dense calls exactly when the survivors hold two or more rows.
+        assert bool(scored) == bool(survivors) and len(survivors) <= 1
         if survivors:
             keep, kept_rows, exact = survivors[0]
             assert len(np.unique(C[keep], axis=0)) >= 2
             assert np.array_equal(kept_rows, C[keep])
             assert np.array_equal(exact, ec[keep])
-            rows, was_picked = scored[0]
-            assert (rows == len(keep) and was_picked) if picked else (
-                rows == 2 * n and not was_picked)
+            chunks = -(-len(keep) // solvers.PICKED_ROWS)
+            assert scored == ([solvers.PICKED_ROWS] * chunks if picked
+                              else [2 * n])
 
 def _recorded_builds(monkeypatch):
     """Patch `engine._candidates` to record the rows of every build."""
@@ -1442,22 +1453,28 @@ def test_block_bits_probe_on_the_zero_block_answers_as_on_a_random_one(
 # Steps of pi_t[a] leave "-" row n + a with no mass or almost none: a loose
 # row, 0 or not in the block.
 @example(seed=0, n=5, k=3, n_fixed=2, pi_kind="pure", step="pi_a",
-         scale=1.0)
+         scale=1.0, lambda_1=0.0)
 @example(seed=0, n=5, k=3, n_fixed=2, pi_kind="nearer_pure", step="pi_a",
-         scale=1.0)
-@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 40),
+         scale=1.0, lambda_1=1.0)
+@example(seed=1, n=100, k=5, n_fixed=3, pi_kind="dirichlet", step=1e9,
+         scale=1.0, lambda_1=1.0)
+@given(seed=st.integers(0, 2**31 - 1),
+       n=st.one_of(st.integers(1, 40), st.sampled_from([5, 20, 100])),
        k=st.integers(1, 6), n_fixed=st.integers(0, 5),
        pi_kind=st.sampled_from(["dirichlet", "pure", "near_pure",
                                 "nearer_pure", "half_zero"]),
        step=st.sampled_from([1e-6, 1e-3, 0.3, 1.0, 1e3, 1e9, "pi_a"]),
-       scale=st.sampled_from([1e-2, 1.0, 1e2, 1e6]))
+       scale=st.sampled_from([1e-2, 1.0, 1e2, 1e6]),
+       lambda_1=st.sampled_from([0.0, 1.0]))
 def test_rank_one_ec_rows_keep_the_exact_ec_in_the_widened_bound(
-        seed, n, k, n_fixed, pi_kind, step, scale):
-    # The diversity branch scores EC from rank-one rows where it builds no
-    # candidate block.  Each row lies within its stated error of the row of
+        seed, n, k, n_fixed, pi_kind, step, scale, lambda_1):
+    # The diversity branch scores EC from rank-one rows at every size, also
+    # below the gate, where lambda_1 > 0 builds the candidate block for its
+    # dense advantage.  Each row lies within its stated error of the row of
     # C @ meta; the ec_rank_one interval, widened by twice that error, holds
     # ec_of_gram of the exact bordered Gram matrix; and rows of mass near 0,
-    # given an infinite bound, survive to be scored exactly.
+    # given an infinite bound, survive to be scored exactly: the last build
+    # is the survivors'.
     rng = np.random.default_rng(seed)
     pi = rng.dirichlet(np.ones(n))
     if pi_kind == "half_zero":
@@ -1488,9 +1505,10 @@ def test_rank_one_ec_rows_keep_the_exact_ec_in_the_widened_bound(
     with pytest.MonkeyPatch.context() as mp:
         built = _recorded_builds(mp)
         out = _diversity_argmax(g, 0, Population([pi]), members, opp, step,
-                                0.0)
-    assert built and set(np.flatnonzero(np.isinf(err))) <= set(built[0])
-    C, _, total = _brute_diversity_scores(g, 0, pi, members, opp, step, 0.0)
+                                lambda_1)
+    assert built and set(np.flatnonzero(np.isinf(err))) <= set(built[-1])
+    C, _, total = _brute_diversity_scores(g, 0, pi, members, opp, step,
+                                          lambda_1)
     assert np.array_equal(out, C[int(np.argmax(total))])
 
 def test_diversity_one_row_survivors_are_not_scored(monkeypatch):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from metagame_forge import harness
 from metagame_forge.cli import main
-from metagame_forge.engine import MODES, AlgorithmConfig
+from metagame_forge.engine import MODES, AlgorithmConfig, init_state
 from metagame_forge.games import (BUILTINS, GAME_KINDS, GameError, GameGenSpec,
                                   builtin, save_game)
 from metagame_forge.harness import (METRICS_COLUMNS, PLOT_METRICS, PRESETS,
@@ -39,12 +39,17 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def test_preset_mapping():
     assert make_config("vanilla_psro").variant == "vanilla_psro"
-    assert make_config("vanilla_psro").clipping_enabled is False
     assert make_config("diversity_psro").lambda_1 == 0.0
     assert make_config("sc_psro").clipping_enabled is True
     assert make_config("sc_psro_no_diversity").lambda_d == 0.0
     assert make_config("sc_psro_no_lookahead").lambda_d == 1.0
     assert make_config("sc_psro_no_clipping").clipping_enabled is False
+    # Only sc_psro clips; the other variants need no switch for it.
+    clips = {name: init_state(builtin("rps"), make_config(name)).clips
+             for name in PRESETS}
+    assert clips == {name: name not in ("vanilla_psro", "diversity_psro",
+                                        "sc_psro_no_clipping")
+                     for name in PRESETS}
 
 def test_preset_overrides_and_errors():
     cfg = make_config("sc_psro", lr=0.25, seed=42)
