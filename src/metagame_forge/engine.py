@@ -21,8 +21,8 @@ via fictitious play, and the population-update rules for the three variants:
 
 Each member keeps both players' payoffs per opponent action against it
 (`Population.reply`) and a confirming cache: its self-confirming advantage,
-which drives the clipping, and a stale flag.  Every population change marks
-the opponent's entries stale; only runs that clip refresh them.
+which drives the clipping, and a stale flag.  `run_iteration` marks the
+opponent's entries stale on every population change; clipping refreshes them.
 """
 from __future__ import annotations
 
@@ -97,7 +97,7 @@ class Population:
     against the opponent population members best-responding to it, the
     least one where several tie (pessimistic).  ``stale[i]`` marks an entry
     to recompute: a replaced or appended member's own, and every entry once
-    the opponent population changes, in every run.  Only runs that clip
+    `run_iteration` changes the opponent population.  Only runs that clip
     fill the entries (lazily, in `build_empirical`).  ``replies[i]`` holds
     member i's two payoff vectors (`reply`), in every run; candidate scoring
     reads the last member's.  One population plays one (game, player).
@@ -145,8 +145,9 @@ class Population:
 class EmpiricalGame:
     m_row: np.ndarray
     m_col: np.ndarray
-    row_index_map: np.ndarray  # empirical index -> population index
-    col_index_map: np.ndarray
+    # Empirical -> population: the kept indices, or a slice of every member.
+    row_index_map: np.ndarray | slice
+    col_index_map: np.ndarray | slice
 
 
 @dataclass
@@ -228,10 +229,11 @@ def _invalidate_for_change(opp_pop: Population) -> None:
 # ---------------------------------------------------------------------------
 # Empirical game and meta-Nash
 
-def _retained_indices(pop: Population, clip: bool, s: float) -> np.ndarray:
-    n = len(pop)
+def _retained_indices(pop: Population, clip: bool,
+                      s: float) -> np.ndarray | slice:
     if not clip:
-        return np.arange(n)
+        return slice(None)
+    n = len(pop)
     k = min(max(math.ceil(s * n), 2), n)   # at least two where possible
     return np.sort(np.argsort(-pop.sc_advantage, kind="stable")[:k])
 
@@ -243,6 +245,7 @@ def build_empirical(game: BimatrixGame, pop_row: Population, pop_col: Population
     Clipping refreshes stale confirming caches, then keeps each population's
     top ceil(s*n) members by self-confirming advantage (ties by lower index,
     at least two members where possible), never changing the populations.
+    Unclipped, the products run on the populations' own arrays, uncopied.
     """
     if clip:
         refresh_confirming(pop_row, pop_col, game, 0)
@@ -571,8 +574,7 @@ def population_update(game: BimatrixGame, player: int, state: EngineState,
     append a fresh random member when the improvement ratio against
     ``agg_opp``, the opponent's aggregate, stays below the bound.  The
     branches play against ``opp_members``, the opponent population matrix
-    at the iteration's start.  Either way the opponent's confirming entries
-    go stale.  Returns the branch taken."""
+    at the iteration's start.  Returns the branch taken."""
     cfg = state.config
     pop = state.pop(player)
     theta_self = theta.theta_row if player == 0 else theta.theta_col
@@ -599,23 +601,18 @@ def population_update(game: BimatrixGame, player: int, state: EngineState,
 
     if not improved:
         pop.append(state.rng.dirichlet(np.ones(game.dims(player))))
-    _invalidate_for_change(state.pop(1 - player))
     return branch
 
 
 # ---------------------------------------------------------------------------
 # Iteration and run loop
 
-def _append_member(player: int, state: EngineState,
-                   strategy: np.ndarray) -> None:
-    state.pop(player).append(strategy)
-    _invalidate_for_change(state.pop(1 - player))
-
-
 def run_iteration(state: EngineState) -> IterationReport:
     """One full engine iteration: build the (clipped) empirical game, solve
     the meta-Nash, apply each learner's new-strategy step, and measure
-    full-game metrics at the aggregates.
+    full-game metrics at the aggregates.  Populations change only here;
+    after each learner's step and each follower reply, the opponent's
+    confirming entries go stale.
 
     The iteration runs on one BLAS thread where the larger candidate block
     has fewer than ONE_THREAD_MNK multiply-adds, else on the process's
@@ -637,25 +634,27 @@ def run_iteration(state: EngineState) -> IterationReport:
         for player in learners:
             opp_members = snapshot[1 - player]
             agg_opp = agg_col if player == 0 else agg_row
+            pop = state.pop(player)
             if cfg.variant == "vanilla_psro":
-                _append_member(player, state, br_oracle(game, player, agg_opp))
+                pop.append(br_oracle(game, player, agg_opp))
             elif cfg.variant == "diversity_psro":
-                pop = state.pop(player)
-                cand = _diversity_argmax(game, player, pop, pop.members,
-                                         opp_members, cfg.lr, cfg.lambda_1)
+                pop.append(_diversity_argmax(game, player, pop, pop.members,
+                                             opp_members, cfg.lr,
+                                             cfg.lambda_1))
                 branches[player] = "diversity"
-                _append_member(player, state, cand)
             else:
                 branches[player] = population_update(game, player, state,
                                                      theta, opp_members,
                                                      agg_opp)
+            _invalidate_for_change(state.pop(1 - player))
 
         if mode == "stackelberg_player":
             # The follower is an exact best responder; remember each pure
             # reply it has used so the meta-game can mix over them.
             follower_play = br_oracle(game, 1, agg_row)
             if not (state.pop_col.members == follower_play).all(axis=1).any():
-                _append_member(1, state, follower_play)
+                state.pop_col.append(follower_play)
+                _invalidate_for_change(state.pop_row)
             expl = exploitability(game, agg_row, follower_play)
             reward_row = advantage(game, 0, agg_row)
             reward_col = payoff(game, agg_row, follower_play)[1]
@@ -670,7 +669,7 @@ def run_iteration(state: EngineState) -> IterationReport:
         reward_row=reward_row,
         reward_col=reward_col,
         pop_sizes=(len(state.pop_row), len(state.pop_col)),
-        clipped_sizes=(len(emp.row_index_map), len(emp.col_index_map)),
+        clipped_sizes=emp.m_row.shape,
         oracle_branch_taken=tuple(branches),
         wall_ms=(time.perf_counter() - t0) * 1000.0,
     )

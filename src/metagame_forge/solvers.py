@@ -262,11 +262,17 @@ def fictitious_play(m_row, m_col, max_iters: int, tol: float) -> MetaSolution:
 
 def ec_of_gram(L: np.ndarray) -> float:
     """Expected cardinality EC = Tr(I - (L+I)^-1) of the meta-matrix M with
-    Gram matrix L = M M^T, via one inverse; a non-finite L is a GameError."""
+    Gram matrix L = M M^T, via one inverse; a non-finite L is a GameError.
+    Where large entries absorb the identity and the inverse fails, EC is the
+    same trace from L's eigenvalues: sum(lam / (1 + lam))."""
     if not np.isfinite(L).all():
         raise GameError("Gram matrix has a non-finite entry")
     t = L.shape[0]
-    return float(t - np.trace(np.linalg.inv(L + np.eye(t))))
+    try:
+        return float(t - np.trace(np.linalg.inv(L + np.eye(t))))
+    except np.linalg.LinAlgError:
+        lam = np.maximum(np.linalg.eigvalsh(L), 0.0)
+        return float((lam / (1.0 + lam)).sum())
 
 
 # Relative rounding bound of `ec_rank_one` against `ec_of_gram`, per unit of
@@ -286,7 +292,9 @@ def ec_rank_one(fixed_rows: np.ndarray,
     With ``P = (I + F^T F)^-1`` (one inverse), EC(F) is
     m - tr(P), and the row x is a rank-one update of ``I + F^T F`` that by
     Sherman-Morrison adds ``|P x|^2 / (1 + x.P x)``, a sum of squares over
-    one plus a positive definite form: no two large values cancel.
+    one plus a positive definite form: no two large values cancel.  Where
+    the inverse fails, P is ``V diag(1 / (1 + w)) V^T`` from the eigenvalues
+    w and eigenvectors V of ``F^T F``.
     """
     k, m = fixed_rows.shape
     # The largest squared row norm is the largest Gram entry (Cauchy-Schwarz).
@@ -294,7 +302,12 @@ def ec_rank_one(fixed_rows: np.ndarray,
               np.einsum("ij,ij->i", fixed_rows, fixed_rows).max(initial=0.0))
     bound = EC_RTOL * (k + 1) * (1.0 + big)
     # One inverse serves every candidate: each P x is one row of a product.
-    P = np.linalg.inv(fixed_rows.T @ fixed_rows + np.eye(m))
+    G = fixed_rows.T @ fixed_rows
+    try:
+        P = np.linalg.inv(G + np.eye(m))
+    except np.linalg.LinAlgError:
+        w, V = np.linalg.eigh(G)
+        P = (V / (1.0 + np.maximum(w, 0.0))) @ V.T
     PX = cand_rows @ P
     return ((m - np.trace(P)) + np.einsum("ij,ij->i", PX, PX)
             / (1.0 + np.einsum("ij,ij->i", cand_rows, PX))), bound

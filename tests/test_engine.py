@@ -96,15 +96,16 @@ def test_payoffs_at_the_bound_run_clean(preset, overrides, dim, mode):
     cfg = make_config(preset, seed=0, max_iterations=4, **overrides)
     _assert_finite_reports(run(game, cfg, mode))
 
-@pytest.mark.xfail(strict=True, raises=np.linalg.LinAlgError,
-                   reason="EC scoring's Gram inverse goes singular once "
-                          "large payoffs absorb its identity")
-def test_expected_cardinality_runs_on_large_payoffs():
-    # Far inside the magnitude bound, where vanilla_psro runs.
+@pytest.mark.parametrize("scale", [1e10, MAX_MAGNITUDE])
+@pytest.mark.parametrize("preset", ["sc_psro", "diversity_psro",
+                                    "sc_psro_no_lookahead"])
+def test_expected_cardinality_runs_on_large_payoffs(preset, scale):
+    # Payoffs this large absorb the identity of EC's Gram inverse, which
+    # then fails; EC comes from eigenvalues (`ec_of_gram`, `ec_rank_one`).
     rng = np.random.default_rng(0)
-    game = new_game(rng.uniform(-1e10, 1e10, (8, 8)),
-                    rng.uniform(-1e10, 1e10, (8, 8)))
-    _assert_finite_reports(run(game, make_config("sc_psro", seed=0,
+    game = new_game(rng.uniform(-scale, scale, (8, 8)),
+                    rng.uniform(-scale, scale, (8, 8)))
+    _assert_finite_reports(run(game, make_config(preset, seed=0,
                                                  max_iterations=20)))
 
 
@@ -437,6 +438,38 @@ def test_runs_without_clipping_never_touch_confirming_caches(preset, monkeypatch
         for pop in (state.pop_row, state.pop_col):
             assert np.isnan(pop.sc_advantage).all()
 
+def _refresh_both(state):
+    refresh_confirming(state.pop_row, state.pop_col, state.game, 0)
+    refresh_confirming(state.pop_col, state.pop_row, state.game, 1)
+
+def test_only_run_iteration_marks_the_opponent_stale():
+    # population_update changes its own population's flags alone: the
+    # replaced member's and the appended one's (im = 1e9 rejects every
+    # update).  run_iteration then marks every opponent entry stale after
+    # each learner's step, whatever the variant; in Stackelberg mode the
+    # follower's after the leader's step.
+    g = gen_general_sum(5, 3)
+    state = init_state(g, make_config("sc_psro", seed=1, im=1e9))
+    for _ in range(3):
+        run_iteration(state)
+    _refresh_both(state)
+    emp = build_empirical(g, state.pop_row, state.pop_col)
+    theta = meta_nash(emp, len(state.pop_row), len(state.pop_col), 50)
+    k = len(state.pop_row)
+    population_update(g, 0, state, theta, state.pop_col.members,
+                      aggregate(state.pop_col, theta.theta_col))
+    assert state.pop_row.stale.tolist() == [False] * (k - 1) + [True, True]
+    assert not state.pop_col.stale.any()
+    for preset in ("vanilla_psro", "diversity_psro", "sc_psro"):
+        for mode in ("self_play", "stackelberg_player"):
+            state = init_state(g, make_config(preset, seed=1), mode)
+            for _ in range(4):
+                _refresh_both(state)
+                run_iteration(state)
+                assert state.pop_col.stale.all(), (preset, mode)
+                if mode == "self_play":
+                    assert state.pop_row.stale.all(), preset
+
 
 # ---------------------------------------------------------------------------
 # Clipping and the empirical game
@@ -577,8 +610,12 @@ def test_unclipped_empirical_game_equals_indexed_products(seed, n, m, k_row,
     m_col = -m_row if g.exact_zero_sum else R @ g.u_col @ C.T
     assert emp.m_row.tobytes() == m_row.tobytes()
     assert emp.m_col.tobytes() == m_col.tobytes()
-    assert np.array_equal(emp.row_index_map, np.arange(k_row))
-    assert np.array_equal(emp.col_index_map, np.arange(k_col))
+    for pop, index_map in ((pop_row, emp.row_index_map),
+                           (pop_col, emp.col_index_map)):
+        kept = pop.members[index_map]
+        assert np.array_equal(kept, pop.members)
+        assert np.shares_memory(kept, pop.members)   # a view, not a copy
+    assert emp.m_row.shape == (k_row, k_col)
 
 
 # ---------------------------------------------------------------------------

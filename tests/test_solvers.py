@@ -4,6 +4,7 @@ oracles."""
 import collections
 import inspect
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -387,6 +388,32 @@ def test_ec_rank_one_within_bound_at_every_gram_scale():
             for x, a in zip(X, approx):
                 M = np.vstack([F, x])
                 assert abs(a - ec_of_gram(M @ M.T)) <= bound / 1000, (m, decade)
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), k=st.integers(0, 19),
+       m=st.integers(1, 49), scale=st.sampled_from([1e-1, 1.0, 1e1, 1e2]))
+def test_ec_eigenvalue_fallbacks_agree_with_the_inverse(seed, k, m, scale):
+    # Where the inverse fails, both EC forms take eigenvalues instead; where
+    # the inverse works, the two agree within ec_rank_one's bound.
+    rng = np.random.default_rng(seed)
+    F = scale * rng.normal(size=(k, m))
+    X = scale * rng.normal(size=(4, m))
+    grams = [np.vstack([F, x]) @ np.vstack([F, x]).T for x in X]
+    approx, bound = ec_rank_one(F, X)
+    exact = [ec_of_gram(L) for L in grams]
+    failed = []
+
+    def singular(a):
+        failed.append(a.shape)
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    with mock.patch.object(np.linalg, "inv", singular):
+        approx_eig, bound_eig = ec_rank_one(F, X)
+        exact_eig = [ec_of_gram(L) for L in grams]
+    assert len(failed) == 1 + len(grams)   # every call took the fallback
+    assert bound_eig == bound
+    assert np.abs(approx_eig - approx).max() <= bound
+    assert np.abs(np.subtract(exact_eig, exact)).max() <= bound
 
 
 # ---------------------------------------------------------------------------
