@@ -66,7 +66,7 @@ def _cmd_eval(args) -> int:
     pi_row = _load_strategy(args.row, game.n_rows)
     pi_col = _load_strategy(args.col, game.n_cols)
     if args.metric == "exploitability":
-        print(f"{solvers.exploitability(game, pi_row, pi_col):.12g}")
+        print(f"{solvers.exploitability(game, pi_row, pi_col)[0]:.12g}")
     elif args.metric == "advantage_row":
         # Pessimistic at follower ties: on a tie boundary this prints the
         # minimum over the tied replies, not the one-sided limit.

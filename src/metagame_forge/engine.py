@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import (BimatrixGame, GameError, check_fields, freeze, payoff,
+from .games import (BimatrixGame, GameError, check_fields, freeze,
                     validate_strategy)
 from .solvers import (PICKED_ROWS, TIE_ATOL, MetaSolution, above_gate,
                       advantage, advantage_many, blas_threads, ec_of_gram,
@@ -86,8 +86,8 @@ class AlgorithmConfig:
 
 @dataclass
 class Population:
-    """Strategies as the rows of one owned, read-only array (k x dim, k >=
-    1), plus a per-member confirming cache in arrays of length k.
+    """``player``'s strategies in ``game`` as the rows of one owned, read-only
+    array (k x dim, k >= 1), plus a per-member confirming cache.
 
     ``append`` and ``replace`` build a new ``members`` array and never write
     the old one, so a caller may keep it, or a row of it, as a snapshot.
@@ -100,10 +100,14 @@ class Population:
     `run_iteration` changes the opponent population.  Only runs that clip
     fill the entries (lazily, in `build_empirical`).  ``replies[i]`` holds
     member i's two payoff vectors (`reply`), in every run; candidate scoring
-    reads the last member's.  One population plays one (game, player).
+    reads the last member's.  Both multiply ``mats``: the own and opponent
+    matrices, each (own actions) x (opponent actions).
     """
 
     members: np.ndarray
+    game: BimatrixGame
+    player: int
+    mats: tuple = field(init=False)
     sc_advantage: np.ndarray = field(init=False)
     stale: np.ndarray = field(init=False)
     replies: dict = field(init=False, default_factory=dict)
@@ -112,6 +116,10 @@ class Population:
         self.members = freeze(np.array(self.members, dtype=float))  # a copy
         if self.members.ndim != 2 or self.members.size == 0:
             raise GameError("members must be a k x dim array, k, dim >= 1")
+        if self.members.shape[1] != self.game.dims(self.player):
+            raise GameError("members do not match the player's action count")
+        self.mats = (own_matrix(self.game, self.player),
+                     own_matrix(self.game, 1 - self.player).T)
         self.sc_advantage = np.full(len(self), math.nan)
         self.stale = np.ones(len(self), dtype=bool)
 
@@ -130,14 +138,12 @@ class Population:
         self.stale[index] = True
         self.replies.pop(index, None)
 
-    def reply(self, game: BimatrixGame, player: int, i: int, side: int):
+    def reply(self, i: int, side: int):
         """Member i's payoffs per opponent action, formed once: its own
-        (side 0, ``pi_i @ M`` for ``M = own_matrix(game, player)``) or the
-        opponent's (side 1, ``M = own_matrix(game, 1 - player).T``)."""
+        (side 0) or the opponent's (side 1), ``members[i] @ mats[side]``."""
         vectors = self.replies.setdefault(i, [None, None])
         if vectors[side] is None:
-            M = own_matrix(game, player if side == 0 else 1 - player)
-            vectors[side] = self.members[i] @ (M if side == 0 else M.T)
+            vectors[side] = self.members[i] @ self.mats[side]
         return vectors[side]
 
 
@@ -199,21 +205,20 @@ def init_state(game: BimatrixGame, config: AlgorithmConfig,
         # reply to the leader's initial member.  Its random member is still
         # drawn, so every mode continues the same rng stream.
         col = br_oracle(game, 1, row)
-    return EngineState(game, config, mode, Population([row]), Population([col]),
-                       rng)
+    return EngineState(game, config, mode, Population([row], game, 0),
+                       Population([col], game, 1), rng)
 
 
 # ---------------------------------------------------------------------------
 # Confirming caches
 
-def refresh_confirming(pop: Population, opponent_pop: Population,
-                       game: BimatrixGame, player: int) -> None:
+def refresh_confirming(pop: Population, opponent_pop: Population) -> None:
     """Recompute the self-confirming advantage of every stale member.
     Idempotent once all flags are clear."""
     O = opponent_pop.members
     for i in map(int, np.flatnonzero(pop.stale)):
-        opp_vals = O @ pop.reply(game, player, i, 1)
-        self_vals = O @ pop.reply(game, player, i, 0)
+        opp_vals = O @ pop.reply(i, 1)
+        self_vals = O @ pop.reply(i, 0)
         tied = opp_vals >= opp_vals.max() - TIE_ATOL
         pop.sc_advantage[i] = float(self_vals[tied].min())
         pop.stale[i] = False
@@ -238,18 +243,21 @@ def _retained_indices(pop: Population, clip: bool,
     return np.sort(np.argsort(-pop.sc_advantage, kind="stable")[:k])
 
 
-def build_empirical(game: BimatrixGame, pop_row: Population, pop_col: Population,
+def build_empirical(pop_row: Population, pop_col: Population,
                     clip: bool = False, s: float = 1.0) -> EmpiricalGame:
-    """Payoff matrices over the (optionally clipped) populations.
+    """Payoff matrices over one game's (optionally clipped) populations.
 
     Clipping refreshes stale confirming caches, then keeps each population's
     top ceil(s*n) members by self-confirming advantage (ties by lower index,
     at least two members where possible), never changing the populations.
     Unclipped, the products run on the populations' own arrays, uncopied.
     """
+    game = pop_row.game
+    if (pop_row.player, pop_col.player) != (0, 1) or pop_col.game is not game:
+        raise GameError("populations must be the row and column of one game")
     if clip:
-        refresh_confirming(pop_row, pop_col, game, 0)
-        refresh_confirming(pop_col, pop_row, game, 1)
+        refresh_confirming(pop_row, pop_col)
+        refresh_confirming(pop_col, pop_row)
     ri = _retained_indices(pop_row, clip, s)
     ci = _retained_indices(pop_col, clip, s)
     R, C = pop_row.members[ri], pop_col.members[ci]
@@ -344,8 +352,7 @@ def _ec_rows(pi_t: np.ndarray, step: float, meta: np.ndarray):
     return x, np.where(tight, err, np.inf)
 
 
-def _advantage_bounds(game: BimatrixGame, player: int, pop: Population,
-                      step: float):
+def _advantage_bounds(pop: Population, step: float):
     """Bounds ``(lo, hi)`` on the advantage that `advantage_many` gives each
     row of ``_candidates(pi_t, step)``, pi_t being ``pop``'s last member,
     found without the dense products, whatever rows share their block and on
@@ -373,11 +380,10 @@ def _advantage_bounds(game: BimatrixGame, player: int, pop: Population,
     the rest has that reply as its whole tie set; a chunk of such rows
     skips the pass.
     """
-    n = pop.members.shape[1]
+    n, player, mats = pop.members.shape[1], pop.player, pop.mats
     _, delta, sums, scale = _steps(pop.members[-1], step)
-    mats = [own_matrix(game, player), own_matrix(game, 1 - player).T]
-    scales, replies = game.payoff_scales, game.reply_margins
-    bases = [pop.reply(game, player, len(pop) - 1, q) for q in (0, 1)]
+    scales, replies = pop.game.payoff_scales, pop.game.reply_margins
+    bases = [pop.reply(len(pop) - 1, q) for q in (0, 1)]
     rhos = [scale * max(scales[q], TIE_ATOL) for q in (player, 1 - player)]
     tight = np.logical_and(*(rho <= sums * (TIE_ATOL / 4) for rho in rhos))
     if not tight.any():
@@ -472,9 +478,8 @@ def _ec_scores(fixed_rows: np.ndarray, rows: np.ndarray, index: np.ndarray,
     return scores
 
 
-def _best_candidate(game: BimatrixGame, player: int, pop: Population,
-                    step: float, weight: float, fixed_rows=None,
-                    meta=None) -> np.ndarray:
+def _best_candidate(pop: Population, step: float, weight: float,
+                    fixed_rows=None, meta=None) -> np.ndarray:
     """The candidate of ``_candidates(pi_t, step)``, pi_t being ``pop``'s
     last member, with the highest score: ``weight`` times its advantage plus,
     where ``meta`` is given, the EC of the meta-matrix of ``fixed_rows`` and
@@ -495,11 +500,11 @@ def _best_candidate(game: BimatrixGame, player: int, pop: Population,
     rows, where they keep the block's bits (`rows_keep_block_bits`), else of
     the block.
     """
-    pi_t = pop.members[-1]
+    game, player, pi_t = pop.game, pop.player, pop.members[-1]
     n = pi_t.shape[0]
     bounds = None
     if weight > 0 and above_gate(n, game.dims(1 - player)):
-        bounds = _advantage_bounds(game, player, pop, step)
+        bounds = _advantage_bounds(pop, step)
     dense = None
     if weight > 0 and bounds is None:   # the block's advantage is scored
         C = _candidates(pi_t, step)
@@ -538,28 +543,26 @@ def _best_candidate(game: BimatrixGame, player: int, pop: Population,
     return rows[int(np.argmax(exact + weight * adv))]
 
 
-def _diversity_argmax(game: BimatrixGame, player: int, pop: Population,
-                      fixed_members: np.ndarray, opp_members: np.ndarray,
-                      lr: float, lambda_1: float) -> np.ndarray:
+def _diversity_argmax(pop: Population, fixed_members: np.ndarray,
+                      opp_members: np.ndarray, lr: float,
+                      lambda_1: float) -> np.ndarray:
     """Replace-then-score diversity update: among the pure-direction steps
     from ``pop``'s last member, the candidate maximizing the expected
     cardinality of the meta-matrix of ``fixed_members`` (k x n, k >= 0) plus
     the candidate against ``opp_members``, plus ``lambda_1`` times its
     advantage, as `_best_candidate` scores them."""
-    meta = own_matrix(game, player) @ opp_members.T
-    return _best_candidate(game, player, pop, lr, lambda_1,
-                           fixed_members @ meta, meta)
+    meta = pop.mats[0] @ opp_members.T
+    return _best_candidate(pop, lr, lambda_1, fixed_members @ meta, meta)
 
 
-def lookahead_step(game: BimatrixGame, player: int, pop: Population,
-                   theta_self: np.ndarray, lr_base: float,
+def lookahead_step(pop: Population, theta_self: np.ndarray, lr_base: float,
                    rng: np.random.Generator) -> np.ndarray:
     """Advantage hill-climb from ``pop``'s last member: sample a step size
     bounded by the max-norm of the player's own meta-weights, enumerate
     pure-direction candidates, and return the one with the highest
     advantage (`_best_candidate`; the lowest index among ties)."""
     step = rng.uniform(0.0, min(lr_base, float(np.abs(theta_self).max())))
-    return _best_candidate(game, player, pop, step, 1.0)
+    return _best_candidate(pop, step, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -582,16 +585,15 @@ def population_update(game: BimatrixGame, player: int, state: EngineState,
 
     if state.rng.uniform() <= cfg.lambda_d:
         branch = "diversity"
-        pi_star = _diversity_argmax(game, player, pop, pop.members[:-1],
-                                    opp_members, cfg.lr, cfg.lambda_1)
+        pi_star = _diversity_argmax(pop, pop.members[:-1], opp_members,
+                                    cfg.lr, cfg.lambda_1)
     else:
         branch = "lookahead"
-        pi_star = lookahead_step(game, player, pop, theta_self, cfg.lr,
-                                 state.rng)
+        pi_star = lookahead_step(pop, theta_self, cfg.lr, state.rng)
 
-    den = float(pop.reply(game, player, last, 0) @ agg_opp)
+    den = float(pop.reply(last, 0) @ agg_opp)
     pop.replace(last, pi_star)   # the new member's own payoffs are kept
-    num = float(pop.reply(game, player, last, 0) @ agg_opp)
+    num = float(pop.reply(last, 0) @ agg_opp)
     if den < DEN_ATOL:
         # Ratio test is ill-posed at zero or negative baselines; fall back to
         # an additive test scaled by the payoff range.
@@ -621,7 +623,7 @@ def run_iteration(state: EngineState) -> IterationReport:
     game, cfg, mode = state.game, state.config, state.mode
     n, m = game.n_rows, game.n_cols
     with blas_threads(None if above_gate(n, m) or above_gate(m, n) else 1):
-        emp = build_empirical(game, state.pop_row, state.pop_col, state.clips,
+        emp = build_empirical(state.pop_row, state.pop_col, state.clips,
                               cfg.clip_fraction)
         theta = meta_nash(emp, len(state.pop_row), len(state.pop_col),
                           cfg.fp_max_iters)
@@ -638,9 +640,8 @@ def run_iteration(state: EngineState) -> IterationReport:
             if cfg.variant == "vanilla_psro":
                 pop.append(br_oracle(game, player, agg_opp))
             elif cfg.variant == "diversity_psro":
-                pop.append(_diversity_argmax(game, player, pop, pop.members,
-                                             opp_members, cfg.lr,
-                                             cfg.lambda_1))
+                pop.append(_diversity_argmax(pop, pop.members, opp_members,
+                                             cfg.lr, cfg.lambda_1))
                 branches[player] = "diversity"
             else:
                 branches[player] = population_update(game, player, state,
@@ -649,18 +650,15 @@ def run_iteration(state: EngineState) -> IterationReport:
             _invalidate_for_change(state.pop(1 - player))
 
         if mode == "stackelberg_player":
-            # The follower is an exact best responder; remember each pure
+            # The follower plays its exact pure best reply; remember each
             # reply it has used so the meta-game can mix over them.
-            follower_play = br_oracle(game, 1, agg_row)
-            if not (state.pop_col.members == follower_play).all(axis=1).any():
-                state.pop_col.append(follower_play)
+            agg_col = br_oracle(game, 1, agg_row)
+            if not (state.pop_col.members == agg_col).all(axis=1).any():
+                state.pop_col.append(agg_col)
                 _invalidate_for_change(state.pop_row)
-            expl = exploitability(game, agg_row, follower_play)
-            reward_row = advantage(game, 0, agg_row)
-            reward_col = payoff(game, agg_row, follower_play)[1]
-        else:
-            expl = exploitability(game, agg_row, agg_col)
-            reward_row, reward_col = payoff(game, agg_row, agg_col)
+        expl, reward_row, reward_col = exploitability(game, agg_row, agg_col)
+        if mode == "stackelberg_player":
+            reward_row = advantage(game, 0, agg_row)   # the leader's value
 
     report = IterationReport(
         iteration=state.iteration,

@@ -80,8 +80,8 @@ class BimatrixGame:
 
     @cached_property
     def exact_zero_sum(self) -> bool:
-        """u_col == -u_row entry for entry."""
-        return bool(np.array_equal(self.u_col, -self.u_row))
+        """u_col == -u_row, compared a row at a time: no n x m temporary."""
+        return all(np.array_equal(c, -r) for r, c in zip(self.u_row, self.u_col))
 
     @cached_property
     def payoff_scales(self) -> tuple:

@@ -29,8 +29,8 @@ ROW, COL = 0, 1
 # with both cores of a 2-core machine free, but 0.75 ms with a second process
 # busy on the other core, as the worker thread waits for its turn; on one
 # thread it took 0.15 ms either way, and a desk grid round was 2.2x slower on
-# two.  Larger games keep the process's threads: the dim-1000 cell took
-# 0.9-1.1 s a round on two threads and 1.3-1.4 s on one.
+# two.  Larger games keep the process's threads: the 30-iteration dim-1000
+# cell took 0.35-0.53 s a round on two threads and 0.48-0.64 s on one.
 ONE_THREAD_MNK = 1e7
 
 # Candidate scoring gives rows picked from their candidate block to
@@ -96,13 +96,15 @@ class MetaSolution:
     iterations_used: int
 
 
-def exploitability(game: BimatrixGame, pi_row, pi_col) -> float:
-    """NashConv: total gain available from unilateral pure deviations."""
+def exploitability(game: BimatrixGame, pi_row, pi_col) -> tuple:
+    """NashConv, the total gain available from unilateral pure deviations,
+    then the profile's two payoffs, bit for bit as `games.payoff` has them."""
     p = validate_strategy(pi_row, game.n_rows)
     q = validate_strategy(pi_col, game.n_cols)
-    pu_col = p @ game.u_col   # p @ u_col @ q is (p @ u_col) @ q
-    return float(((game.u_row @ q).max() - p @ game.u_row @ q)
-                 + (pu_col.max() - pu_col @ q))
+    pu_col = p @ game.u_col
+    row_value, col_value = float(p @ game.u_row @ q), float(pu_col @ q)
+    return (float(((game.u_row @ q).max() - row_value)
+                  + (pu_col.max() - col_value)), row_value, col_value)
 
 
 def advantage_many(game: BimatrixGame, player: int,

@@ -122,7 +122,7 @@ def nash_support_enumeration(game: BimatrixGame,
                 # Best-response verification against all pure deviations.
                 if (A @ y).max() > v + tol or (x @ B).max() > w + tol:
                     continue
-                if exploitability(game, x, y) > tol:
+                if exploitability(game, x, y)[0] > tol:
                     continue
                 key = tuple(np.round(np.concatenate([x, y]), 8))
                 if key in seen:

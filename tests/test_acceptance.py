@@ -143,7 +143,7 @@ def test_criterion_5_theorem_properties():
         g = gen_symmetric_zero_sum(dim, int(rng.integers(1_000_000)))
         p = rng.dirichlet(np.ones(dim))
         q = rng.dirichlet(np.ones(dim))
-        lhs = exploitability(g, p, q)
+        lhs = exploitability(g, p, q)[0]
         rhs = -(advantage(g, 0, p) + advantage(g, 1, q))
         assert abs(lhs - rhs) <= 1e-9, f"identity gap {lhs - rhs} on {g.name}"
 
@@ -153,7 +153,7 @@ def test_criterion_5_theorem_properties():
         dim = int(rng.integers(2, 5))
         g = gen_symmetric_zero_sum(dim, int(rng.integers(1_000_000)))
         for x, y in nash_support_enumeration(g):
-            assert exploitability(g, x, y) <= 1e-9
+            assert exploitability(g, x, y)[0] <= 1e-9
             assert abs(float(x @ g.u_row @ y)) <= 1e-9
             assert abs(advantage(g, 0, x)) <= 1e-9
             assert abs(advantage(g, 1, y)) <= 1e-9

@@ -19,7 +19,7 @@ from metagame_forge.engine import (AlgorithmConfig, Population, aggregate,
                                    run_iteration)
 from metagame_forge.games import (MAX_MAGNITUDE, GameError, builtin,
                                   gen_general_sum, gen_symmetric_zero_sum,
-                                  gen_transitive, new_game)
+                                  gen_transitive, new_game, payoff)
 from metagame_forge.harness import make_config
 from metagame_forge.solvers import (advantage, advantage_many, blas_threads,
                                     ec_of_gram, ec_rank_one, exploitability,
@@ -146,16 +146,20 @@ def test_init_state_rejects_unknown_mode():
 def test_population_needs_a_member(k, d):
     # append and replace never shrink a population, so one that builds is
     # never empty: the empirical game and the confirming refresh rely on it.
-    pop = Population(np.full((k, d), 1.0 / d))
+    # Its members have one weight per action of the side it plays.
+    g = new_game(np.zeros((d, d + 1)), np.zeros((d, d + 1)))
+    pop = Population(np.full((k, d), 1.0 / d), g, 0)
     assert len(pop) == k and pop.members.shape == (k, d)
     for bad in (np.empty((0, d)), np.full(d, 1.0 / d),
                 np.full((1, k, d), 1.0 / d)):
         with pytest.raises(GameError):
-            Population(bad)
+            Population(bad, g, 0)
+    with pytest.raises(GameError):
+        Population(np.full((k, d), 1.0 / d), g, 1)
 
 def test_population_owns_read_only_copies():
     block = np.full((200, 3), 1.0 / 3.0)
-    pop = Population(block[:1])
+    pop = Population(block[:1], RPS, 0)
     pop.append(block[5])
     assert not np.shares_memory(pop.members, block)
     assert not pop.members.flags.writeable
@@ -165,8 +169,8 @@ def test_population_owns_read_only_copies():
     assert np.isnan(pop.sc_advantage).all() and pop.replies == {}
 
 def test_population_replace_is_copy_on_write():
-    pop = Population([uniform(3), pure(3, 0)])
-    refresh_confirming(pop, Population([uniform(3)]), RPS, 0)
+    pop = Population([uniform(3), pure(3, 0)], RPS, 0)
+    refresh_confirming(pop, Population([uniform(3)], RPS, 1))
     assert sorted(pop.replies) == [0, 1]
     snapshot, last = pop.members, pop.members[-1]
     pop.replace(1, pure(3, 2))
@@ -224,9 +228,8 @@ def test_candidate_scoring_holds_one_block_at_a_time(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    pop = Population([pi])
-    assert peak_blocks(lambda: _diversity_argmax(g, 0, pop, F, opp, 1e9,
-                                                 1.0)) < 2.5
+    pop = Population([pi], g, 0)
+    assert peak_blocks(lambda: _diversity_argmax(pop, F, opp, 1e9, 1.0)) < 2.5
     assert len(solvers._BLOCK_BITS) == 1   # the probe ran inside the call
     assert peak_blocks(lambda: advantage_many(g, 0, C)) < 1.5
 
@@ -242,12 +245,12 @@ def test_candidate_scoring_reads_the_last_member(n):
     F = rng.dirichlet(np.ones(n), size=2)
     opp = rng.dirichlet(np.ones(n), size=4)
     picks = (
-        lambda pop: engine.lookahead_step(g, 0, pop, np.ones(1), 1.0,
+        lambda pop: engine.lookahead_step(pop, np.ones(1), 1.0,
                                           _FixedStep(0.3)),
-        lambda pop: _diversity_argmax(g, 0, pop, F, opp, 0.3, 1.0))
+        lambda pop: _diversity_argmax(pop, F, opp, 0.3, 1.0))
     for pick in picks:
-        pop = Population([a, b, pi])
-        assert np.array_equal(pick(pop), pick(Population([pi])))
+        pop = Population([a, b, pi], g, 0)
+        assert np.array_equal(pick(pop), pick(Population([pi], g, 0)))
         assert set(pop.replies) == ({2} if n == 200 else set())
 
 
@@ -255,39 +258,39 @@ def test_candidate_scoring_reads_the_last_member(n):
 # Confirming caches
 
 def test_confirming_single_opponent_forced():
-    pop = Population([pure(3, 0), uniform(3)])
-    opp = Population([pure(3, 1)])
-    refresh_confirming(pop, opp, RPS, 0)
+    pop = Population([pure(3, 0), uniform(3)], RPS, 0)
+    opp = Population([pure(3, 1)], RPS, 1)
+    refresh_confirming(pop, opp)
     assert pop.sc_advantage[0] == -1.0  # Rock vs Paper
 
 def test_confirming_rps_rock_vs_three_pures():
-    pop = Population([pure(3, 0)])
-    opp = Population([pure(3, 0), pure(3, 1), pure(3, 2)])
-    refresh_confirming(pop, opp, RPS, 0)
+    pop = Population([pure(3, 0)], RPS, 0)
+    opp = Population([pure(3, 0), pure(3, 1), pure(3, 2)], RPS, 1)
+    refresh_confirming(pop, opp)
     assert pop.sc_advantage[0] == -1.0   # Paper best-responds to Rock
 
 def test_confirming_takes_least_own_payoff_over_tied_replies():
     # Against (1/3, 2/3) both column replies pay the column player 2/3; the
     # row player gets 11/3 against the first opponent member and 5/3
     # against the second, and the pessimistic tie rule keeps 5/3.
-    pop = Population([[1.0 / 3.0, 2.0 / 3.0]])
-    refresh_confirming(pop, Population([pure(2, 1), pure(2, 0)]), T1, 0)
+    pop = Population([[1.0 / 3.0, 2.0 / 3.0]], T1, 0)
+    refresh_confirming(pop, Population([pure(2, 1), pure(2, 0)], T1, 1))
     assert abs(pop.sc_advantage[0] - 5.0 / 3.0) <= 1e-12
 
 def test_confirming_idempotent():
-    pop = Population([uniform(3), pure(3, 2)])
-    opp = Population([pure(3, 0), uniform(3)])
-    refresh_confirming(pop, opp, RPS, 0)
+    pop = Population([uniform(3), pure(3, 2)], RPS, 0)
+    opp = Population([pure(3, 0), uniform(3)], RPS, 1)
+    refresh_confirming(pop, opp)
     before = list(pop.sc_advantage)
-    refresh_confirming(pop, opp, RPS, 0)
+    refresh_confirming(pop, opp)
     assert list(pop.sc_advantage) == before
 
 def test_confirming_empty_opponent_error():
     # The empty opponent is refused when it is built, so the refresh never
     # sees one.
     with pytest.raises(GameError):
-        refresh_confirming(Population([uniform(3)]), Population(np.empty((0, 3))),
-                           RPS, 0)
+        refresh_confirming(Population([uniform(3)], RPS, 0),
+                           Population(np.empty((0, 3)), RPS, 1))
 
 def _assert_replies_fresh(pops, game):
     """Every kept payoff vector is its member's, bit for bit, both as
@@ -317,7 +320,8 @@ def test_reply_vectors_follow_appends_replaces_and_refreshes(seed, n, m, ops):
         m += 1
     rng = np.random.default_rng(seed)
     g = new_game(rng.normal(size=(n, m)), rng.normal(size=(n, m)))
-    pops = [Population(rng.dirichlet(np.ones(d), size=1)) for d in (n, m)]
+    pops = [Population(rng.dirichlet(np.ones(g.dims(p)), size=1), g, p)
+            for p in (0, 1)]
     for op, player, pick in ops:
         pop, opp = pops[player], pops[1 - player]
         strategy = rng.dirichlet(np.ones(g.dims(player)))
@@ -328,10 +332,28 @@ def test_reply_vectors_follow_appends_replaces_and_refreshes(seed, n, m, ops):
             pop.replace(pick % len(pop), strategy)
             opp.stale[:] = True
         elif op == "refresh":
-            refresh_confirming(pop, opp, g, player)
+            refresh_confirming(pop, opp)
         else:
-            pop.reply(g, player, pick % len(pop), pick % 2)
+            pop.reply(pick % len(pop), pick % 2)
         _assert_replies_fresh(pops, g)
+
+@pytest.mark.parametrize("n", [3, 40])
+def test_reply_vectors_come_from_the_populations_own_game_and_side(n):
+    # The same members play the row side of one game, then its column side,
+    # then the row side of a second game.  Each population's vectors are
+    # those of its own game and side, bit for bit, whichever formed first.
+    rng = np.random.default_rng(n)
+    g, h = (new_game(rng.normal(size=(n, n)), rng.normal(size=(n, n)))
+            for _ in range(2))
+    members = rng.dirichlet(np.ones(n), size=3)
+    for pop in (Population(members, g, 0), Population(members, g, 1),
+                Population(members, h, 0)):
+        game, p = pop.game, pop.player
+        for i in range(len(members)):
+            assert pop.reply(i, 0).tobytes() == (
+                members[i] @ own_matrix(game, p)).tobytes()
+            assert pop.reply(i, 1).tobytes() == (
+                members[i] @ own_matrix(game, 1 - p).T).tobytes()
 
 def test_each_reply_vector_is_formed_once(monkeypatch):
     # A clipping sc_psro run above the gate (400 x 200 x 200 multiply-adds):
@@ -342,14 +364,14 @@ def test_each_reply_vector_is_formed_once(monkeypatch):
     reply, bounds_of, update = (Population.reply, engine._advantage_bounds,
                                 engine.population_update)
 
-    def counted_reply(pop, game, player, i, side):
+    def counted_reply(pop, i, side):
         if pop.replies.get(i, [None, None])[side] is None:
-            formed.append((player, side, pop.members[i].tobytes()))
-        return reply(pop, game, player, i, side)
+            formed.append((pop.player, side, pop.members[i].tobytes()))
+        return reply(pop, i, side)
 
-    def counted_bounds(game, player, pop, step):
+    def counted_bounds(pop, step):
         bounds_calls.append(step)
-        return bounds_of(game, player, pop, step)
+        return bounds_of(pop, step)
 
     def checked_update(game, player, state, *args):
         last = len(state.pop(player)) - 1
@@ -385,9 +407,9 @@ def test_confirming_matches_brute_force_on_random_pops():
     rng = np.random.default_rng(11)
     for _ in range(20):
         g = gen_general_sum(4, int(rng.integers(10_000)))
-        pop = Population(rng.dirichlet(np.ones(4), size=3))
-        opp = Population(rng.dirichlet(np.ones(4), size=4))
-        refresh_confirming(pop, opp, g, 0)
+        pop = Population(rng.dirichlet(np.ones(4), size=3), g, 0)
+        opp = Population(rng.dirichlet(np.ones(4), size=4), g, 1)
+        refresh_confirming(pop, opp)
         for i, sc in enumerate(_brute_confirm(pop, opp, g, 0)):
             assert abs(pop.sc_advantage[i] - sc) <= 1e-12
 
@@ -398,8 +420,8 @@ def _assert_caches_exact_through_updates(mode, im):
         state = init_state(g, make_cfg(seed=seed, im=im), mode)
         for _ in range(12):
             run_iteration(state)
-        refresh_confirming(state.pop_row, state.pop_col, g, 0)
-        refresh_confirming(state.pop_col, state.pop_row, g, 1)
+        refresh_confirming(state.pop_row, state.pop_col)
+        refresh_confirming(state.pop_col, state.pop_row)
         for pop, opp, player in ((state.pop_row, state.pop_col, 0),
                                  (state.pop_col, state.pop_row, 1)):
             for i, sc in enumerate(_brute_confirm(pop, opp, g, player)):
@@ -439,8 +461,8 @@ def test_runs_without_clipping_never_touch_confirming_caches(preset, monkeypatch
             assert np.isnan(pop.sc_advantage).all()
 
 def _refresh_both(state):
-    refresh_confirming(state.pop_row, state.pop_col, state.game, 0)
-    refresh_confirming(state.pop_col, state.pop_row, state.game, 1)
+    refresh_confirming(state.pop_row, state.pop_col)
+    refresh_confirming(state.pop_col, state.pop_row)
 
 def test_only_run_iteration_marks_the_opponent_stale():
     # population_update changes its own population's flags alone: the
@@ -453,7 +475,7 @@ def test_only_run_iteration_marks_the_opponent_stale():
     for _ in range(3):
         run_iteration(state)
     _refresh_both(state)
-    emp = build_empirical(g, state.pop_row, state.pop_col)
+    emp = build_empirical(state.pop_row, state.pop_col)
     theta = meta_nash(emp, len(state.pop_row), len(state.pop_col), 50)
     k = len(state.pop_row)
     population_update(g, 0, state, theta, state.pop_col.members,
@@ -477,24 +499,24 @@ def test_only_run_iteration_marks_the_opponent_stale():
 def test_clipping_floor_and_count():
     rng = np.random.default_rng(12)
     g = gen_general_sum(4, 0)
-    pop = Population(rng.dirichlet(np.ones(4), size=5))
-    opp = Population(rng.dirichlet(np.ones(4), size=2))
-    refresh_confirming(pop, opp, g, 0)
-    refresh_confirming(opp, pop, g, 1)
-    emp = build_empirical(g, pop, opp, clip=True, s=0.4)
+    pop = Population(rng.dirichlet(np.ones(4), size=5), g, 0)
+    opp = Population(rng.dirichlet(np.ones(4), size=2), g, 1)
+    refresh_confirming(pop, opp)
+    refresh_confirming(opp, pop)
+    emp = build_empirical(pop, opp, clip=True, s=0.4)
     assert len(emp.row_index_map) == 2   # ceil(0.4*5) = 2
     assert len(emp.col_index_map) == 2   # floor: never below 2 when n >= 2
-    emp1 = build_empirical(g, pop, opp, clip=True, s=0.01)
+    emp1 = build_empirical(pop, opp, clip=True, s=0.01)
     assert len(emp1.row_index_map) == 2  # floor applies
 
 def test_clipping_keeps_top_sc_advantage():
     rng = np.random.default_rng(13)
     g = gen_general_sum(4, 1)
-    pop = Population(rng.dirichlet(np.ones(4), size=6))
-    opp = Population(rng.dirichlet(np.ones(4), size=3))
-    refresh_confirming(pop, opp, g, 0)
-    refresh_confirming(opp, pop, g, 1)
-    emp = build_empirical(g, pop, opp, clip=True, s=0.5)
+    pop = Population(rng.dirichlet(np.ones(4), size=6), g, 0)
+    opp = Population(rng.dirichlet(np.ones(4), size=3), g, 1)
+    refresh_confirming(pop, opp)
+    refresh_confirming(opp, pop)
+    emp = build_empirical(pop, opp, clip=True, s=0.5)
     kept = set(int(i) for i in emp.row_index_map)
     dropped = set(range(6)) - kept
     lo = min(pop.sc_advantage[i] for i in kept)
@@ -504,20 +526,20 @@ def test_clipping_keeps_top_sc_advantage():
 def test_clipping_never_mutates_population():
     rng = np.random.default_rng(14)
     g = gen_general_sum(3, 2)
-    pop = Population(rng.dirichlet(np.ones(3), size=4))
-    opp = Population(rng.dirichlet(np.ones(3), size=4))
-    refresh_confirming(pop, opp, g, 0)
-    refresh_confirming(opp, pop, g, 1)
+    pop = Population(rng.dirichlet(np.ones(3), size=4), g, 0)
+    opp = Population(rng.dirichlet(np.ones(3), size=4), g, 1)
+    refresh_confirming(pop, opp)
+    refresh_confirming(opp, pop)
     before = [m.copy() for m in pop.members]
-    build_empirical(g, pop, opp, clip=True, s=0.5)
+    build_empirical(pop, opp, clip=True, s=0.5)
     assert len(pop) == 4
     for a, b in zip(before, pop.members):
         assert np.array_equal(a, b)
 
 def test_clipping_refreshes_stale_caches():
-    pop = Population([uniform(3), pure(3, 0), pure(3, 1)])
-    opp = Population([uniform(3), pure(3, 2)])
-    emp = build_empirical(RPS, pop, opp, clip=True, s=0.5)
+    pop = Population([uniform(3), pure(3, 0), pure(3, 1)], RPS, 0)
+    opp = Population([uniform(3), pure(3, 2)], RPS, 1)
+    emp = build_empirical(pop, opp, clip=True, s=0.5)
     assert not any(pop.stale) and not any(opp.stale)
     for i, sc in enumerate(_brute_confirm(pop, opp, RPS, 0)):
         assert abs(pop.sc_advantage[i] - sc) <= 1e-12
@@ -527,16 +549,17 @@ def test_build_empirical_empty_population_error():
     # The empty population is refused when it is built, so the empirical game
     # never sees one.
     with pytest.raises(GameError):
-        build_empirical(RPS, Population(np.empty((0, 3))), Population([uniform(3)]))
+        build_empirical(Population(np.empty((0, 3)), RPS, 0),
+                        Population([uniform(3)], RPS, 1))
 
 def test_meta_nash_lifts_clipped_indices():
     rng = np.random.default_rng(15)
     g = gen_general_sum(4, 3)
-    pop = Population(rng.dirichlet(np.ones(4), size=5))
-    opp = Population(rng.dirichlet(np.ones(4), size=5))
-    refresh_confirming(pop, opp, g, 0)
-    refresh_confirming(opp, pop, g, 1)
-    emp = build_empirical(g, pop, opp, clip=True, s=0.4)
+    pop = Population(rng.dirichlet(np.ones(4), size=5), g, 0)
+    opp = Population(rng.dirichlet(np.ones(4), size=5), g, 1)
+    refresh_confirming(pop, opp)
+    refresh_confirming(opp, pop)
+    emp = build_empirical(pop, opp, clip=True, s=0.4)
     sol = meta_nash(emp, 5, 5, 2000)
     assert sol.theta_row.shape == (5,)
     dropped = set(range(5)) - set(int(i) for i in emp.row_index_map)
@@ -550,10 +573,12 @@ def test_zero_sum_empirical_column_matrix_is_negated_row_matrix():
               gen_symmetric_zero_sum(30, 3)):
         # Pure members meet on zero payoffs, which cancel to exact zeros.
         pop = Population(np.vstack([np.eye(g.n_rows),
-                                    rng.dirichlet(np.ones(g.n_rows), size=4)]))
+                                    rng.dirichlet(np.ones(g.n_rows), size=4)]),
+                         g, 0)
         opp = Population(np.vstack([np.eye(g.n_cols)[::-1],
-                                    rng.dirichlet(np.ones(g.n_cols), size=3)]))
-        emp = build_empirical(g, pop, opp)
+                                    rng.dirichlet(np.ones(g.n_cols), size=3)]),
+                         g, 1)
+        emp = build_empirical(pop, opp)
         want = pop.members @ g.u_col @ opp.members.T
         assert np.array_equal(emp.m_col, want)
         # Bit for bit, but for the sign of an exact zero.
@@ -570,7 +595,7 @@ def test_zero_sum_empirical_column_matrix_is_negated_row_matrix():
 # Aggregation and oracles
 
 def test_aggregate_and_br_oracle():
-    pop = Population([pure(3, 0), pure(3, 1)])
+    pop = Population([pure(3, 0), pure(3, 1)], RPS, 0)
     agg = aggregate(pop, np.array([0.25, 0.75]))
     assert np.allclose(agg, [0.25, 0.75, 0.0])
     with pytest.raises(GameError):
@@ -602,8 +627,9 @@ def test_unclipped_empirical_game_equals_indexed_products(seed, n, m, k_row,
         w = rng.integers(0, 3, size=(k, dim)) + pure(dim, 0)
         return w / w.sum(axis=1, keepdims=True)
 
-    pop_row, pop_col = Population(members(k_row, n)), Population(members(k_col, m))
-    emp = build_empirical(g, pop_row, pop_col)
+    pop_row = Population(members(k_row, n), g, 0)
+    pop_col = Population(members(k_col, m), g, 1)
+    emp = build_empirical(pop_row, pop_col)
     R = pop_row.members[np.arange(k_row)]
     C = pop_col.members[np.arange(k_col)]
     m_row = R @ g.u_row @ C.T
@@ -687,7 +713,7 @@ class FixedRng:
 
 def test_lookahead_zero_step_returns_pi_t():
     pi = np.array([0.3, 0.7])
-    out = lookahead_step(T1, 0, Population([pi]), np.array([1.0]), 0.5,
+    out = lookahead_step(Population([pi], T1, 0), np.array([1.0]), 0.5,
                          FixedRng(0.0))
     assert np.allclose(out, pi)
 
@@ -696,7 +722,7 @@ def test_lookahead_argmax_contract():
     rng = np.random.default_rng(17)
     g = gen_symmetric_zero_sum(6, 1)
     pi = rng.dirichlet(np.ones(6))
-    out = lookahead_step(g, 0, Population([pi]), np.array([1.0]), 0.4,
+    out = lookahead_step(Population([pi], g, 0), np.array([1.0]), 0.4,
                          FixedRng(0.5))
     C = _candidates(pi, 0.5 * 0.4)
     assert advantage(g, 0, out) >= advantage_many(g, 0, C).max() - 1e-12
@@ -704,14 +730,14 @@ def test_lookahead_argmax_contract():
 def test_lookahead_step_bounded_by_theta_norm():
     # theta max-norm 0 forces a zero step regardless of lr.
     pi = np.array([0.6, 0.4])
-    out = lookahead_step(T1, 0, Population([pi]), np.array([0.0, 0.0]), 10.0,
+    out = lookahead_step(Population([pi], T1, 0), np.array([0.0, 0.0]), 10.0,
                          FixedRng(1.0))
     assert np.allclose(out, pi)
 
 def test_lookahead_table1_moves_toward_stackelberg_mix():
     # From pure D a large step lands past the (1/3, 2/3) tie point, where the
     # advantage (approached from above) exceeds the pure-D value of 2.
-    out = lookahead_step(T1, 0, Population([pure(2, 1)]), np.array([1.0]),
+    out = lookahead_step(Population([pure(2, 1)], T1, 0), np.array([1.0]),
                          0.6, FixedRng(1.0))
     assert advantage(T1, 0, out) > 2.0
     assert out[0] > 1.0 / 3.0
@@ -761,7 +787,7 @@ def _settled_index(g, player, pi, step, C):
     """The candidate the advantage bounds settle, or None: the index of the
     best lower bound where every candidate whose upper bound reaches it has
     the same row."""
-    bounds = engine._advantage_bounds(g, player, Population([pi]), step)
+    bounds = engine._advantage_bounds(Population([pi], g, player), step)
     if bounds is None:
         return None
     lo, hi = bounds
@@ -798,14 +824,14 @@ def test_certified_advantage_argmax_matches_dense(threads, seed, n, m, player,
     g, pi, step = _draw_certify_case(seed, n, m, player, zero_sum, payoffs,
                                      scale, pi_kind, step)
     C = _candidates(pi, step)
-    pop = Population([pi])
+    pop = Population([pi], g, player)
     with blas_threads(threads):
         dense = advantage_many(g, player, C)
         # Settled, scored from survivors or dense: the full block's pick.
-        out = engine.lookahead_step(g, player, pop, np.ones(1), 1.0,
+        out = engine.lookahead_step(pop, np.ones(1), 1.0,
                                     _FixedStep(step))
     assert np.array_equal(out, C[int(np.argmax(dense))])
-    bounds = engine._advantage_bounds(g, player, pop, step)
+    bounds = engine._advantage_bounds(pop, step)
     if bounds is None:
         return
     lo, hi = bounds
@@ -862,7 +888,7 @@ def test_advantage_bounds_keep_the_full_pass_bits(seed, n, m, player,
                                      scale, pi_kind, step)
     # On the last member's payoff vectors as bases, which the reference
     # forms as |pi_t| @ M.
-    bounds = engine._advantage_bounds(g, player, Population([pi]), step)
+    bounds = engine._advantage_bounds(Population([pi], g, player), step)
     reference = (reference_advantage_bounds(g, player, pi, step)
                  or reference_advantage_bounds(g, player, pi, step,
                                                rowwise=True))
@@ -888,7 +914,7 @@ def test_advantage_bounds_settle_dominant_steps_without_the_pass(monkeypatch):
     for player in (0, 1):
         for step in (1e9, 0.3):
             picks.clear()
-            bounds = engine._advantage_bounds(g, player, Population([pi]),
+            bounds = engine._advantage_bounds(Population([pi], g, player),
                                               step)
             assert (picks == []) == (step == 1e9)
             reference = reference_advantage_bounds(g, player, pi, step)
@@ -904,11 +930,11 @@ def test_one_loose_row_costs_no_dense_block(monkeypatch):
     g = new_game(10.0 * base.u_row, 10.0 * base.u_col)
     pi, step = pure(n, 17), 0.95
     assert reference_advantage_bounds(g, 0, pi, step) is None
-    pop = Population([pi])
-    lo, hi = engine._advantage_bounds(g, 0, pop, step)
+    pop = Population([pi], g, 0)
+    lo, hi = engine._advantage_bounds(pop, step)
     assert np.flatnonzero(np.isinf(lo) | np.isinf(hi)).tolist() == [n + 17]
     # Step 1 takes that row to 0; it is loose, and never divided by its sum.
-    lo, hi = engine._advantage_bounds(g, 0, pop, 1.0)
+    lo, hi = engine._advantage_bounds(pop, 1.0)
     assert np.flatnonzero(np.isinf(lo) | np.isinf(hi)).tolist() == [n + 17]
     calls = []
     score = engine.advantage_many
@@ -918,7 +944,7 @@ def test_one_loose_row_costs_no_dense_block(monkeypatch):
         return score(game, player, P)
 
     monkeypatch.setattr(engine, "advantage_many", counted_score)
-    out = engine.lookahead_step(g, 0, pop, np.ones(1), 1.0, _FixedStep(step))
+    out = engine.lookahead_step(pop, np.ones(1), 1.0, _FixedStep(step))
     C = _candidates(pi, step)
     assert np.array_equal(out, _dense_argmax_row(g, 0, C, None))
     if solvers.rows_keep_block_bits(g, 0):
@@ -1116,8 +1142,8 @@ def test_lookahead_above_gate_skips_dense_products(monkeypatch):
     bounds_of, score, step = (engine._advantage_bounds, engine.advantage_many,
                               engine.lookahead_step)
 
-    def counted_bounds(game, player, pop, step_size):
-        records[-1]["bounds"] = bounds_of(game, player, pop, step_size)
+    def counted_bounds(pop, step_size):
+        records[-1]["bounds"] = bounds_of(pop, step_size)
         records[-1]["C"] = _candidates(pop.members[-1], step_size)
         return records[-1]["bounds"]
 
@@ -1125,14 +1151,15 @@ def test_lookahead_above_gate_skips_dense_products(monkeypatch):
         records[-1]["calls"].append(P.shape[0])
         return score(game, player, P)
 
-    def counted_step(game, player, *args):
-        records.append({"bounds": None, "calls": [], "game": game,
-                        "player": player})
-        out = step(game, player, *args)
+    def counted_step(pop, *args):
+        records.append({"bounds": None, "calls": [], "game": pop.game,
+                        "player": pop.player})
+        out = step(pop, *args)
         if records[-1]["bounds"] is not None:
             # Settled or scored from survivors: the full block's dense pick.
             C = records[-1]["C"]
-            assert np.array_equal(out, _dense_argmax_row(game, player, C, None))
+            assert np.array_equal(out, _dense_argmax_row(pop.game, pop.player,
+                                                         C, None))
         return out
 
     monkeypatch.setattr(engine, "_advantage_bounds", counted_bounds)
@@ -1152,14 +1179,14 @@ def test_lookahead_above_gate_skips_dense_products(monkeypatch):
 
 def test_diversity_single_direction_returns_pi_t():
     g = new_game([[1.0, 0.0]], [[0.0, 1.0]])  # one row action
-    out = _diversity_argmax(g, 0, Population([[1.0]]), np.empty((0, 1)),
+    out = _diversity_argmax(Population([[1.0]], g, 0), np.empty((0, 1)),
                             np.array([uniform(2)]), 0.5, 1.0)
     assert np.allclose(out, [1.0])
 
 def test_diversity_huge_lambda1_selects_max_advantage_candidate():
     rng = np.random.default_rng(18)
     pi = rng.dirichlet(np.ones(3))
-    out = _diversity_argmax(RPS, 0, Population([pi]), np.array([uniform(3)]),
+    out = _diversity_argmax(Population([pi], RPS, 0), np.array([uniform(3)]),
                             np.array([pure(3, 0), uniform(3)]), 0.5, 1e9)
     C = _candidates(pi, 0.5)
     best = advantage_many(RPS, 0, C).max()
@@ -1168,7 +1195,7 @@ def test_diversity_huge_lambda1_selects_max_advantage_candidate():
 def test_diversity_against_single_rock_opponent():
     pi = uniform(3)
     # One-column meta-matrix.
-    out = _diversity_argmax(RPS, 0, Population([pi]), np.array([pure(3, 2)]),
+    out = _diversity_argmax(Population([pi], RPS, 0), np.array([pure(3, 2)]),
                             np.array([pure(3, 0)]), 0.5, 1.0)
     assert np.isfinite(out).all()
     assert (out >= 0).all() and abs(out.sum() - 1.0) <= 1e-12
@@ -1242,7 +1269,7 @@ def test_diversity_argmax_matches_brute_force(seed, n, n_opp, player,
         F /= F.sum(axis=1, keepdims=True)
     else:
         F = rng.dirichlet(np.ones(n), size=int(rng.integers(2, 12)))
-    out = _diversity_argmax(g, player, Population([pi]), F, opp, lr, lambda_1)
+    out = _diversity_argmax(Population([pi], g, player), F, opp, lr, lambda_1)
     C, ec, total = _brute_diversity_scores(g, player, pi, F, opp, lr, lambda_1)
     assert np.array_equal(out, C[int(np.argmax(total))])
 
@@ -1291,7 +1318,7 @@ def test_diversity_argmax_matches_brute_force_above_gate(n, threads,
         scored.clear()
         survivors.clear()
         with blas_threads(threads):
-            out = _diversity_argmax(g, player, Population([pi]), F, opp, lr,
+            out = _diversity_argmax(Population([pi], g, player), F, opp, lr,
                                     lambda_1)
             C, ec, total = _brute_diversity_scores(g, player, pi, F, opp, lr,
                                                    lambda_1)
@@ -1335,10 +1362,10 @@ def _check_diversity_above_gate(lambda_1, scale, blocks, lr, monkeypatch):
     pi = rng.dirichlet(np.ones(n))
     F = rng.dirichlet(np.ones(n), size=3)
     opp = rng.dirichlet(np.ones(n), size=5)
-    pop = Population([pi])
+    pop = Population([pi], g, 0)
     if lambda_1 > 0:
-        assert engine._advantage_bounds(g, 0, pop, lr) is None
-    out = _diversity_argmax(g, 0, pop, F, opp, lr, lambda_1)
+        assert engine._advantage_bounds(pop, lr) is None
+    out = _diversity_argmax(pop, F, opp, lr, lambda_1)
     assert _full_builds(built, n) == blocks
     C, _, total = _brute_diversity_scores(g, 0, pi, F, opp, lr, lambda_1)
     assert np.array_equal(out, C[int(np.argmax(total))])
@@ -1375,7 +1402,7 @@ def test_diversity_without_block_bits_builds_the_block_once(n, monkeypatch):
         F = rng.dirichlet(np.ones(n), size=n_fixed)
         opp = rng.dirichlet(np.ones(n), size=5)
         built.clear()
-        out = _diversity_argmax(g, 0, Population([pi]), F, opp, 1e9, 1.0)
+        out = _diversity_argmax(Population([pi], g, 0), F, opp, 1e9, 1.0)
         assert _full_builds(built, n) <= 1
         scored += _full_builds(built, n)
         C, _, total = _brute_diversity_scores(g, 0, pi, F, opp, 1e9, 1.0)
@@ -1442,7 +1469,7 @@ def test_shared_zero_block_is_zero_after_each_use(monkeypatch):
     draws = [(rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n), size=k),
               rng.dirichlet(np.ones(n), size=5)) for k in (1, 2, 3)]
     for pi, F, opp in draws:
-        _diversity_argmax(g, 0, Population([pi]), F, opp, 1e9, 1.0)
+        _diversity_argmax(Population([pi], g, 0), F, opp, 1e9, 1.0)
         assert not Z.any()
     assert scored
 
@@ -1454,7 +1481,7 @@ def test_shared_zero_block_is_zero_after_each_use(monkeypatch):
     monkeypatch.setattr(engine, "zero_block", lambda n: Z.view(FailingProduct))
     with pytest.raises(ZeroDivisionError):
         for pi, F, opp in draws:
-            _diversity_argmax(g, 0, Population([pi]), F, opp, 1e9, 1.0)
+            _diversity_argmax(Population([pi], g, 0), F, opp, 1e9, 1.0)
     assert not Z.any()
 
 def _random_block_probe(game, player):
@@ -1541,7 +1568,7 @@ def test_rank_one_ec_rows_keep_the_exact_ec_in_the_widened_bound(
 
     with pytest.MonkeyPatch.context() as mp:
         built = _recorded_builds(mp)
-        out = _diversity_argmax(g, 0, Population([pi]), members, opp, step,
+        out = _diversity_argmax(Population([pi], g, 0), members, opp, step,
                                 lambda_1)
     assert built and set(np.flatnonzero(np.isinf(err))) <= set(built[-1])
     C, _, total = _brute_diversity_scores(g, 0, pi, members, opp, step,
@@ -1565,7 +1592,7 @@ def test_diversity_one_row_survivors_are_not_scored(monkeypatch):
     pi = np.zeros(n)
     pi[1:5] = 0.125
     pi[5:] = 0.5 / (n - 5)
-    out = _diversity_argmax(g, 0, Population([pi]), pi[None, :], np.eye(n)[:5],
+    out = _diversity_argmax(Population([pi], g, 0), pi[None, :], np.eye(n)[:5],
                             1e9, 1e-3)
     assert np.array_equal(out, _candidates(pi, 1e9)[0])
     assert calls == []
@@ -1628,7 +1655,8 @@ def test_report_exploitability_matches_solver_exactly():
         rep = run_iteration(state)
         agg_row = rep.theta.theta_row @ before_row
         agg_col = rep.theta.theta_col @ before_col
-        assert rep.exploitability == exploitability(g, agg_row, agg_col)
+        assert rep.exploitability == exploitability(g, agg_row, agg_col)[0]
+        assert (rep.reward_row, rep.reward_col) == payoff(g, agg_row, agg_col)
 
 def test_all_stored_members_simplex_valid():
     for variant in ("vanilla_psro", "diversity_psro", "sc_psro"):

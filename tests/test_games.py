@@ -1,14 +1,15 @@
 """Game types, generators, strategies and serialization."""
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from metagame_forge.games import (MAX_DIM, MAX_MAGNITUDE, MAX_NOISE,
-                                  BimatrixGame, GameError, GameGenSpec,
-                                  StrategyError, builtin, gen_elo,
+from metagame_forge.games import (BUILTINS, MAX_DIM, MAX_MAGNITUDE,
+                                  MAX_NOISE, BimatrixGame, GameError,
+                                  GameGenSpec, StrategyError, builtin, gen_elo,
                                   gen_general_sum, gen_symmetric_zero_sum,
                                   gen_transitive, load_game, new_game, payoff,
                                   save_game, validate_strategy)
@@ -28,6 +29,31 @@ def test_new_game_zero_sum_needs_no_antisymmetry():
     assert new_game([[1.0, 0.0], [0.0, 1.0]], [[-1.0, 0.0], [0.0, -1.0]]).exact_zero_sum
     assert new_game([[1.0, -2.0, 0.5]], [[-1.0, 2.0, -0.5]]).exact_zero_sum
     assert not new_game([[1.0, 0.0]], [[-1.0, 1e-300]]).exact_zero_sum
+
+def test_exact_zero_sum_needs_no_whole_matrix_temporary():
+    # A row at a time, the answer of one whole-matrix comparison on every
+    # generator and builtin, and on a zero-sum game with one entry of its
+    # last row changed.  On a dim-1000 general-sum game the first row
+    # settles it: a whole -u_row would take 8 MB.
+    games = [gen(d, 3) for d in (2, 50) for gen in (
+        gen_symmetric_zero_sum, gen_transitive, gen_general_sum,
+        lambda d, s: gen_elo(d, 0.0, s), lambda d, s: gen_elo(d, 1.0, s))]
+    games += [builtin(name) for name in BUILTINS]
+    u = gen_symmetric_zero_sum(50, 3).u_row
+    off = -u
+    off[-1, 7] = np.nextafter(off[-1, 7], np.inf)
+    games.append(new_game(u, off))
+    for g in games:
+        assert g.exact_zero_sum == np.array_equal(g.u_col, -g.u_row), g.name
+    assert not games[-1].exact_zero_sum
+    g = gen_general_sum(1000, 0)
+    tracemalloc.start()
+    try:
+        assert not g.exact_zero_sum
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 def test_new_game_rejects_bad_input():
     with pytest.raises(GameError):

@@ -35,3 +35,13 @@ def test_dependencies_match_imports():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     assert imported - set(sys.stdlib_module_names) - {"metagame_forge"} == declared
+
+
+def test_readme_python_snippet_runs(capsys):
+    # README's "From Python" entry point (dim 100, 50 iterations), read from
+    # README.md and run as written, so an API change cannot break it
+    # unnoticed.
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    snippet = re.search(r"From Python:\n\n```python\n(.*?)```", text, re.S)[1]
+    exec(compile(snippet, "README.md", "exec"), {})
+    assert float(capsys.readouterr().out) >= 0.0

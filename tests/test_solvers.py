@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from metagame_forge.games import (GameError, builtin, gen_elo,
                                   gen_general_sum, gen_symmetric_zero_sum,
-                                  gen_transitive, new_game)
+                                  gen_transitive, new_game, payoff)
 from metagame_forge import solvers
 from metagame_forge.engine import br_oracle
 from metagame_forge.solvers import (COL, ROW, TIE_ATOL, advantage,
@@ -62,11 +62,11 @@ def test_br_value_is_max_and_index_is_lowest_tie():
 # Exploitability
 
 def test_exploitability_rps():
-    assert abs(exploitability(RPS, uniform(3), uniform(3))) <= 1e-12
-    assert abs(exploitability(RPS, pure(3, 0), pure(3, 0)) - 2.0) <= 1e-12
+    assert abs(exploitability(RPS, uniform(3), uniform(3))[0]) <= 1e-12
+    assert abs(exploitability(RPS, pure(3, 0), pure(3, 0))[0] - 2.0) <= 1e-12
 
 def test_exploitability_table1_nash():
-    assert abs(exploitability(T1, pure(2, 1), pure(2, 0))) <= 1e-12
+    assert abs(exploitability(T1, pure(2, 1), pure(2, 0))[0]) <= 1e-12
 
 def test_exploitability_nonnegative_random():
     rng = np.random.default_rng(1)
@@ -74,18 +74,20 @@ def test_exploitability_nonnegative_random():
         g = gen_general_sum(4, rng.integers(1000))
         p = rng.dirichlet(np.ones(4))
         q = rng.dirichlet(np.ones(4))
-        assert exploitability(g, p, q) >= -1e-12
+        assert exploitability(g, p, q)[0] >= -1e-12
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 12),
        m=st.integers(1, 12), zero_sum=st.booleans())
 def test_exploitability_matches_two_product_formula(seed, n, m, zero_sum):
     """`exploitability` forms p @ u_col once; the formula that forms it for
-    the best reply and again for the value gives the same bits."""
+    the best reply and again for the value gives the same bits, and the
+    profile's payoffs are `payoff`'s, bit for bit."""
     g, p, q = small_integer_case(seed, n, m, zero_sum)
     want = float(((g.u_row @ q).max() - p @ g.u_row @ q)
                  + ((p @ g.u_col).max() - p @ g.u_col @ q))
-    assert exploitability(g, p, q).hex() == want.hex()
+    got = exploitability(g, p, q)
+    assert [v.hex() for v in got] == [v.hex() for v in (want, *payoff(g, p, q))]
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +471,7 @@ def test_enum_all_results_are_equilibria():
     for _ in range(20):
         g = gen_general_sum(3, rng.integers(10_000))
         for x, y in nash_support_enumeration(g):
-            assert exploitability(g, x, y) <= 1e-8
+            assert exploitability(g, x, y)[0] <= 1e-8
 
 def test_enum_dim_limit():
     with pytest.raises(GameError):
@@ -487,7 +489,7 @@ def test_exploitability_advantage_identity(seed):
     g = gen_symmetric_zero_sum(dim, seed % 100_000)
     p = rng.dirichlet(np.ones(dim))
     q = rng.dirichlet(np.ones(dim))
-    lhs = exploitability(g, p, q)
+    lhs = exploitability(g, p, q)[0]
     rhs = -(advantage(g, 0, p) + advantage(g, 1, q))
     assert abs(lhs - rhs) <= 1e-9
 
@@ -497,7 +499,7 @@ def test_zero_sum_nash_payoffs_are_zero():
         dim = int(rng.integers(2, 5))
         g = gen_symmetric_zero_sum(dim, int(rng.integers(100_000)))
         for x, y in nash_support_enumeration(g):
-            assert exploitability(g, x, y) <= 1e-9
+            assert exploitability(g, x, y)[0] <= 1e-9
             assert abs(float(x @ g.u_row @ y)) <= 1e-9
             assert abs(advantage(g, 0, x)) <= 1e-9
             assert abs(advantage(g, 1, y)) <= 1e-9
